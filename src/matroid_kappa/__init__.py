@@ -13,16 +13,13 @@ approximations of infinite finitary families with certified limits.
 from .axioms import AxiomCheck, AxiomReport, check_axioms
 from .budgets import resolve_budget
 from .connectivity import (
-    INFINITY,
     Separation,
     del_count,
-    del_count_brute,
     find_separation,
     grow_pair,
     is_k_connected,
     kappa,
     kappa_between,
-    kappa_finite_equivalence,
     kappa_rank_formula,
 )
 from .constructions import (
@@ -99,7 +96,6 @@ __all__ = [
     "DomainError",
     "ElementSet",
     "GroundSet",
-    "INFINITY",
     "InfiniteFamily",
     "InvariantViolation",
     "LinkingResult",
@@ -121,7 +117,6 @@ __all__ = [
     "constructive_linking",
     "contract",
     "del_count",
-    "del_count_brute",
     "delete",
     "direct_sum",
     "double_ladder",
@@ -139,7 +134,6 @@ __all__ = [
     "is_k_connected",
     "kappa",
     "kappa_between",
-    "kappa_finite_equivalence",
     "kappa_rank_formula",
     "ladder_rungs",
     "lift_circuit",

@@ -10,6 +10,7 @@ report to a versioned JSON document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -88,23 +89,25 @@ def _family(args):
     )
 
 
+@functools.cache
 def _build_parser() -> _CliParser:
+    """The command-line grammar; built once, since parsing leaves it unchanged."""
     parser = _CliParser(prog="matroid-kappa")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name: str, with_input: bool = True) -> argparse.ArgumentParser:
+    def verb(name: str, budget: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
-        p.add_argument("--budget", type=int, default=None)
-        if with_input:
-            p.add_argument("input", help="matroid description file")
+        if budget:
+            p.add_argument("--budget", type=int, default=None)
+        p.add_argument("input", help="matroid description file")
         return p
 
     verb("check-axioms")
     verb("circuits")
 
-    p = verb("rank")
+    p = verb("rank", budget=False)
     p.add_argument("--set", default=None)
 
     verb("dual")
@@ -120,7 +123,7 @@ def _build_parser() -> _CliParser:
 
     verb("components")
 
-    p = verb("kappa")
+    p = verb("kappa", budget=False)
     p.add_argument("--set", required=True)
 
     p = verb("kappa-between")
@@ -324,10 +327,15 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "family":
+        if args.budget is not None and args.operation != "window-info":
+            raise DomainError("--budget applies only to family window-info")
         family = _family(args)
+        default = StabilizationPolicy()
         policy = StabilizationPolicy(
-            max_window=args.window if args.window is not None else 8,
-            plateau_length=args.plateau if args.plateau is not None else 3,
+            max_window=default.max_window if args.window is None else args.window,
+            plateau_length=(
+                default.plateau_length if args.plateau is None else args.plateau
+            ),
         )
         if args.operation == "window-info":
             if args.window is None:

@@ -11,24 +11,15 @@ r(X) + r(E minus X) - r(E), which the suite checks exhaustively.
 between X and the complement of Y.  It is computed by an exhaustive,
 budget-guarded subset scan with memoised kappa values; no polynomial
 algorithm is attempted here.
-
-Infinity can never arise on a finite matroid, so all functions in this
-module return plain integers.  ``INFINITY`` exists as the explicit marker
-for callers that describe infinite objects symbolically.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import budgets
-from .core import ElementSet, Matroid, _bit_indices, iter_submasks_lex
+from .core import ElementSet, Matroid, iter_submasks_lex
 from .errors import CapacityError, InvariantViolation, PreconditionError
-
-INFINITY = float("inf")
-
-ConnValue = "int | float"
 
 
 def del_count(m: Matroid, left: ElementSet, right: ElementSet) -> int:
@@ -49,24 +40,6 @@ def del_count(m: Matroid, left: ElementSet, right: ElementSet) -> int:
     union = left.mask | right.mask
     kept = m._greedy_basis_mask(union)
     return union.bit_count() - kept.bit_count()
-
-
-def del_count_brute(m: Matroid, left: ElementSet, right: ElementSet) -> int:
-    """Reference implementation: try removal sets by size.  For cross-checks."""
-    m._check_universe(left)
-    m._check_universe(right)
-    if not m._indep(left.mask) or not m._indep(right.mask):
-        raise PreconditionError("both sets must be independent")
-    union = left.mask | right.mask
-    bits = [1 << i for i in _bit_indices(union)]
-    for size in range(0, len(bits) + 1):
-        for combo in itertools.combinations(bits, size):
-            removal = 0
-            for b in combo:
-                removal |= b
-            if m._indep(union & ~removal):
-                return size
-    raise InvariantViolation("removing everything always leaves the empty set")
 
 
 def _kappa_mask(m: Matroid, xmask: int) -> int:
@@ -97,11 +70,6 @@ def kappa_rank_formula(m: Matroid, x: ElementSet) -> int:
     """r(X) + r(E minus X) - r(E); the classical form, used as a cross-check."""
     m._check_universe(x)
     return m.rank(x) + m.rank(x.complement()) - m.full_rank
-
-
-def kappa_finite_equivalence(m: Matroid, x: ElementSet) -> bool:
-    """Exported self-check: the removal count and the rank formula agree."""
-    return kappa(m, x) == kappa_rank_formula(m, x)
 
 
 def kappa_between(

@@ -1,27 +1,20 @@
 """Duality, restriction, contraction, minors, direct sums and components.
 
-Derived matroids wrap the oracle of the source matroid instead of
-materialising independence families, so chains of constructions stay
-cheap.  For the uniform, graphic and explicit representations the
-construction is also carried out on the representation itself, which
-gives an oracle-equal result with faster queries; the generic wrappers
-remain available and the test suite checks both routes agree.
+Each representation in :mod:`matroid_kappa.core` builds its own dual and
+minors: uniform matroids stay uniform, graphic minors are taken on the
+graph, explicit restrictions filter the family, and everything else wraps
+the oracle of the source matroid instead of materialising independence
+families, so chains of constructions stay cheap.  The functions here are
+the public spellings of those methods; the test suite checks every
+representation's own route against the generic wrappers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .core import (
-    ElementSet,
-    GroundSet,
-    Matroid,
-    _bit_indices,
-    graphic_matroid,
-    iter_submasks_lex,
-    uniform_matroid,
-)
+from .core import ElementSet, GroundSet, Matroid, _bit_indices, iter_submasks_lex
 from .errors import DomainError, InvariantViolation, PreconditionError
 
 
@@ -45,171 +38,71 @@ class MinorSpec:
         }
 
 
-class _MaskMap:
-    """Translation between a sub-ground-set's masks and the parent's masks."""
-
-    __slots__ = ("positions",)
-
-    def __init__(self, parent: GroundSet, kept_mask: int):
-        self.positions = tuple(_bit_indices(kept_mask))
-
-    def expand(self, mask: int) -> int:
-        out = 0
-        for j, pos in enumerate(self.positions):
-            if mask >> j & 1:
-                out |= 1 << pos
-        return out
-
-    def compress(self, parent_mask: int) -> int:
-        out = 0
-        for j, pos in enumerate(self.positions):
-            if parent_mask >> pos & 1:
-                out |= 1 << j
-        return out
-
-
 def dual(m: Matroid) -> Matroid:
-    """The dual matroid: S is independent iff the complement of S spans ``m``.
-
-    Implemented through the rank oracle: a set is coindependent exactly
-    when removing it does not lower the rank of the ground set.
-    """
-    if m.rep == "uniform":
-        return uniform_matroid(m.ground, len(m.ground) - m.rep_data["k"])
-    full_mask = m.ground.full_mask
-    target = m.full_rank
-
-    def oracle(mask: int) -> bool:
-        return m._greedy_basis_mask(full_mask & ~mask).bit_count() == target
-
-    return Matroid(m.ground, oracle, rep="derived")
+    """The dual matroid: S is independent iff the complement of S spans ``m``."""
+    return m.dual()
 
 
 def restrict(m: Matroid, keep: ElementSet) -> Matroid:
     """The matroid on ``keep`` whose independent sets are those of ``m``."""
-    m._check_universe(keep)
-    sub_labels = keep.labels()
-    ground = GroundSet(sub_labels)
-    if m.rep == "uniform":
-        return uniform_matroid(ground, min(m.rep_data["k"], len(ground)))
-    if m.rep == "graphic":
-        kept = set(sub_labels)
-        return graphic_matroid(
-            [e for e in m.rep_data["edges"] if e[0] in kept]
-        )
-    mapping = _MaskMap(m.ground, keep.mask)
-    if m.rep == "explicit":
-        family = frozenset(
-            mapping.compress(f) for f in m.rep_data["family"] if f & ~keep.mask == 0
-        )
-        return Matroid(
-            ground,
-            lambda mask: mask in family,
-            rep="explicit",
-            rep_data={"family": family},
-        )
-    return Matroid(ground, lambda mask: m._indep(mapping.expand(mask)), rep="derived")
+    return m.restrict(keep)
 
 
 def delete(m: Matroid, drop: ElementSet) -> Matroid:
     """Restriction to the complement of ``drop``."""
-    return restrict(m, drop.complement())
+    return m.delete(drop)
 
 
 def contract(m: Matroid, away: ElementSet) -> Matroid:
-    """The contraction of ``m`` by ``away``.
-
-    A set S of the remaining elements is independent iff S together with a
-    fixed basis of ``away`` is independent in ``m``.  The verdict does not
-    depend on which basis is fixed; the greedy canonical one is used.
-    """
-    m._check_universe(away)
-    base_mask = m._greedy_basis_mask(away.mask)
-    keep = away.complement()
-    ground = GroundSet(keep.labels())
-    if m.rep == "uniform":
-        k2 = max(0, m.rep_data["k"] - base_mask.bit_count())
-        return uniform_matroid(ground, k2)
-    if m.rep == "graphic":
-        return graphic_matroid(
-            _contract_edges(m.rep_data["edges"], away, base_mask, m.ground)
-        )
-    mapping = _MaskMap(m.ground, keep.mask)
-    return Matroid(
-        ground,
-        lambda mask: m._indep(mapping.expand(mask) | base_mask),
-        rep="derived",
-    )
-
-
-def _contract_edges(edges, away: ElementSet, base_mask: int, ground: GroundSet):
-    """Graph-side minor: contract a spanning forest of the removed edges,
-    delete the rest of them."""
-    merge: dict[str, str] = {}
-
-    def find(v: str) -> str:
-        while v in merge:
-            v = merge[v]
-        return v
-
-    for i in _bit_indices(base_mask):
-        _, u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            merge[ru] = rv
-    out = []
-    for lab, u, v in edges:
-        if lab in away:
-            continue
-        out.append((lab, find(u), find(v)))
-    return out
+    """The contraction of ``m`` by ``away``."""
+    return m.contract(away)
 
 
 def take_minor(m: Matroid, spec: MinorSpec) -> Matroid:
     """Contract then delete; the opposite order gives the same oracle."""
     if spec.contract.ground != m.ground:
         raise DomainError("minor spec does not match the matroid's ground set")
-    contracted = contract(m, spec.contract)
-    return delete(contracted, spec.delete.in_universe(contracted.ground))
+    contracted = m.contract(spec.contract)
+    return contracted.delete(spec.delete.in_universe(contracted.ground))
+
+
+class _DirectSum(Matroid):
+    """Disjoint union: independent iff each part's slice is independent.
+
+    Its circuits are the circuits of the parts.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, ground: GroundSet, parts: tuple[tuple[Matroid, int], ...]):
+        def oracle(mask: int) -> bool:
+            for part, off in parts:
+                if not part._indep(mask >> off & part.ground.full_mask):
+                    return False
+            return True
+
+        super().__init__(ground, oracle)
+        self._parts = parts
+
+    def _circuit_masks(self) -> Iterable[int]:
+        for part, off in self._parts:
+            for c in part._circuit_masks():
+                yield c << off
 
 
 def direct_sum(parts: Sequence[Matroid]) -> Matroid:
-    """Disjoint union: independent iff each part's slice is independent."""
+    """Disjoint union of ``parts``, their labels concatenated in order."""
     labels: list[str] = []
     seen: set[str] = set()
+    placed = []
     for part in parts:
+        placed.append((part, len(labels)))
         for lab in part.ground.labels:
             if lab in seen:
                 raise DomainError(f"element label {lab!r} appears in two summands")
             seen.add(lab)
             labels.append(lab)
-    ground = GroundSet(labels)
-    offsets = []
-    shift = 0
-    for part in parts:
-        offsets.append(shift)
-        shift += len(part.ground)
-
-    def oracle(mask: int) -> bool:
-        for part, off in zip(parts, offsets):
-            piece = mask >> off & part.ground.full_mask
-            if not part._indep(piece):
-                return False
-        return True
-
-    def fast_circuits() -> list[int]:
-        out = []
-        for part, off in zip(parts, offsets):
-            for c in part._circuit_masks():
-                out.append(c << off)
-        return out
-
-    return Matroid(
-        ground,
-        oracle,
-        rep="derived",
-        rep_data={"fast_circuits": fast_circuits},
-    )
+    return _DirectSum(GroundSet(labels), tuple(placed))
 
 
 @dataclass(frozen=True)
@@ -291,7 +184,7 @@ def lift_circuit(m: Matroid, away: ElementSet, circuit: ElementSet) -> ElementSe
     makes a circuit of ``m``; such a subset always exists.
     """
     m._check_universe(away)
-    contracted = contract(m, away)
+    contracted = m.contract(away)
     local = circuit.in_universe(contracted.ground)
     if not contracted.is_circuit(local):
         raise PreconditionError("the given set is not a circuit of the contraction")

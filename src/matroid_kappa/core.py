@@ -6,9 +6,12 @@ greedy choice and every enumeration in the package breaks ties by it,
 which makes all results reproducible.
 
 A :class:`Matroid` is an independence oracle, a pure function from element
-sets to booleans.  Concrete representations (uniform, graphic, binary
-linear, explicit family) supply the oracle; duals and minors wrap oracles
-of other matroids instead of materialising set families.
+sets to booleans.  Its dual and minors wrap that oracle instead of
+materialising set families.  Each concrete representation (uniform,
+graphic, binary linear, explicit family) is a subclass that owns its data
+and oracle and overrides what its data answers directly: uniform duals
+and minors stay uniform, graphic minors and circuits come from the graph,
+and explicit restrictions filter the family.
 """
 
 from __future__ import annotations
@@ -251,23 +254,19 @@ class Matroid:
     are memoised on the instance; the memo only grows and recomputation is
     idempotent, so instances are safe to share read-only across workers.
 
-    ``rep`` tags how the matroid was built (uniform, graphic, gf2,
-    explicit or derived) and ``rep_data`` carries representation details
-    that some operations use for exact fast paths.
+    This class is also the generic representation: its dual, restriction
+    and contraction wrap its oracle, and its circuits are enumerated from
+    the oracle.  The concrete representations below subclass it and
+    override those operations where their own data gives the answer
+    directly.  The class attribute ``rep`` names the representation;
+    ``"derived"`` marks an oracle wrapper.
     """
 
-    __slots__ = ("ground", "rep", "rep_data", "_oracle", "_memo", "_cache")
+    rep = "derived"
+    __slots__ = ("ground", "_oracle", "_memo", "_cache")
 
-    def __init__(
-        self,
-        ground: GroundSet,
-        oracle: Callable[[int], bool],
-        rep: str = "derived",
-        rep_data: dict | None = None,
-    ):
+    def __init__(self, ground: GroundSet, oracle: Callable[[int], bool]):
         self.ground = ground
-        self.rep = rep
-        self.rep_data = rep_data or {}
         self._oracle = oracle
         self._memo: dict[int, bool] = {}
         self._cache: dict[str, object] = {}
@@ -375,28 +374,26 @@ class Matroid:
             )
         masks = self._cache.get("circuit_masks")
         if masks is None:
-            masks = self._circuit_masks()
+            masks = tuple(
+                sorted(self._circuit_masks(), key=lambda m: tuple(_bit_indices(m)))
+            )
             self._cache["circuit_masks"] = masks
         return [ElementSet(self.ground, m) for m in masks]
 
-    def _circuit_masks(self) -> tuple[int, ...]:
-        fast = self.rep_data.get("fast_circuits")
-        if fast is not None:
-            found = list(fast())
-        else:
-            found = []
-            indices = range(len(self.ground))
-            for size in range(1, len(self.ground) + 1):
-                for combo in itertools.combinations(indices, size):
-                    mask = 0
-                    for i in combo:
-                        mask |= 1 << i
-                    if any(c & mask == c for c in found):
-                        continue
-                    if not self._indep(mask):
-                        found.append(mask)
-        found.sort(key=lambda m: tuple(_bit_indices(m)))
-        return tuple(found)
+    def _circuit_masks(self) -> Iterable[int]:
+        """Every circuit mask once, in any order; here by scanning the oracle."""
+        found: list[int] = []
+        indices = range(len(self.ground))
+        for size in range(1, len(self.ground) + 1):
+            for combo in itertools.combinations(indices, size):
+                mask = 0
+                for i in combo:
+                    mask |= 1 << i
+                if any(c & mask == c for c in found):
+                    continue
+                if not self._indep(mask):
+                    found.append(mask)
+        return found
 
     def is_circuit(self, s: ElementSet) -> bool:
         """True when ``s`` is dependent and every proper subset is independent."""
@@ -441,32 +438,69 @@ class Matroid:
     def cocircuits(self, budget: int | None = None) -> list[ElementSet]:
         return self.dual().circuits(budget)
 
-    # -- derived matroids (implementations live in constructions.py) ------
+    # -- derived matroids ------------------------------------------------
 
     def dual(self) -> "Matroid":
-        from .constructions import dual
+        """The dual: S is independent iff the complement of S spans this matroid.
 
-        return dual(self)
+        The generic version asks the rank oracle: a set is coindependent
+        exactly when removing it does not lower the rank of the ground set.
+        """
+        full_mask = self.ground.full_mask
+        target = self.full_rank
+        basis = self._greedy_basis_mask
+        return Matroid(
+            self.ground, lambda mask: basis(full_mask & ~mask).bit_count() == target
+        )
 
     def restrict(self, keep: ElementSet) -> "Matroid":
-        from .constructions import restrict
-
-        return restrict(self, keep)
+        """The matroid on ``keep`` whose independent sets are those of this one."""
+        self._check_universe(keep)
+        return self._restricted(GroundSet(keep.labels()), keep.mask)
 
     def delete(self, drop: ElementSet) -> "Matroid":
-        from .constructions import delete
-
-        return delete(self, drop)
+        """Restriction to the complement of ``drop``."""
+        return self.restrict(drop.complement())
 
     def contract(self, away: ElementSet) -> "Matroid":
-        from .constructions import contract
+        """The contraction by ``away``.
 
-        return contract(self, away)
+        A set S of the remaining elements is independent iff S together
+        with a fixed basis of ``away`` is independent here.  The verdict
+        does not depend on which basis is fixed; the greedy canonical one
+        is used.
+        """
+        self._check_universe(away)
+        base_mask = self._greedy_basis_mask(away.mask)
+        keep = away.complement()
+        return self._contracted(GroundSet(keep.labels()), keep.mask, base_mask)
 
     def minor(self, contract_set: ElementSet, delete_set: ElementSet) -> "Matroid":
         from .constructions import MinorSpec, take_minor
 
         return take_minor(self, MinorSpec(contract_set, delete_set))
+
+    def _restricted(self, ground: GroundSet, keep_mask: int) -> "Matroid":
+        """The restriction to ``keep_mask``, relabelled onto ``ground``."""
+        return self._contracted(ground, keep_mask, 0)
+
+    def _contracted(
+        self, ground: GroundSet, keep_mask: int, base_mask: int
+    ) -> "Matroid":
+        """The elements of ``keep_mask``, relabelled onto ``ground``, after
+        contracting the independent set ``base_mask`` and deleting the rest."""
+        positions = tuple(_bit_indices(keep_mask))
+        indep = self._indep
+        return Matroid(ground, lambda mask: indep(_spread(mask, positions) | base_mask))
+
+
+def _spread(mask: int, positions: tuple[int, ...]) -> int:
+    """Move bit j of ``mask`` to bit ``positions[j]``."""
+    out = 0
+    for j, pos in enumerate(positions):
+        if mask >> j & 1:
+            out |= 1 << pos
+    return out
 
 
 def same_independence(m1: Matroid, m2: Matroid) -> bool:
@@ -484,33 +518,145 @@ def same_independence(m1: Matroid, m2: Matroid) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _as_ground(labels: Iterable[str]) -> GroundSet:
+    return labels if isinstance(labels, GroundSet) else GroundSet(labels)
+
+
+class UniformMatroid(Matroid):
+    """U(k, n): a set is independent iff it has at most ``k`` elements.
+
+    Its dual and minors are uniform again.  A bound above the ground set's
+    size is lowered to it, which leaves the independent sets unchanged.
+    """
+
+    rep = "uniform"
+    __slots__ = ("k",)
+
+    def __init__(self, ground: GroundSet, k: int):
+        if k < 0:
+            raise DomainError("uniform rank bound must be non-negative")
+        k = min(k, len(ground))
+        super().__init__(ground, lambda mask: mask.bit_count() <= k)
+        self.k = k
+
+    def _circuit_masks(self) -> Iterable[int]:
+        return submasks_of_size(self.ground.full_mask, self.k + 1)
+
+    def dual(self) -> Matroid:
+        return UniformMatroid(self.ground, len(self.ground) - self.k)
+
+    def _contracted(self, ground: GroundSet, keep_mask: int, base_mask: int) -> Matroid:
+        return UniformMatroid(ground, self.k - base_mask.bit_count())
+
+
 def uniform_matroid(labels: Iterable[str], k: int) -> Matroid:
     """Uniform matroid: a set is independent iff it has at most ``k`` elements."""
-    ground = labels if isinstance(labels, GroundSet) else GroundSet(labels)
-    if k < 0:
-        raise DomainError("uniform rank bound must be non-negative")
-    n = len(ground)
-
-    def oracle(mask: int) -> bool:
-        return mask.bit_count() <= k
-
-    def fast_circuits() -> list[int]:
-        if k >= n:
-            return []
-        return list(submasks_of_size(ground.full_mask, k + 1))
-
-    return Matroid(
-        ground,
-        oracle,
-        rep="uniform",
-        rep_data={"k": k, "fast_circuits": fast_circuits},
-    )
+    return UniformMatroid(_as_ground(labels), k)
 
 
 def free_matroid(labels: Iterable[str]) -> Matroid:
     """Every subset independent."""
-    ground = labels if isinstance(labels, GroundSet) else GroundSet(labels)
-    return uniform_matroid(ground, len(ground))
+    ground = _as_ground(labels)
+    return UniformMatroid(ground, len(ground))
+
+
+class GraphicMatroid(Matroid):
+    """Finite-cycle matroid of a multigraph, one edge per element.
+
+    ``edges`` are (label, endpoint, endpoint) triples in element order.  A
+    set of edges is independent iff it contains no cycle, which the oracle
+    decides with union-find.  Minors are taken on the graph: deleted edges
+    are dropped and contracted edges merge their endpoints.
+    """
+
+    rep = "graphic"
+    __slots__ = ("edges", "_ends")
+
+    def __init__(self, ground: GroundSet, edges: tuple[tuple[str, str, str], ...]):
+        vertices: dict[str, int] = {}
+        for _, u, v in edges:
+            vertices.setdefault(u, len(vertices))
+            vertices.setdefault(v, len(vertices))
+        ends = tuple((vertices[u], vertices[v]) for _, u, v in edges)
+        nv = len(vertices)
+
+        def oracle(mask: int) -> bool:
+            parent = list(range(nv))
+
+            def find(a: int) -> int:
+                while parent[a] != a:
+                    parent[a] = parent[parent[a]]
+                    a = parent[a]
+                return a
+
+            for i in _bit_indices(mask):
+                u, v = ends[i]
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    return False
+                parent[ru] = rv
+            return True
+
+        super().__init__(ground, oracle)
+        self.edges = edges
+        self._ends = ends
+
+    def _circuit_masks(self) -> Iterable[int]:
+        """Edge masks of all simple cycles.
+
+        Each cycle is found exactly once, keyed by its lowest edge index:
+        for edge e = (u, v) we enumerate simple paths from v back to u that
+        use only higher-indexed edges.
+        """
+        adjacency: dict[int, list[tuple[int, int]]] = {}
+        for i, (u, v) in enumerate(self._ends):
+            adjacency.setdefault(u, []).append((v, i))
+            if u != v:
+                adjacency.setdefault(v, []).append((u, i))
+        cycles: list[int] = []
+        for i, (u, v) in enumerate(self._ends):
+            if u == v:
+                cycles.append(1 << i)
+                continue
+            # paths v -> u through edges with index > i, vertices not revisited;
+            # visited masks use vertex ids as bit positions
+            stack = [(v, 1 << i, (1 << u) | (1 << v))]
+            while stack:
+                at, used_edges, seen = stack.pop()
+                for nxt, j in adjacency.get(at, ()):
+                    if j <= i or used_edges >> j & 1:
+                        continue
+                    if nxt == u:
+                        cycles.append(used_edges | 1 << j)
+                        continue
+                    if seen >> nxt & 1:
+                        continue
+                    stack.append((nxt, used_edges | 1 << j, seen | 1 << nxt))
+        return cycles
+
+    def _contracted(
+        self, ground: GroundSet, keep_mask: int, base_mask: int
+    ) -> Matroid:
+        # contracting the forest base_mask merges its endpoints; every other
+        # edge outside keep_mask is deleted
+        merge: dict[str, str] = {}
+
+        def find(v: str) -> str:
+            while v in merge:
+                v = merge[v]
+            return v
+
+        for i in _bit_indices(base_mask):
+            _, u, v = self.edges[i]
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                merge[ru] = rv
+        kept = tuple(
+            (lab, find(u), find(v))
+            for i, (lab, u, v) in enumerate(self.edges)
+            if keep_mask >> i & 1
+        )
+        return GraphicMatroid(ground, kept)
 
 
 def graphic_matroid(edges: Iterable[tuple[str, str, str]]) -> Matroid:
@@ -518,89 +664,49 @@ def graphic_matroid(edges: Iterable[tuple[str, str, str]]) -> Matroid:
 
     ``edges`` are (label, endpoint, endpoint) triples in canonical order.
     Parallel edges are allowed and a loop (equal endpoints) is a
-    one-element circuit.  A set of edges is independent iff it contains no
-    cycle, which the oracle decides with union-find.
+    one-element circuit.
     """
     edges = tuple((str(lab), str(u), str(v)) for lab, u, v in edges)
-    ground = GroundSet(lab for lab, _, _ in edges)
-    vertices: dict[str, int] = {}
-    for _, u, v in edges:
-        for w in (u, v):
-            if w not in vertices:
-                vertices[w] = len(vertices)
-    ends = tuple((vertices[u], vertices[v]) for _, u, v in edges)
-    nv = len(vertices)
-
-    def oracle(mask: int) -> bool:
-        parent = list(range(nv))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in _bit_indices(mask):
-            u, v = ends[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
-    def fast_circuits() -> list[int]:
-        return _graph_cycle_masks(ends, len(edges))
-
-    return Matroid(
-        ground,
-        oracle,
-        rep="graphic",
-        rep_data={"edges": edges, "fast_circuits": fast_circuits},
-    )
+    return GraphicMatroid(GroundSet(lab for lab, _, _ in edges), edges)
 
 
-def _graph_cycle_masks(ends: tuple[tuple[int, int], ...], m: int) -> list[int]:
-    """Edge masks of all simple cycles of a multigraph.
+class BinaryMatroid(Matroid):
+    """Linear matroid over the two-element field.
 
-    Each cycle is found exactly once, keyed by its lowest edge index: for
-    edge e = (u, v) we enumerate simple paths from v back to u that use
-    only higher-indexed edges.
+    ``columns`` holds one integer per element, bit i being the entry in
+    row i.  The oracle runs incremental elimination; minors and the dual
+    are the generic oracle wrappers.
     """
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for i, (u, v) in enumerate(ends):
-        adjacency.setdefault(u, []).append((v, i))
-        if u != v:
-            adjacency.setdefault(v, []).append((u, i))
-    cycles: list[int] = []
-    for i, (u, v) in enumerate(ends):
-        if u == v:
-            cycles.append(1 << i)
-            continue
-        # paths v -> u through edges with index > i, vertices not revisited;
-        # visited masks use vertex ids as bit positions
-        stack = [(v, 1 << i, (1 << u) | (1 << v))]
-        while stack:
-            at, used_edges, seen = stack.pop()
-            for nxt, j in adjacency.get(at, ()):
-                if j <= i or used_edges >> j & 1:
-                    continue
-                if nxt == u:
-                    cycles.append(used_edges | 1 << j)
-                    continue
-                if seen >> nxt & 1:
-                    continue
-                stack.append((nxt, used_edges | 1 << j, seen | 1 << nxt))
-    return cycles
+
+    rep = "gf2"
+    __slots__ = ()
+
+    def __init__(self, ground: GroundSet, columns: tuple[int, ...]):
+        def oracle(mask: int) -> bool:
+            pivots: dict[int, int] = {}
+            for i in _bit_indices(mask):
+                v = columns[i]
+                while v:
+                    h = v.bit_length()
+                    p = pivots.get(h)
+                    if p is None:
+                        pivots[h] = v
+                        break
+                    v ^= p
+                if not v:
+                    return False
+            return True
+
+        super().__init__(ground, oracle)
 
 
 def gf2_matroid(labels: Iterable[str], rows: Iterable[Iterable[int]]) -> Matroid:
     """Binary linear matroid of a 0/1 matrix, columns in element order.
 
     A set of columns is independent iff they are linearly independent over
-    the two-element field; the oracle runs incremental elimination on
-    columns packed into integers.
+    the two-element field.
     """
-    ground = labels if isinstance(labels, GroundSet) else GroundSet(labels)
+    ground = _as_ground(labels)
     matrix = [list(row) for row in rows]
     for row in matrix:
         if len(row) != len(ground):
@@ -614,28 +720,31 @@ def gf2_matroid(labels: Iterable[str], rows: Iterable[Iterable[int]]) -> Matroid
             if row[j]:
                 col |= 1 << i
         columns.append(col)
+    return BinaryMatroid(ground, tuple(columns))
 
-    def oracle(mask: int) -> bool:
-        pivots: dict[int, int] = {}
-        for i in _bit_indices(mask):
-            v = columns[i]
-            while v:
-                h = v.bit_length()
-                p = pivots.get(h)
-                if p is None:
-                    pivots[h] = v
-                    break
-                v ^= p
-            if not v:
-                return False
-        return True
 
-    return Matroid(
-        ground,
-        oracle,
-        rep="gf2",
-        rep_data={"columns": tuple(columns), "matrix": tuple(map(tuple, matrix))},
-    )
+class ExplicitMatroid(Matroid):
+    """Matroid given by the set of masks of its independent sets.
+
+    Restrictions keep the family's members inside the kept set; the dual
+    and contractions are the generic oracle wrappers.
+    """
+
+    rep = "explicit"
+    __slots__ = ("family",)
+
+    def __init__(self, ground: GroundSet, family: frozenset[int]):
+        super().__init__(ground, family.__contains__)
+        self.family = family
+
+    def _restricted(self, ground: GroundSet, keep_mask: int) -> Matroid:
+        positions = tuple(_bit_indices(keep_mask))
+        family = frozenset(
+            sum(1 << j for j, pos in enumerate(positions) if f >> pos & 1)
+            for f in self.family
+            if f & ~keep_mask == 0
+        )
+        return ExplicitMatroid(ground, family)
 
 
 def explicit_matroid(
@@ -649,7 +758,7 @@ def explicit_matroid(
     independence axioms first and a ``DomainError`` carrying the failed
     axiom report is raised for non-matroids.
     """
-    ground = labels if isinstance(labels, GroundSet) else GroundSet(labels)
+    ground = _as_ground(labels)
     family = frozenset(ground.set_of(s).mask for s in independent)
     if check:
         from .axioms import check_axioms
@@ -657,9 +766,4 @@ def explicit_matroid(
         report = check_axioms(ground, independent_masks=family)
         if not report.independence_ok:
             raise DomainError(f"family is not a matroid: {report.first_failure()}")
-    return Matroid(
-        ground,
-        lambda mask: mask in family,
-        rep="explicit",
-        rep_data={"family": family},
-    )
+    return ExplicitMatroid(ground, family)

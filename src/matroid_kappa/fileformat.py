@@ -16,7 +16,8 @@ followed by type-specific content:
 * file-derived - ``base: path`` plus ``apply: dual`` or ``apply: minor``
   (with optional ``contract:`` / ``delete:`` label lines) or
   ``apply: sum`` with ``with: path ...``; paths are resolved relative to
-  the describing file
+  the describing file, and one that leads back to a file being parsed is
+  an error
 
 Blank lines and ``#`` comments are ignored.  Parse errors carry the line
 number and a reason.
@@ -64,6 +65,12 @@ def parse_label_set(ground: GroundSet, text: str) -> ElementSet:
 
 
 def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
+    return _parse_text(text, base_dir, ())
+
+
+def _parse_text(text: str, base_dir: str, chain: tuple[str, ...]) -> Matroid:
+    """Parse one description; ``chain`` lists the real paths of the files
+    whose parsing led here, so a derived file cannot name one of them."""
     lines = list(_scan(text))
     if not lines:
         raise ParseError(1, "empty description")
@@ -95,7 +102,7 @@ def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
 
     type_no, mtype = need("type")
     if mtype == "file-derived":
-        return _parse_derived(fields, base_dir, type_no)
+        return _parse_derived(fields, base_dir, type_no, chain)
 
     el_no, el_text = need("elements")
     labels = el_text.split()
@@ -179,14 +186,16 @@ def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
     )
 
 
-def _parse_derived(fields, base_dir: str, type_no: int) -> Matroid:
+def _parse_derived(
+    fields, base_dir: str, type_no: int, chain: tuple[str, ...]
+) -> Matroid:
     if "base" not in fields:
         raise ParseError(type_no, "file-derived needs a 'base:' path")
     base_no, base_path = fields["base"]
     if "apply" not in fields:
         raise ParseError(type_no, "file-derived needs an 'apply:' operation")
     op_no, op = fields["apply"]
-    base = parse_matroid_file(os.path.join(base_dir, base_path))
+    base = _parse_file(os.path.join(base_dir, base_path), chain, base_no)
 
     if op == "dual":
         return dual(base)
@@ -204,7 +213,7 @@ def _parse_derived(fields, base_dir: str, type_no: int) -> Matroid:
             raise ParseError(op_no, "apply: sum needs a 'with:' list of paths")
         w_no, w_text = fields["with"]
         others = [
-            parse_matroid_file(os.path.join(base_dir, p)) for p in w_text.split()
+            _parse_file(os.path.join(base_dir, p), chain, w_no) for p in w_text.split()
         ]
         if not others:
             raise ParseError(w_no, "'with:' lists no paths")
@@ -216,9 +225,18 @@ def _parse_derived(fields, base_dir: str, type_no: int) -> Matroid:
 
 
 def parse_matroid_file(path: str) -> Matroid:
+    return _parse_file(path, (), 0)
+
+
+def _parse_file(path: str, chain: tuple[str, ...], line_no: int) -> Matroid:
+    """Parse the file at ``path``, named on line ``line_no`` of the last
+    file in ``chain``."""
+    real = os.path.realpath(path)
+    if real in chain:
+        raise ParseError(line_no, f"{path!r} refers back to a file being parsed")
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    return parse_matroid_text(text, base_dir=os.path.dirname(path) or ".")
+    return _parse_text(text, os.path.dirname(path) or ".", chain + (real,))
 
 
 def set_to_jsonable(s: ElementSet) -> list[str]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from matroid_kappa import cli
 from matroid_kappa.cli import parse_and_run
 
 U24 = "type: uniform\nelements: a b c d\nk: 2\n"
@@ -141,6 +142,24 @@ class TestVerbs:
         assert code == 0
         assert "rank = 3" in out
 
+    def test_family_window_info_reads_budget(self, capsys):
+        argv = ["family", "--id=double-ladder", "--window=0", "window-info"]
+        code, out, _ = run(capsys, argv[:-1] + ["--budget=0", argv[-1]])
+        assert code == 0
+        assert "circuits" not in out
+        code, out, _ = run(capsys, argv)
+        assert "circuits" in out
+
+    def test_repeated_flags_do_not_carry_over(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, "_dispatch", lambda args: seen.append(args.certificate) or 0
+        )
+        for certs in (["rung:0", "rung:1"], ["rung:2"]):
+            argv = ["family", "--id=double-ladder", "kappa-between"]
+            assert parse_and_run(argv + [f"--certificate={c}" for c in certs]) == 0
+        assert seen == [["rung:0", "rung:1"], ["rung:2"]]
+
     def test_set_from_file(self, capsys, tmp_path, u24_file):
         labels = tmp_path / "labels.txt"
         labels.write_text("a\nb\n")
@@ -169,6 +188,31 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self, capsys, u24_file):
         code, _, err = run(capsys, ["kappa", "--set=a", "--bogus", u24_file])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--budget=3"],
+            ["kappa", "--set=a", "--budget=3"],
+            ["family", "--id=double-ladder", "--window=4", "--budget=1",
+             "kappa-between", "--x=rung[0]", "--y=rung[2]", "--certificate=rung:0"],
+            ["family", "--id=double-ladder", "--window=4", "--budget=1",
+             "link", "--x=rung[0]", "--y=rung[2]", "--certificate=rung:0"],
+        ],
+    )
+    def test_unread_budget_rejected(self, capsys, u24_file, argv):
+        if argv[0] != "family":
+            argv = argv + [u24_file]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert "budget" in err
+
+    def test_self_referencing_file(self, capsys, tmp_path):
+        path = tmp_path / "self.matroid"
+        path.write_text("type: file-derived\nbase: self.matroid\napply: dual\n")
+        code, _, err = run(capsys, ["rank", str(path)])
+        assert code == 1
+        assert "line 2" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["rank", "missing.matroid"])

@@ -8,7 +8,6 @@ from matroid_kappa import (
     PreconditionError,
     components,
     del_count,
-    del_count_brute,
     dual,
     find_separation,
     free_matroid,
@@ -17,7 +16,7 @@ from matroid_kappa import (
     is_k_connected,
     kappa,
     kappa_between,
-    kappa_finite_equivalence,
+    kappa_rank_formula,
     take_minor,
     MinorSpec,
     uniform_matroid,
@@ -62,8 +61,8 @@ class TestDelCount:
                 right = helpers.random_greedy_basis(
                     m, m.ground.set_of([l for l in m.ground if rng.random() < 0.6]), rng
                 )
-                assert del_count(m, left, right) == del_count_brute(
-                    m, left, right
+                assert del_count(m, left, right) == helpers.brute_del(
+                    helpers.oracle_of(m), left, right
                 ), name
 
 
@@ -90,7 +89,7 @@ class TestKappa:
                 continue
             for mask in range(m.ground.full_mask + 1):
                 x = m.ground.from_mask(mask)
-                assert kappa_finite_equivalence(m, x), (name, sorted(x))
+                assert kappa(m, x) == kappa_rank_formula(m, x), (name, sorted(x))
 
     def test_matches_independent_brute_force(self, small_corpus):
         rng = random.Random(31)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from matroid_kappa import (
@@ -14,9 +15,12 @@ from matroid_kappa import (
     delete,
     direct_sum,
     dual,
+    explicit_matroid,
     free_matroid,
+    gf2_matroid,
     graphic_matroid,
     lift_circuit,
+    matroid_summary,
     restrict,
     same_independence,
     take_minor,
@@ -30,7 +34,7 @@ def u24():
 
 def generic(m: Matroid) -> Matroid:
     """Strip representation data so the generic oracle paths run."""
-    return Matroid(m.ground, m._indep, rep="derived")
+    return Matroid(m.ground, m._indep)
 
 
 class TestDual:
@@ -55,6 +59,10 @@ class TestDual:
         big = uniform_matroid([f"x{i}" for i in range(10)], 5)
         generic_big = generic(big)
         assert same_independence(dual(dual(generic_big)), big)
+
+    def test_uniform_bound_above_size(self):
+        m = uniform_matroid("abc", 5)
+        assert same_independence(dual(m), dual(generic(m)))
 
     def test_uniform_fast_path_matches_generic(self, uniforms):
         for name, m in uniforms:
@@ -362,3 +370,75 @@ class TestCircuitsThroughContractions:
                 assert any(
                     e in c for c in inner.circuits()
                 ), (name, e, sorted(away))
+
+
+@st.composite
+def representations(draw, prefix: str = "x", max_n: int = 7):
+    """A uniform, graphic, binary or explicit matroid on ``prefix``-labels."""
+    n = draw(st.integers(0, max_n))
+    labels = [f"{prefix}{i}" for i in range(n)]
+    kind = draw(st.sampled_from(["uniform", "graphic", "gf2", "explicit"]))
+    if kind == "uniform":
+        return uniform_matroid(labels, draw(st.integers(0, n + 2)))
+    if kind == "graphic":
+        # loops and parallel edges come up often on so few vertices
+        vertex = st.integers(0, 3).map(str)
+        return graphic_matroid((lab, draw(vertex), draw(vertex)) for lab in labels)
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    m = gf2_matroid(labels, rows)
+    if kind == "gf2":
+        return m
+    masks = range(m.ground.full_mask + 1)
+    family = [m.ground.from_mask(x) for x in masks if m._indep(x)]
+    return explicit_matroid(labels, family, check=False)
+
+
+class TestRepresentationRoutes:
+    """Each representation's own dual, minors and circuits against the
+    generic oracle wrappers."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=representations(), data=st.data())
+    def test_own_dual_and_minors_match_generic(self, m, data):
+        ref = generic(m)
+        s = m.ground.from_mask(data.draw(st.integers(0, m.ground.full_mask)))
+        assert same_independence(dual(m), dual(ref))
+        assert same_independence(restrict(m, s), restrict(ref, s))
+        assert same_independence(contract(m, s), contract(ref, s))
+        assert m.circuits() == ref.circuits()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_direct_sum_circuits_match_generic(self, data):
+        count = data.draw(st.integers(1, 3))
+        parts = [data.draw(representations(f"p{i}_", max_n=4)) for i in range(count)]
+        m = direct_sum(parts)
+        assert m.circuits() == generic(m).circuits()
+
+    def test_representation_field_of_each_construction(self):
+        u = u24()
+        g = helpers.triangle()
+        b = gf2_matroid("abc", [[1, 0, 1], [0, 1, 1]])
+        e = explicit_matroid("abc", [[], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"]])
+
+        def spec(m, c, d):
+            return MinorSpec(m.ground.set_of(c), m.ground.set_of(d))
+
+        cases = [
+            (u, "uniform"),
+            (dual(u), "uniform"),
+            (take_minor(u, spec(u, "a", "b")), "uniform"),
+            (g, "graphic"),
+            (take_minor(g, spec(g, ["e1"], ["e2"])), "graphic"),
+            (dual(g), "derived"),
+            (b, "gf2"),
+            (take_minor(b, spec(b, "a", "")), "derived"),
+            (dual(b), "derived"),
+            (e, "explicit"),
+            (restrict(e, e.ground.set_of("ab")), "explicit"),
+            (contract(e, e.ground.set_of("a")), "derived"),
+            (direct_sum([u, g]), "derived"),
+        ]
+        for m, want in cases:
+            assert matroid_summary(m)["representation"] == want, m

@@ -5,6 +5,7 @@ from matroid_kappa import (
     ParseError,
     free_matroid,
     parse_label_set,
+    parse_matroid_file,
     parse_matroid_text,
     same_independence,
     set_to_jsonable,
@@ -108,14 +109,48 @@ class TestDerivedFiles:
         (tmp_path / "sum.matroid").write_text(
             "type: file-derived\nbase: u24.matroid\napply: sum\nwith: tri.matroid\n"
         )
-        from matroid_kappa import parse_matroid_file
-
         d = parse_matroid_file(str(tmp_path / "dual.matroid"))
         assert same_independence(d, uniform_matroid("abcd", 2))
         mnr = parse_matroid_file(str(tmp_path / "minor.matroid"))
         assert same_independence(mnr, uniform_matroid("cd", 1))
         s = parse_matroid_file(str(tmp_path / "sum.matroid"))
         assert s.rank() == 4
+
+    def test_self_reference_rejected(self, tmp_path):
+        path = tmp_path / "self.matroid"
+        path.write_text("type: file-derived\nbase: self.matroid\napply: dual\n")
+        with pytest.raises(ParseError) as err:
+            parse_matroid_file(str(path))
+        assert err.value.line_no == 2
+
+    def test_two_file_cycle_rejected(self, tmp_path):
+        (tmp_path / "a.matroid").write_text(
+            "type: file-derived\nbase: b.matroid\napply: dual\n"
+        )
+        (tmp_path / "b.matroid").write_text(
+            "type: file-derived\nbase: u24.matroid\napply: sum\nwith: a.matroid\n"
+        )
+        (tmp_path / "u24.matroid").write_text(U24_TEXT)
+        with pytest.raises(ParseError) as err:
+            parse_matroid_file(str(tmp_path / "a.matroid"))
+        assert err.value.line_no == 4
+        assert "a.matroid" in err.value.reason
+
+    def test_shared_base_is_not_a_cycle(self, tmp_path):
+        (tmp_path / "u24.matroid").write_text(U24_TEXT)
+        (tmp_path / "ab.matroid").write_text(
+            "type: file-derived\nbase: u24.matroid\napply: minor\ndelete: c d\n"
+        )
+        (tmp_path / "cd.matroid").write_text(
+            "type: file-derived\nbase: u24.matroid\napply: minor\ndelete: a b\n"
+        )
+        (tmp_path / "sum.matroid").write_text(
+            "type: file-derived\nbase: ab.matroid\napply: sum\nwith: cd.matroid\n"
+        )
+        m = parse_matroid_file(str(tmp_path / "sum.matroid"))
+        assert same_independence(
+            m, parse_matroid_text("type: uniform\nelements: a b c d\nk: 4\n")
+        )
 
     def test_missing_pieces_rejected(self, tmp_path):
         with pytest.raises(ParseError):
