@@ -95,7 +95,7 @@ def check_axioms(
     independent: Iterable[Iterable[str]] | None = None,
     *,
     circuits: Iterable[Iterable[str]] | None = None,
-    independent_masks: frozenset[int] | None = None,
+    independent_masks: Iterable[int] | None = None,
     budget: int | None = None,
     c3_budget: int | None = None,
 ) -> AxiomReport:
@@ -105,7 +105,9 @@ def check_axioms(
     circuits (exactly one must be given).  When circuits are given, the
     induced independence family (sets containing no circuit) is checked
     too; when independent sets are given, the circuit checks run on the
-    inclusion-minimal non-members.
+    inclusion-minimal non-members.  The ground set is checked against
+    ``budget`` before any family is read, so a lazily generated family
+    over too many elements is never enumerated.
     """
     if budget is None:
         budget = budgets.AXIOM_GROUND

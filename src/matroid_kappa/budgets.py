@@ -2,9 +2,13 @@
 
 Every exhaustive scan in this package is exponential in the worst case, so
 each one is guarded by an explicit budget and raises ``CapacityError``
-instead of silently running for hours.  All defaults can be overridden per
-call; the command line additionally accepts ``--budget=N`` and honours the
-``MATROID_KAPPA_BUDGET`` environment variable (the flag wins).
+instead of silently running for hours.  A scan called with ``budget=None``
+uses its default from this module; any other value overrides it for that
+call.  The command line reads one number from ``--budget=N`` or, failing
+that, the ``MATROID_KAPPA_BUDGET`` environment variable, and passes it to
+every budgeted scan the verb runs (``link --constructive --budget=N``
+bounds its kappa scan, circuit enumerations and extension scans alike);
+with neither, each scan keeps its own default.
 """
 
 import os
@@ -36,13 +40,14 @@ WINDOW_ELEMENTS = 256
 ENV_VAR = "MATROID_KAPPA_BUDGET"
 
 
-def resolve_budget(flag_value, default):
-    """Pick the effective budget: explicit flag, then environment, then default."""
+def resolve_budget(flag_value: int | None) -> int | None:
+    """The budget a command line asks for: the flag, else the environment,
+    else None, which leaves every scan its own default."""
     if flag_value is not None:
         return flag_value
     raw = os.environ.get(ENV_VAR)
     if raw is None:
-        return default
+        return None
     try:
         return int(raw)
     except ValueError:

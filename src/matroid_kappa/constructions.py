@@ -118,12 +118,6 @@ class ComponentPartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, label: str) -> ElementSet:
-        for b in self.blocks:
-            if label in b:
-                return b
-        raise DomainError(f"label {label!r} is in no block")
-
     @property
     def is_connected(self) -> bool:
         return len(self.blocks) == 1

@@ -185,10 +185,6 @@ class ElementSet:
     def indices(self) -> tuple[int, ...]:
         return tuple(_bit_indices(self.mask))
 
-    def sort_key(self) -> tuple[int, ...]:
-        """Key of the canonical subset order (lexicographic over indices)."""
-        return self.indices()
-
     def in_universe(self, ground: GroundSet) -> "ElementSet":
         """The same labels as a set over another ground set."""
         return ground.set_of(self)
@@ -468,12 +464,15 @@ class Matroid:
         A set S of the remaining elements is independent iff S together
         with a fixed basis of ``away`` is independent here.  The verdict
         does not depend on which basis is fixed; the greedy canonical one
-        is used.
+        is used.  When that basis is empty, contracting is deleting.
         """
         self._check_universe(away)
         base_mask = self._greedy_basis_mask(away.mask)
         keep = away.complement()
-        return self._contracted(GroundSet(keep.labels()), keep.mask, base_mask)
+        ground = GroundSet(keep.labels())
+        if base_mask == 0:
+            return self._restricted(ground, keep.mask)
+        return self._contracted(ground, keep.mask, base_mask)
 
     def minor(self, contract_set: ElementSet, delete_set: ElementSet) -> "Matroid":
         from .constructions import MinorSpec, take_minor

@@ -20,7 +20,8 @@ followed by type-specific content:
   an error
 
 Blank lines and ``#`` comments are ignored.  Parse errors carry the line
-number and a reason.
+number and a reason; an error inside a ``base:`` or ``with:`` file also
+names that file.
 """
 
 from __future__ import annotations
@@ -41,12 +42,19 @@ from .errors import DomainError
 
 
 class ParseError(DomainError):
-    """Malformed description file; message carries the line number."""
+    """Malformed description file; message carries the line number.
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    ``path`` names the file when the error lies in a ``base:`` or ``with:``
+    file, written as the referring file gives it; it is None for the file
+    being parsed itself.
+    """
+
+    def __init__(self, line_no: int, reason: str, path: str | None = None):
+        where = f"line {line_no}: {reason}"
+        super().__init__(where if path is None else f"{path}: {where}")
         self.line_no = line_no
         self.reason = reason
+        self.path = path
 
 
 def _scan(text: str):
@@ -195,7 +203,7 @@ def _parse_derived(
     if "apply" not in fields:
         raise ParseError(type_no, "file-derived needs an 'apply:' operation")
     op_no, op = fields["apply"]
-    base = _parse_file(os.path.join(base_dir, base_path), chain, base_no)
+    base = _parse_named(base_dir, base_path, chain, base_no)
 
     if op == "dual":
         return dual(base)
@@ -212,9 +220,7 @@ def _parse_derived(
         if "with" not in fields:
             raise ParseError(op_no, "apply: sum needs a 'with:' list of paths")
         w_no, w_text = fields["with"]
-        others = [
-            _parse_file(os.path.join(base_dir, p), chain, w_no) for p in w_text.split()
-        ]
+        others = [_parse_named(base_dir, p, chain, w_no) for p in w_text.split()]
         if not others:
             raise ParseError(w_no, "'with:' lists no paths")
         try:
@@ -225,17 +231,29 @@ def _parse_derived(
 
 
 def parse_matroid_file(path: str) -> Matroid:
-    return _parse_file(path, (), 0)
+    return _parse_file(path, ())
 
 
-def _parse_file(path: str, chain: tuple[str, ...], line_no: int) -> Matroid:
-    """Parse the file at ``path``, named on line ``line_no`` of the last
-    file in ``chain``."""
-    real = os.path.realpath(path)
-    if real in chain:
+def _parse_named(
+    base_dir: str, name: str, chain: tuple[str, ...], line_no: int
+) -> Matroid:
+    """Parse the file that line ``line_no`` of the last file in ``chain``
+    names as ``name``; parse errors inside it carry that name."""
+    path = os.path.join(base_dir, name)
+    if os.path.realpath(path) in chain:
         raise ParseError(line_no, f"{path!r} refers back to a file being parsed")
+    try:
+        return _parse_file(path, chain)
+    except ParseError as exc:
+        if exc.path is not None:
+            raise
+        raise ParseError(exc.line_no, exc.reason, name) from None
+
+
+def _parse_file(path: str, chain: tuple[str, ...]) -> Matroid:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
+    real = os.path.realpath(path)
     return _parse_text(text, os.path.dirname(path) or ".", chain + (real,))
 
 

@@ -185,6 +185,20 @@ class TestExitCodes:
         assert code == 2
         assert "budget" in err
 
+    def test_constructive_link_keeps_library_defaults(self, capsys, tmp_path):
+        labels = " ".join("abcdefghijklmnopqr")
+        path = tmp_path / "u2_18.matroid"
+        path.write_text(f"type: uniform\nelements: {labels}\nk: 2\n")
+        argv = ["link", "--constructive", "--x=a", "--y=b", str(path)]
+        # 16 free elements: the kappa scan's own default (20) admits them
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "achieved = 1" in out
+        # an explicit budget bounds every scan the verb runs
+        code, _, err = run(capsys, argv[:-1] + ["--budget=16", argv[-1]])
+        assert code == 2
+        assert "budget 16" in err
+
     def test_unknown_flag_rejected(self, capsys, u24_file):
         code, _, err = run(capsys, ["kappa", "--set=a", "--bogus", u24_file])
         assert code == 1
@@ -224,6 +238,12 @@ class TestExitCodes:
         code, _, err = run(capsys, ["rank", str(path)])
         assert code == 1
         assert "line 3" in err
+        # an error inside a base: file names that file
+        top = tmp_path / "top.matroid"
+        top.write_text("type: file-derived\nbase: bad.matroid\napply: dual\n")
+        code, _, err = run(capsys, ["rank", str(top)])
+        assert code == 1
+        assert err == "error: bad.matroid: line 3: k must be an integer, got 'zap'\n"
 
     def test_budget_env_and_flag(self, capsys, tmp_path, monkeypatch):
         labels = " ".join(f"x{i}" for i in range(19))

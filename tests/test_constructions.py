@@ -437,6 +437,7 @@ class TestRepresentationRoutes:
             (dual(b), "derived"),
             (e, "explicit"),
             (restrict(e, e.ground.set_of("ab")), "explicit"),
+            (take_minor(e, spec(e, "", "a")), "explicit"),
             (contract(e, e.ground.set_of("a")), "derived"),
             (direct_sum([u, g]), "derived"),
         ]

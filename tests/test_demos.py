@@ -1,21 +1,24 @@
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-DEMOS = sorted(
-    (pathlib.Path(__file__).parent.parent / "demos").glob("*.py")
-)
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
+    # the demos import the package from src/, as the tests do
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -135,6 +135,29 @@ class TestDerivedFiles:
             parse_matroid_file(str(tmp_path / "a.matroid"))
         assert err.value.line_no == 4
         assert "a.matroid" in err.value.reason
+        # the cycle is reported on the line of b.matroid that closes it
+        assert err.value.path == "b.matroid"
+
+    def test_nested_parse_error_names_its_file(self, tmp_path):
+        (tmp_path / "bad.matroid").write_text("type: uniform\nelements: a b\nk: zap\n")
+        (tmp_path / "top.matroid").write_text(
+            "type: file-derived\nbase: bad.matroid\napply: dual\n"
+        )
+        (tmp_path / "sum.matroid").write_text(
+            "type: file-derived\nbase: u24.matroid\napply: sum\nwith: top.matroid\n"
+        )
+        (tmp_path / "u24.matroid").write_text(U24_TEXT)
+        with pytest.raises(ParseError) as err:
+            parse_matroid_file(str(tmp_path / "bad.matroid"))
+        assert err.value.path is None
+        assert str(err.value) == "line 3: k must be an integer, got 'zap'"
+        for top in ("top.matroid", "sum.matroid"):
+            with pytest.raises(ParseError) as err:
+                parse_matroid_file(str(tmp_path / top))
+            assert (err.value.path, err.value.line_no) == ("bad.matroid", 3)
+            assert str(err.value) == (
+                "bad.matroid: line 3: k must be an integer, got 'zap'"
+            )
 
     def test_shared_base_is_not_a_cycle(self, tmp_path):
         (tmp_path / "u24.matroid").write_text(U24_TEXT)
