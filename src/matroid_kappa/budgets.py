@@ -1,14 +1,19 @@
 """Default enumeration budgets.
 
-Every exhaustive scan in this package is exponential in the worst case, so
-each one is guarded by an explicit budget and raises ``CapacityError``
-instead of silently running for hours.  A scan called with ``budget=None``
-uses its default from this module; any other value overrides it for that
-call.  The command line reads one number from ``--budget=N`` or, failing
-that, the ``MATROID_KAPPA_BUDGET`` environment variable, and passes it to
-every budgeted scan the verb runs (``link --constructive --budget=N``
-bounds its kappa scan, circuit enumerations and extension scans alike);
-with neither, each scan keeps its own default.
+Only work that is still exponential carries a budget: circuit
+enumeration, axiom checking and the "first in canonical order" scans for
+separations and linking partitions.  Polynomial queries (rank, kappa,
+kappa(X, Y), components) take none.  Each budgeted scan raises
+``CapacityError`` instead of silently running for hours.  A scan called
+with ``budget=None`` uses its default from this module; any other value
+overrides it for that call.
+
+On the command line, ``MATROID_KAPPA_BUDGET`` is read by exactly the
+verbs that accept ``--budget``.  Those verbs take one number from
+``--budget=N`` or, failing that, from the environment variable, and pass
+it to every budgeted scan they run (``link --constructive --budget=N``
+bounds its circuit enumerations and extension scans alike); with
+neither, each scan keeps its own default.
 """
 
 import os
@@ -24,9 +29,6 @@ AXIOM_GROUND = 12
 AXIOM_C3_TUPLES = 20_000
 """Cap on the number of (circuit, subset, family, element) tuples scanned
 for the strong circuit-exchange check."""
-
-KAPPA_BETWEEN_FREE = 20
-"""Maximum number of free elements in the kappa(X, Y) subset scan."""
 
 SEPARATION_SCAN = 16
 """Maximum ground-set size for the separation search."""

@@ -7,8 +7,10 @@ in :func:`_build_parser`.  Exit codes: 0 success, 1 domain or precondition
 error, 2 capacity (budget) error, 70 internal invariant violation.
 ``--output=json`` switches every report to a versioned JSON document.
 
-``--budget`` (or ``MATROID_KAPPA_BUDGET``) is passed to every budgeted
-scan a verb runs; without either, each scan keeps its library default.
+Verbs that run a budgeted scan accept ``--budget``; they, and only they,
+read ``MATROID_KAPPA_BUDGET`` when the flag is absent, and pass the number
+to every budgeted scan they run.  Without either, each scan keeps its
+library default.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ def _sum_verb(args, _):
 
 
 def _components_verb(args, m: Matroid):
-    parts = components(m, resolve_budget(args.budget))
+    parts = components(m)
     return {"components": parts.to_jsonable()}, _listing("components", parts.blocks)
 
 
@@ -145,7 +147,7 @@ def _kappa_verb(args, m: Matroid):
 
 def _kappa_between_verb(args, m: Matroid):
     x, y = _sides(args, m)
-    value = kappa_between(m, x, y, resolve_budget(args.budget))
+    value = kappa_between(m, x, y)
     payload = {"x": set_to_jsonable(x), "y": set_to_jsonable(y), "kappa": value}
     return payload, [f"kappa(X, Y) = {value}"]
 
@@ -163,7 +165,7 @@ def _separation_verb(args, m: Matroid):
 
 
 def _connected_verb(args, m: Matroid):
-    parts = components(m, resolve_budget(args.budget))
+    parts = components(m)
     payload = {"connected": parts.is_connected, "blocks": len(parts)}
     return payload, [f"connected: {'true' if parts.is_connected else 'false'}"]
 
@@ -190,7 +192,13 @@ def _family(fid: str):
     if fid == "double-ladder-rungless":
         return double_ladder(include_rungs=False)
     if fid.startswith("infinite-uniform(") and fid.endswith(")"):
-        return infinite_uniform(int(fid[len("infinite-uniform(") : -1]))
+        try:
+            k = int(fid[len("infinite-uniform(") : -1])
+        except ValueError:
+            raise DomainError(
+                f"family {fid!r} needs an integer K in infinite-uniform(K)"
+            ) from None
+        return infinite_uniform(k)
     if fid == "omega-tree":
         return omega_tree_truncation()
     raise DomainError(
@@ -261,13 +269,13 @@ def _build_parser() -> _CliParser:
     p.add_argument("--contract", default="")
     p.add_argument("--delete", default="")
     verb("sum", _sum_verb, takes="files")
-    verb("components", _components_verb)
+    verb("components", _components_verb, budget=False)
     verb("kappa", _kappa_verb, budget=False).add_argument("--set", required=True)
-    p = verb("kappa-between", _kappa_between_verb)
+    p = verb("kappa-between", _kappa_between_verb, budget=False)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     verb("separation", _separation_verb).add_argument("--k", type=int, required=True)
-    verb("connected", _connected_verb)
+    verb("connected", _connected_verb, budget=False)
     p = verb("link", _link_verb)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)

@@ -103,7 +103,7 @@ def linking_partition(
         raise CapacityError(
             f"linking scan over {free.bit_count()} free elements exceeds budget {budget}"
         )
-    target = kappa_between(m, x, y, budget)
+    target = kappa_between(m, x, y)
     for cmask in iter_submasks_binary(free):
         spec = MinorSpec(
             ElementSet(m.ground, cmask), ElementSet(m.ground, free & ~cmask)
@@ -152,8 +152,8 @@ def _breaking_core(
                 union |= m.ground.set_of(block).mask
         return union
 
-    comp_x_union = blocks_avoiding(components(mx, budget), y)
-    comp_y_union = blocks_avoiding(components(my, budget), x)
+    comp_x_union = blocks_avoiding(components(mx), y)
+    comp_y_union = blocks_avoiding(components(my), x)
     covered = comp_x_union | comp_y_union | x.mask | y.mask
     uncovered = m.ground.full_mask & ~covered
     if uncovered == 0:
@@ -251,7 +251,7 @@ def constructive_linking(
     from .connectivity import grow_pair
 
     _check_disjoint_sides(m, x, y)
-    target = kappa_between(m, x, y, budget)
+    target = kappa_between(m, x, y)
     free = m.ground.full_mask & ~x.mask & ~y.mask
     trace: list[dict] = []
 
@@ -267,7 +267,7 @@ def constructive_linking(
     x_core = m.ground.empty()
     y_core = m.ground.empty()
     for level in range(1, target + 1):
-        pair = grow_pair(m, x, y, x_core, y_core, level, budget)
+        pair = grow_pair(m, x, y, x_core, y_core, level)
         if pair is None:
             raise InvariantViolation("growth must succeed below the target level")
         x_core = x_core.with_element(pair[0])
@@ -294,7 +294,7 @@ def constructive_linking(
             "stage": "window",
             "t": 1,
             "zone": sorted(zone),
-            "kappa": _restricted_value(m, zone, x_core, y_core, budget),
+            "kappa": _restricted_value(m, zone, x_core, y_core),
         }
     )
 
@@ -323,7 +323,7 @@ def constructive_linking(
             c1, c2 = breaking_circuits(m, p_host, q_host, t, budget)
             additions |= c1.mask | c2.mask
         zone = ElementSet(m.ground, additions)
-        reached = _restricted_value(m, zone, x_core, y_core, budget)
+        reached = _restricted_value(m, zone, x_core, y_core)
         if reached < t:
             raise InvariantViolation(
                 f"restricted connectivity {reached} below stage level {t}"
@@ -332,7 +332,7 @@ def constructive_linking(
             {"stage": "window", "t": t, "zone": sorted(zone), "kappa": reached}
         )
 
-    final_value = _restricted_value(m, zone, x_core, y_core, budget)
+    final_value = _restricted_value(m, zone, x_core, y_core)
     if final_value != target:
         raise InvariantViolation(
             f"restriction reached {final_value} instead of the target {target}"
@@ -364,18 +364,11 @@ def constructive_linking(
 
 
 def _restricted_value(
-    m: Matroid,
-    zone: ElementSet,
-    x_core: ElementSet,
-    y_core: ElementSet,
-    budget: int | None,
+    m: Matroid, zone: ElementSet, x_core: ElementSet, y_core: ElementSet
 ) -> int:
     sub = restrict(m, zone)
     return kappa_between(
-        sub,
-        x_core.in_universe(sub.ground),
-        y_core.in_universe(sub.ground),
-        budget,
+        sub, x_core.in_universe(sub.ground), y_core.in_universe(sub.ground)
     )
 
 
@@ -421,7 +414,7 @@ def infinite_kappa_chain(
     _check_disjoint_sides(window, x, y)
     if t_max < 0:
         raise PreconditionError("chain length must be non-negative")
-    if t_max > 0 and kappa_between(window, x, y, budget) < t_max:
+    if t_max > 0 and kappa_between(window, x, y) < t_max:
         raise PreconditionError(
             "the window's connectivity is below the requested chain length"
         )

@@ -712,7 +712,6 @@ def rung_partition_counterexample(n: int) -> dict:
     inner = family.window(n)
     rung_labels = sorted(ladder_rungs(inner), key=inner.ground.index)
     rungs_inner = inner.ground.set_of(rung_labels)
-    inner_budget = len(inner.ground)
 
     survivors: list[MinorSpec] = []
     checked = 0
@@ -722,11 +721,10 @@ def rung_partition_counterexample(n: int) -> dict:
             ElementSet(inner.ground, cmask),
             ElementSet(inner.ground, rungs_inner.mask & ~cmask),
         )
-        if components(take_minor(inner, spec), inner_budget).is_connected:
+        if components(take_minor(inner, spec)).is_connected:
             survivors.append(spec)
 
     outer = family.window(n + 1)
-    outer_budget = len(outer.ground)
     new_rungs = sorted(
         set(ladder_rungs(outer)) - set(rung_labels), key=outer.ground.index
     )
@@ -742,13 +740,13 @@ def rung_partition_counterexample(n: int) -> dict:
                 base_contract | ElementSet(outer.ground, emask),
                 base_delete | ElementSet(outer.ground, extra.mask & ~emask),
             )
-            if components(take_minor(outer, grown), outer_budget).is_connected:
+            if components(take_minor(outer, grown)).is_connected:
                 persistent.append(grown)
 
     no_rungs = take_minor(
         inner, MinorSpec(inner.ground.empty(), rungs_inner)
     )
-    full_deletion_disconnects = not components(no_rungs, inner_budget).is_connected
+    full_deletion_disconnects = not components(no_rungs).is_connected
 
     return {
         "window": n,

@@ -13,9 +13,11 @@ import random
 from functools import lru_cache
 
 import networkx as nx
+from hypothesis import strategies as st
 
 from matroid_kappa import (
     Matroid,
+    explicit_matroid,
     gf2_matroid,
     graphic_matroid,
     uniform_matroid,
@@ -114,6 +116,28 @@ def random_greedy_basis(m: Matroid, within, rng: random.Random):
 # ---------------------------------------------------------------------------
 # corpora
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def representations(draw, prefix: str = "x", max_n: int = 7):
+    """A uniform, graphic, binary or explicit matroid on ``prefix``-labels."""
+    n = draw(st.integers(0, max_n))
+    labels = [f"{prefix}{i}" for i in range(n)]
+    kind = draw(st.sampled_from(["uniform", "graphic", "gf2", "explicit"]))
+    if kind == "uniform":
+        return uniform_matroid(labels, draw(st.integers(0, n + 2)))
+    if kind == "graphic":
+        # loops and parallel edges come up often on so few vertices
+        vertex = st.integers(0, 3).map(str)
+        return graphic_matroid((lab, draw(vertex), draw(vertex)) for lab in labels)
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    m = gf2_matroid(labels, rows)
+    if kind == "gf2":
+        return m
+    masks = range(m.ground.full_mask + 1)
+    family = [m.ground.from_mask(x) for x in masks if m._indep(x)]
+    return explicit_matroid(labels, family, check=False)
 
 
 def uniform_corpus(max_n: int = 8):
@@ -246,6 +270,22 @@ def theta_graph(paths: int = 4):
     for i in range(1, paths + 1):
         edges.append((f"in{i}", "u", f"m{i}"))
         edges.append((f"out{i}", f"m{i}", "v"))
+    return graphic_matroid(edges)
+
+
+def grid_graph(rows: int, cols: int, prefix: str = ""):
+    """Graphic matroid of the rows x cols grid; edges row by row."""
+
+    def vertex(r, c):
+        return f"{prefix}{r},{c}"
+
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((f"{prefix}h{r}_{c}", vertex(r, c), vertex(r, c + 1)))
+            if r + 1 < rows:
+                edges.append((f"{prefix}v{r}_{c}", vertex(r, c), vertex(r + 1, c)))
     return graphic_matroid(edges)
 
 

@@ -190,7 +190,7 @@ class TestExitCodes:
         path = tmp_path / "u2_18.matroid"
         path.write_text(f"type: uniform\nelements: {labels}\nk: 2\n")
         argv = ["link", "--constructive", "--x=a", "--y=b", str(path)]
-        # 16 free elements: the kappa scan's own default (20) admits them
+        # 18 elements: the circuit enumeration's own default (20) admits them
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert "achieved = 1" in out
@@ -208,6 +208,9 @@ class TestExitCodes:
         [
             ["rank", "--budget=3"],
             ["kappa", "--set=a", "--budget=3"],
+            ["components", "--budget=3"],
+            ["connected", "--budget=3"],
+            ["kappa-between", "--x=a", "--y=b", "--budget=3"],
             ["family", "--id=double-ladder", "--window=4", "--budget=1",
              "kappa-between", "--x=rung[0]", "--y=rung[2]", "--certificate=rung:0"],
             ["family", "--id=double-ladder", "--window=4", "--budget=1",
@@ -250,14 +253,35 @@ class TestExitCodes:
         path = tmp_path / "big.matroid"
         path.write_text(f"type: uniform\nelements: {labels}\nk: 2\n")
         monkeypatch.setenv("MATROID_KAPPA_BUDGET", "10")
-        code, _, err = run(capsys, ["kappa-between", "--x=x0", "--y=x1", str(path)])
+        # the linking scan runs over 17 free elements
+        code, _, err = run(capsys, ["link", "--x=x0", "--y=x1", str(path)])
         assert code == 2
         # the flag overrides the environment
         code, out, _ = run(
             capsys,
-            ["kappa-between", "--x=x0", "--y=x1", "--budget=17", str(path)],
+            ["link", "--x=x0", "--y=x1", "--budget=17", str(path)],
         )
         assert code == 0
+
+    def test_budget_env_read_only_by_budgeted_verbs(self, capsys, u24_file, monkeypatch):
+        monkeypatch.setenv("MATROID_KAPPA_BUDGET", "zap")
+        code, out, _ = run(capsys, ["kappa-between", "--x=a", "--y=b", u24_file])
+        assert code == 0 and out.strip() == "kappa(X, Y) = 1"
+        code, _, _ = run(
+            capsys,
+            ["family", "--id=double-ladder", "--window=4", "kappa-between",
+             "--x=rung[0]", "--y=rung[2]", "--certificate=rung:0"],
+        )
+        assert code == 0
+        code, _, err = run(capsys, ["link", "--x=a", "--y=b", u24_file])
+        assert code == 1
+        assert "MATROID_KAPPA_BUDGET" in err
+
+    @pytest.mark.parametrize("fid", ["infinite-uniform(x)", "infinite-uniform()"])
+    def test_malformed_family_id_is_domain_error(self, capsys, fid):
+        code, _, err = run(capsys, ["family", f"--id={fid}", "--window=3", "window-info"])
+        assert code == 1
+        assert fid in err
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from matroid_kappa import (
@@ -8,6 +9,7 @@ from matroid_kappa import (
     PreconditionError,
     components,
     del_count,
+    direct_sum,
     dual,
     find_separation,
     free_matroid,
@@ -174,9 +176,20 @@ class TestKappaBetween:
         assert kappa_between(m, m.ground.set_of(["a1"]), m.ground.set_of(["b1"])) == 0
 
     def test_budget(self):
+        # kappa(X, Y) takes no budget: the 23-element free matroid answers
         m = free_matroid([f"x{i}" for i in range(23)])
+        assert kappa_between(m, m.ground.set_of(["x0"]), m.ground.set_of(["x1"])) == 0
+        # on U(k, n) kappa(U) = min(u, k) + min(n - u, k) - k is concave in
+        # u = |U|, so kappa(X, Y) sits at u = |X| or u = n - |Y|
+        n, k = 120, 30
+        u = uniform_matroid([f"x{i}" for i in range(n)], k)
+        x = u.ground.set_of([f"x{i}" for i in range(12)])
+        y = u.ground.set_of([f"x{i}" for i in range(95, n)])
+        expected = min(min(s, k) + min(n - s, k) - k for s in (len(x), n - len(y)))
+        assert kappa_between(u, x, y) == expected
+        # the separation scan keeps its budget (16 elements)
         with pytest.raises(CapacityError):
-            kappa_between(m, m.ground.set_of(["x0"]), m.ground.set_of(["x1"]))
+            find_separation(free_matroid([f"x{i}" for i in range(17)]), 1)
 
     def test_monotone_under_minors(self, small_corpus):
         rng = random.Random(53)
@@ -285,3 +298,134 @@ class TestGrowPair:
                 yp = yp.with_element(pair[1])
             assert kappa_between(m, xp, yp) == k, name
             assert len(xp) == k and len(yp) == k
+
+
+@st.composite
+def small_matroids(draw):
+    """A matroid of at most 10 elements, then up to two minors or duals."""
+    m = draw(helpers.representations(max_n=10))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            m = dual(m)
+        else:
+            full = m.ground.full_mask
+            away = draw(st.integers(0, full))
+            drop = draw(st.integers(0, full)) & ~away
+            spec = MinorSpec(m.ground.from_mask(away), m.ground.from_mask(drop))
+            m = take_minor(m, spec)
+    return m
+
+
+def disjoint_sides(draw, m):
+    """Disjoint X and Y; about half the elements stay free."""
+    n = len(m.ground)
+    sides = draw(st.lists(st.sampled_from("xyff"), min_size=n, max_size=n))
+    x = [lab for lab, side in zip(m.ground, sides) if side == "x"]
+    y = [lab for lab, side in zip(m.ground, sides) if side == "y"]
+    return m.ground.set_of(x), m.ground.set_of(y)
+
+
+def brute_blocks(m) -> set[frozenset]:
+    """Components by union-find over every circuit, from the naive oracle."""
+    parent = {lab: lab for lab in m.ground}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for circuit in helpers.brute_circuits(helpers.oracle_of(m), list(m.ground)):
+        head, *rest = sorted(circuit)
+        for other in rest:
+            parent[find(other)] = find(head)
+    blocks: dict[str, set] = {}
+    for lab in m.ground:
+        blocks.setdefault(find(lab), set()).add(lab)
+    return {frozenset(b) for b in blocks.values()}
+
+
+class TestPolynomialEngine:
+    """kappa(X, Y) by matroid intersection and components from one basis,
+    against the exhaustive oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=small_matroids(), data=st.data())
+    def test_kappa_between_matches_brute(self, m, data):
+        x, y = disjoint_sides(data.draw, m)
+        expected = helpers.brute_kappa_between(
+            helpers.oracle_of(m), list(m.ground), list(x), list(y)
+        )
+        assert kappa_between(m, x, y) == expected
+
+    def test_greedy_start_needs_an_augmenting_path(self):
+        # K4 minus an edge; a is parallel to b in M/x and to c in M/y, so
+        # the greedy start {a} is maximal but {b, c} is larger
+        m = graphic_matroid(
+            [("a", "1", "2"), ("b", "3", "1"), ("c", "4", "1"),
+             ("x", "2", "3"), ("y", "2", "4")]
+        )
+        expected = helpers.brute_kappa_between(
+            helpers.oracle_of(m), list(m.ground), ["x"], ["y"]
+        )
+        assert kappa_between(m, m.ground.set_of("x"), m.ground.set_of("y")) == expected == 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(m=small_matroids())
+    def test_components_match_circuit_union_find(self, m):
+        got = components(m)
+        assert {frozenset(b) for b in got.blocks} == brute_blocks(m)
+        firsts = [m.ground.index(b.labels()[0]) for b in got.blocks]
+        assert firsts == sorted(firsts)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(m=small_matroids())
+    def test_two_connected_matches_separation_scan(self, m):
+        assert is_k_connected(m, 2) == (find_separation(m, 1) is None)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_duality_invariance_on_grid(self, data):
+        m = helpers.grid_graph(5, 5)
+        x, y = disjoint_sides(data.draw, m)
+        assert kappa_between(m, x, y) == kappa_between(dual(m), x, y)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_zero_across_summands_of_two_grids(self, data):
+        a = helpers.grid_graph(8, 8, "a")
+        b = helpers.grid_graph(8, 8, "b")
+        m = direct_sum([a, b])
+        left = data.draw(st.integers(1, a.ground.full_mask))
+        right = data.draw(st.integers(1, b.ground.full_mask))
+        x = m.ground.set_of(a.ground.from_mask(left))
+        y = m.ground.set_of(b.ground.from_mask(right))
+        assert len(m.ground) == 224
+        assert kappa_between(m, x, y) == 0
+
+    def test_large_grid_answers_without_budget(self):
+        m = helpers.grid_graph(8, 8)
+        labels = list(m.ground)
+        assert len(labels) == 112
+        corner = m.ground.set_of(labels[:3])
+        # the corner vertex has degree two
+        assert kappa_between(m, corner, m.ground.set_of(labels[-3:])) == 2
+        assert components(m).is_connected
+        assert is_k_connected(m, 2)
+
+
+class TestPolynomialGuard:
+    """The independence memo holds one entry per distinct oracle call, so
+    its size after a cold query bounds the work done."""
+
+    def test_components_oracle_calls(self):
+        m = helpers.grid_graph(8, 8)
+        components(m)
+        n, r = len(m.ground), m.full_rank
+        assert len(m._memo) <= n * r + n
+
+    def test_kappa_between_oracle_calls(self):
+        m = helpers.grid_graph(8, 8)
+        labels = list(m.ground)
+        kappa_between(m, m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:]))
+        n, r = len(m.ground), m.full_rank
+        assert len(m._memo) <= r * n * n

@@ -7,6 +7,8 @@ import helpers
 from matroid_kappa import (
     DomainError,
     ElementSet,
+    GroundSet,
+    InvariantViolation,
     Matroid,
     MinorSpec,
     PreconditionError,
@@ -280,6 +282,14 @@ class TestComponents:
             ("l",),
         ]
 
+    def test_non_matroid_oracle_is_an_invariant_violation(self):
+        # {c} cannot be augmented from {a, b}: the blocks {a}, {b}, {c}
+        # have ranks summing to 3 while the greedy rank is 2
+        ground = GroundSet("abc")
+        family = {0b000, 0b001, 0b010, 0b100, 0b011}
+        with pytest.raises(InvariantViolation):
+            components(Matroid(ground, family.__contains__))
+
     def test_matroid_is_sum_of_component_restrictions(self, corpus):
         for name, m in corpus:
             parts = components(m)
@@ -372,34 +382,12 @@ class TestCircuitsThroughContractions:
                 ), (name, e, sorted(away))
 
 
-@st.composite
-def representations(draw, prefix: str = "x", max_n: int = 7):
-    """A uniform, graphic, binary or explicit matroid on ``prefix``-labels."""
-    n = draw(st.integers(0, max_n))
-    labels = [f"{prefix}{i}" for i in range(n)]
-    kind = draw(st.sampled_from(["uniform", "graphic", "gf2", "explicit"]))
-    if kind == "uniform":
-        return uniform_matroid(labels, draw(st.integers(0, n + 2)))
-    if kind == "graphic":
-        # loops and parallel edges come up often on so few vertices
-        vertex = st.integers(0, 3).map(str)
-        return graphic_matroid((lab, draw(vertex), draw(vertex)) for lab in labels)
-    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
-    rows = draw(st.lists(row, min_size=1, max_size=4))
-    m = gf2_matroid(labels, rows)
-    if kind == "gf2":
-        return m
-    masks = range(m.ground.full_mask + 1)
-    family = [m.ground.from_mask(x) for x in masks if m._indep(x)]
-    return explicit_matroid(labels, family, check=False)
-
-
 class TestRepresentationRoutes:
     """Each representation's own dual, minors and circuits against the
     generic oracle wrappers."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(m=representations(), data=st.data())
+    @given(m=helpers.representations(), data=st.data())
     def test_own_dual_and_minors_match_generic(self, m, data):
         ref = generic(m)
         s = m.ground.from_mask(data.draw(st.integers(0, m.ground.full_mask)))
@@ -412,7 +400,7 @@ class TestRepresentationRoutes:
     @given(data=st.data())
     def test_direct_sum_circuits_match_generic(self, data):
         count = data.draw(st.integers(1, 3))
-        parts = [data.draw(representations(f"p{i}_", max_n=4)) for i in range(count)]
+        parts = [data.draw(helpers.representations(f"p{i}_", max_n=4)) for i in range(count)]
         m = direct_sum(parts)
         assert m.circuits() == generic(m).circuits()
 

@@ -165,7 +165,6 @@ class TestStabilization:
                     w,
                     w.ground.set_of(x_labels),
                     w.ground.set_of(y_labels),
-                    budget=len(w.ground),
                 )
                 rep = stabilized_kappa_between(
                     fam,
@@ -177,8 +176,8 @@ class TestStabilization:
 
     def test_growth_engine_on_random_graphs(self):
         # a constant rule makes every window the same matroid, so the
-        # engine's value must match the exhaustive scan whenever it
-        # reports "exact" and never exceed it otherwise
+        # engine's value must match kappa_between on the window whenever
+        # it reports "exact" and never exceed it otherwise
         import random
 
         rng = random.Random(271)
@@ -200,7 +199,6 @@ class TestStabilization:
                 w,
                 w.ground.set_of(x_labels),
                 w.ground.set_of(y_labels),
-                budget=len(labels),
             )
             rep = stabilized_kappa_between(
                 fam,
@@ -361,5 +359,5 @@ class TestRungPartitions:
         rails_only = take_minor(
             w, MinorSpec(w.ground.empty(), ladder_rungs(w))
         )
-        parts = components(rails_only, len(w.ground))
+        parts = components(rails_only)
         assert all(len(b) == 1 for b in parts.blocks)
