@@ -2,9 +2,10 @@
 
 For disjoint X and Y there is always a way to contract part of the other
 elements and delete the rest without changing kappa(X, Y).  The direct
-solver scans partitions; the constructive one grows a small restriction
-by breaking low-order separations with circuit pairs until it carries the
-full value, then solves inside it.
+solver decides one element at a time, deleting whenever the value
+survives; the constructive one grows a small restriction by breaking
+low-order separations with circuit pairs until it carries the full
+value, then solves inside it.
 
 Run:  python3 demos/04_linking_partitions.py
 """
@@ -27,7 +28,7 @@ k4 = graphic_matroid(
 )
 x = k4.ground.set_of(["e01"])
 y = k4.ground.set_of(["e23"])
-print("== direct search on K4 ==")
+print("== direct solver on K4 ==")
 print(f"kappa(X, Y) = {kappa_between(k4, x, y)}")
 res = linking_partition(k4, x, y)
 print(f"contract {sorted(res.spec.contract)}, delete {sorted(res.spec.delete)}:",

@@ -2,18 +2,18 @@
 
 Only work that is still exponential carries a budget: circuit
 enumeration, axiom checking and the "first in canonical order" scans for
-separations and linking partitions.  Polynomial queries (rank, kappa,
-kappa(X, Y), components) take none.  Each budgeted scan raises
-``CapacityError`` instead of silently running for hours.  A scan called
-with ``budget=None`` uses its default from this module; any other value
-overrides it for that call.
+separations and their extensions.  Polynomial queries (rank, kappa,
+kappa(X, Y), components, linking partitions, window values) take none.
+Each budgeted scan raises ``CapacityError`` instead of silently running
+for hours.  A scan called with ``budget=None`` uses its default from this
+module; any other value overrides it for that call.
 
 On the command line, ``MATROID_KAPPA_BUDGET`` is read by exactly the
-verbs that accept ``--budget``.  Those verbs take one number from
-``--budget=N`` or, failing that, from the environment variable, and pass
-it to every budgeted scan they run (``link --constructive --budget=N``
-bounds its circuit enumerations and extension scans alike); with
-neither, each scan keeps its own default.
+verbs that accept ``--budget`` (``link`` only with ``--constructive``).
+Those verbs take one number from ``--budget=N`` or, failing that, from
+the environment variable, and pass it to every budgeted scan they run
+(``link --constructive --budget=N`` bounds its circuit enumerations and
+extension scans alike); with neither, each scan keeps its own default.
 """
 
 import os
@@ -34,7 +34,9 @@ SEPARATION_SCAN = 16
 """Maximum ground-set size for the separation search."""
 
 LINKING_FREE = 16
-"""Maximum number of free elements in the linking partition scan."""
+"""Maximum number of free elements in the separation-extension scan of
+``extends_to_separation`` (behind ``breaking_circuits`` and
+``constructive_linking``); ``linking_partition`` takes no budget."""
 
 WINDOW_ELEMENTS = 256
 """Largest window an infinite family will materialise."""

@@ -10,7 +10,9 @@ error, 2 capacity (budget) error, 70 internal invariant violation.
 Verbs that run a budgeted scan accept ``--budget``; they, and only they,
 read ``MATROID_KAPPA_BUDGET`` when the flag is absent, and pass the number
 to every budgeted scan they run.  Without either, each scan keeps its
-library default.
+library default.  ``link`` runs a budgeted scan only with
+``--constructive`` and ``family`` only for ``window-info``; otherwise
+they reject ``--budget`` and leave the variable unread.
 """
 
 from __future__ import annotations
@@ -172,8 +174,12 @@ def _connected_verb(args, m: Matroid):
 
 def _link_verb(args, m: Matroid):
     x, y = _sides(args, m)
-    solver = constructive_linking if args.constructive else linking_partition
-    result = solver(m, x, y, resolve_budget(args.budget))
+    if args.constructive:
+        result = constructive_linking(m, x, y, resolve_budget(args.budget))
+    elif args.budget is not None:
+        raise DomainError("--budget applies only to link --constructive")
+    else:
+        result = linking_partition(m, x, y)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for entry in result.trace:

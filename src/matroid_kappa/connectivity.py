@@ -99,18 +99,25 @@ def kappa_between(m: Matroid, x: ElementSet, y: ElementSet) -> int:
 
 
 def _largest_common_independent(
-    m: Matroid, free: int, base_x: int, base_y: int
+    m: Matroid,
+    free: int,
+    base_x: int,
+    base_y: int,
+    start: int = 0,
+    limit: int | None = None,
 ) -> int:
     """A largest subset of ``free`` independent in both M/X and M/Y.
 
     S is independent in M/X when S + base_x is independent in ``m``, and
-    likewise for Y.  A greedy pass in canonical order gives a start; then
-    each round searches the exchange graph breadth-first: arcs from an
-    element b of the current set I to an outside element e when
-    I - b + e is independent in M/X, arcs from e to b when it is
-    independent in M/Y, sources the outside elements addable in M/X and
-    sinks those addable in M/Y.  Flipping a shortest source-to-sink path
-    grows I by one; when no path exists, I is largest (Cunningham).
+    likewise for Y.  A greedy pass in canonical order grows ``start``
+    (which must be common independent) to a first set I; then each round
+    searches the exchange graph breadth-first: arcs from an element b of
+    I to an outside element e when I - b + e is independent in M/X, arcs
+    from e to b when it is independent in M/Y, sources the outside
+    elements addable in M/X and sinks those addable in M/Y.  Flipping a
+    shortest source-to-sink path grows I by one; when no path exists, I
+    is largest (Cunningham).  A caller that knows the largest size can
+    pass it as ``limit`` to stop as soon as I reaches it.
     """
     indep = m._indep
 
@@ -120,12 +127,14 @@ def _largest_common_independent(
     def in_y(s: int) -> bool:
         return indep(s | base_y)
 
-    common = 0
-    for e in _bit_indices(free):
+    common = start
+    for e in _bit_indices(free & ~start):
+        if common.bit_count() == limit:
+            break
         grown = common | 1 << e
         if in_x(grown) and in_y(grown):
             common = grown
-    while True:
+    while common.bit_count() != limit:
         outside = [1 << e for e in _bit_indices(free & ~common)]
         inside = [1 << b for b in _bit_indices(common)]
         parent = {bit: 0 for bit in outside if in_x(common | bit)}
@@ -151,6 +160,7 @@ def _largest_common_independent(
         while end:
             common ^= end
             end = parent[end]
+    return common
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,19 @@
 
 For disjoint X and Y in a finite matroid there is always a partition
 (C, D) of the remaining elements with kappa(X, Y) unchanged after
-contracting C and deleting D.  ``linking_partition`` finds one by direct
-search.  ``constructive_linking`` finds one constructively instead: it
+contracting C and deleting D (Tutte's linking theorem).
+``linking_partition`` returns the first such partition in binary
+counting order, found greedily with one matroid-intersection
+augmentation per element instead of a scan over all partitions.
+``constructive_linking`` follows the paper's construction instead: it
 shrinks X and Y to cores of size k, grows a small restriction whose inner
 connectivity already reaches k by repeatedly adding pairs of circuits
-that break low-order separations, solves inside the restriction and
-deletes everything outside.  The circuit-pair step is exposed as
-``breaking_circuits``.
+that break low-order separations, solves inside the restriction with
+``linking_partition`` and deletes everything outside.  The circuit-pair
+step is exposed as ``breaking_circuits``.
 
-Every constructed witness is re-verified by direct search before being
-returned; auditability beats speed throughout this module.
+Every witness is re-verified on its minor before being returned;
+auditability beats speed throughout this module.
 """
 
 from __future__ import annotations
@@ -19,9 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import budgets
-from .connectivity import _kappa_mask, kappa_between
+from .connectivity import _kappa_mask, _largest_common_independent, kappa_between
 from .constructions import MinorSpec, components, contract, restrict, take_minor
-from .core import ElementSet, Matroid, iter_submasks_binary, iter_submasks_lex
+from .core import (
+    ElementSet,
+    Matroid,
+    _bit_indices,
+    iter_submasks_binary,
+    iter_submasks_lex,
+)
 from .errors import CapacityError, InvariantViolation, PreconditionError
 
 
@@ -85,44 +94,72 @@ def extends_to_separation(
     return None
 
 
-def linking_partition(
-    m: Matroid, x: ElementSet, y: ElementSet, budget: int | None = None
-) -> LinkingResult:
-    """Search for a partition (C, D) of the free elements preserving kappa(X, Y).
+def linking_partition(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingResult:
+    """A partition (C, D) of the free elements preserving kappa(X, Y).
 
-    Partitions are scanned in binary counting order (bit i set means the
-    i-th free element is contracted) and the first one whose minor keeps
-    the connectivity value is returned.  One always exists; exhausting the
-    scan raises an invariant violation because it would mean a bug.
+    The answer is the first partition in binary counting order (bit i of
+    the counter set means the i-th free element is contracted), that is
+    the one with the smallest contract mask.  A partial minor N, with C
+    contracted and D deleted so far, can be completed exactly when
+    kappa_N(X, Y) still equals the target (Tutte's linking theorem
+    applied to N; minors never raise kappa), so deciding the free
+    elements from the highest index down, deleting whenever that stays
+    feasible and contracting otherwise, finds that partition with one
+    feasibility test per element.
+
+    The test reads kappa_N(X, Y) = nu + r(X + C) + r(Y + C) - r(C) -
+    r(E - D), with ranks in M and nu the size of a largest common
+    independent set I of N/X and N/Y on the undecided elements (see
+    :func:`kappa_between`).  Deleting an
+    element outside I keeps nu, and keeps r(E - D) because coloops lie in
+    every maximal I.  An element of I costs one augmentation from I - e:
+    when it restores |I|, deleting keeps the value; otherwise deleting
+    keeps it only for a coloop of N, and contracting is the other choice.
+    I - e stays common independent after contracting e, and is largest
+    there.  The answer is re-verified on the minor before it is returned.
     """
-    if budget is None:
-        budget = budgets.LINKING_FREE
     _check_disjoint_sides(m, x, y)
     free = m.ground.full_mask & ~x.mask & ~y.mask
-    if free.bit_count() > budget:
-        raise CapacityError(
-            f"linking scan over {free.bit_count()} free elements exceeds budget {budget}"
-        )
-    target = kappa_between(m, x, y)
-    for cmask in iter_submasks_binary(free):
-        spec = MinorSpec(
-            ElementSet(m.ground, cmask), ElementSet(m.ground, free & ~cmask)
-        )
-        minor = take_minor(m, spec)
-        # the minor's ground set is exactly X union Y, so kappa(X, Y)
-        # there is just kappa of the X side
-        if _kappa_mask(minor, x.in_universe(minor.ground).mask) == target:
-            return LinkingResult(spec, target, target)
-    raise InvariantViolation(
-        "no partition preserves the connectivity value; this cannot happen"
+    base_x = m._greedy_basis_mask(x.mask)
+    base_y = m._greedy_basis_mask(y.mask)
+    common = _largest_common_independent(m, free, base_x, base_y)
+    target = (
+        common.bit_count() + base_x.bit_count() + base_y.bit_count() - m.full_rank
     )
-
-
-@dataclass(frozen=True)
-class _ExtendsVerdict:
-    """Component unions cover everything: the separation extends to the host."""
-
-    left: ElementSet
+    rank_rest = m.full_rank  # r(E - D)
+    undecided = free
+    cmask = 0
+    for e in reversed(list(_bit_indices(free))):
+        bit = 1 << e
+        undecided ^= bit
+        if not common & bit:
+            continue
+        rest = common ^ bit
+        grown = _largest_common_independent(
+            m, undecided, base_x, base_y, rest, common.bit_count()
+        )
+        if grown != rest:
+            common = grown
+            continue
+        common = rest
+        # base_x and base_y span X + C and Y + C, so this union spans E - D - e
+        spanned = m._greedy_basis_mask(base_x | base_y | undecided, base_x | rest)
+        if spanned.bit_count() < rank_rest:
+            rank_rest -= 1
+        else:
+            cmask |= bit
+            base_x |= bit
+            base_y |= bit
+    spec = MinorSpec(ElementSet(m.ground, cmask), ElementSet(m.ground, free & ~cmask))
+    minor = take_minor(m, spec)
+    # the minor's ground set is exactly X union Y, so kappa(X, Y) there is
+    # just kappa of the X side
+    achieved = _kappa_mask(minor, x.in_universe(minor.ground).mask)
+    if achieved != target:
+        raise InvariantViolation(
+            f"linking partition achieves {achieved}, expected {target}"
+        )
+    return LinkingResult(spec, target, target)
 
 
 def _breaking_core(
@@ -130,7 +167,7 @@ def _breaking_core(
     x: ElementSet,
     y: ElementSet,
     budget: int | None,
-):
+) -> tuple[ElementSet, ElementSet]:
     """Find the circuit pair of the separation-breaking construction.
 
     Looks at the components of the contractions by X and by Y, takes the
@@ -138,8 +175,8 @@ def _breaking_core(
     and picks the canonically first circuits through e: one reaching Y
     whose traces in the contractions by X and by X union Y stay circuits,
     and symmetrically one reaching X.  When no such e exists, the
-    separation extends into the host matroid and an ``_ExtendsVerdict``
-    with the extending left side is returned instead.
+    separation would extend into the host matroid, which the caller has
+    ruled out, so that raises an invariant violation.
     """
     mx = contract(m, x)
     my = contract(m, y)
@@ -157,7 +194,9 @@ def _breaking_core(
     covered = comp_x_union | comp_y_union | x.mask | y.mask
     uncovered = m.ground.full_mask & ~covered
     if uncovered == 0:
-        return _ExtendsVerdict(ElementSet(m.ground, x.mask | comp_x_union))
+        raise InvariantViolation(
+            "component unions cover the ground set although extension was ruled out"
+        )
     e_bit = uncovered & -uncovered
     e_set = ElementSet(m.ground, e_bit)
 
@@ -212,12 +251,7 @@ def breaking_circuits(
     if extends_to_separation(m, x, y, k, budget) is not None:
         raise PreconditionError("the separation already extends to the host matroid")
 
-    got = _breaking_core(m, x, y, budget)
-    if isinstance(got, _ExtendsVerdict):
-        raise InvariantViolation(
-            "component unions cover the ground set although extension was ruled out"
-        )
-    first, second = got
+    first, second = _breaking_core(m, x, y, budget)
     grown = restrict(m, x | y | first | second)
     if (
         extends_to_separation(
@@ -243,10 +277,10 @@ def constructive_linking(
     joining them, every exact t-separation of the current restriction
     gets a pair of breaking circuits added, which forces the restricted
     connectivity up to t; after stage t = k the restriction already
-    carries the full value.  Stage 3 solves inside the restriction by
-    direct search, deletes everything outside, and trims the answer back
-    to the original X, Y.  Each stage records a trace entry and every
-    intermediate claim is asserted.
+    carries the full value.  Stage 3 solves inside the restriction with
+    :func:`linking_partition`, deletes everything outside, and trims the
+    answer back to the original X, Y.  Each stage records a trace entry
+    and every intermediate claim is asserted.
     """
     from .connectivity import grow_pair
 
@@ -340,7 +374,7 @@ def constructive_linking(
 
     sub = restrict(m, zone)
     inner = linking_partition(
-        sub, x_core.in_universe(sub.ground), y_core.in_universe(sub.ground), budget
+        sub, x_core.in_universe(sub.ground), y_core.in_universe(sub.ground)
     )
     contract_host = m.ground.set_of(inner.spec.contract)
     delete_host = m.ground.set_of(inner.spec.delete) | zone.complement()

@@ -13,11 +13,9 @@ tracks those bounds across windows and certifies an exact value only when
 a family-specific upper-bound certificate meets the plateau; a plateau by
 itself proves nothing and is reported as an uncertified bound.
 
-Large windows are handled without full subset scans: the engine keeps a
-small restriction around the query and extends it with pairs of
-separation-breaking circuits until either the restricted value stops
-being improvable inside the window (which pins the window's exact value)
-or a size cap is hit (the value stays a sound lower bound).
+Every window is a finite matroid, so its exact kappa(X, Y) is one matroid
+intersection (:func:`kappa_between`), and ``windowed_linking`` solves
+the whole stabilising window with :func:`linking_partition`.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import budgets
 from .connectivity import _kappa_mask, kappa_between
-from .constructions import MinorSpec, components, restrict, take_minor
+from .constructions import MinorSpec, components, take_minor
 from .core import (
     ElementSet,
     Matroid,
@@ -42,7 +40,7 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
 )
-from .linking import _ExtendsVerdict, _breaking_core, constructive_linking
+from .linking import linking_partition
 
 
 class InfiniteFamily:
@@ -255,18 +253,22 @@ class StabilizationPolicy:
     max_window: int = 8
     plateau_length: int = 3
     zone_extra: int = 14
-    """Cap on how many elements beyond X and Y the working restriction may hold."""
+    """Unused: every window is solved whole.  Kept so that existing callers
+    that pass it still work."""
 
 
 @dataclass(frozen=True)
 class StabilizationReport:
     """Windowed lower bounds for kappa(X, Y) and, possibly, a certified value.
 
-    ``values`` holds (window index, lower bound) pairs and is always
-    non-decreasing.  ``stable_at`` is the first window of a long-enough
-    plateau, or None.  ``certified_value`` is set only when an upper-bound
-    certificate matches the plateau, in which case the infinite value is
-    pinned exactly; a plateau alone stays an uncertified lower bound.
+    ``values`` holds (window index, value) pairs: each value is the
+    window's own exact kappa(X, Y), a lower bound for the infinite object,
+    and the sequence is always non-decreasing.  ``settled`` pairs each
+    window with "exact"; the field stays for readers of the JSON schema.
+    ``stable_at`` is the first window of a long-enough plateau, or None.
+    ``certified_value`` is set only when an upper-bound certificate
+    matches the plateau, in which case the infinite value is pinned
+    exactly; a plateau alone stays an uncertified lower bound.
     """
 
     family_id: str
@@ -296,84 +298,22 @@ class StabilizationReport:
         }
 
 
-def _grow_in_window(
-    window: Matroid,
-    x_labels: tuple[str, ...],
-    y_labels: tuple[str, ...],
-    zone_labels: tuple[str, ...],
-    policy: StabilizationPolicy,
-) -> tuple[int, str, tuple[str, ...]]:
-    """Lower-bound kappa(X, Y) inside one window via a growing restriction.
-
-    Returns (value, how, zone) where ``how`` is "exact" when the value is
-    provably the window's own kappa(X, Y) (no order value+1 separation of
-    the restriction can be broken inside the window, or the value hit the
-    ceiling min(|X|, |Y|)) and "capped" when the zone size limit stopped
-    the growth first.
-    """
-    ground = window.ground
-    x = ground.set_of(x_labels)
-    y = ground.set_of(y_labels)
-    zone = ground.set_of(zone_labels) | x | y
-    cap = len(x) + len(y) + policy.zone_extra
-    ceiling = min(len(x), len(y))
-    window_budget = len(ground)
-
-    while True:
-        sub = restrict(window, zone)
-        xs = x.in_universe(sub.ground)
-        ys = y.in_universe(sub.ground)
-        level = kappa_between(sub, xs, ys)
-        if level >= ceiling:
-            return level, "exact", zone.labels()
-        if len(zone) >= cap:
-            return level, "capped", zone.labels()
-
-        additions = 0
-        saw_obstruction = False
-        extends = False
-        free_local = sub.ground.full_mask & ~xs.mask & ~ys.mask
-        n_local = len(sub.ground)
-        for extra in iter_submasks_binary(free_local):
-            pmask = xs.mask | extra
-            size_p = pmask.bit_count()
-            if size_p < level + 1 or n_local - size_p < level + 1:
-                continue
-            if _kappa_mask(sub, pmask) != level:
-                continue
-            saw_obstruction = True
-            p_host = ground.set_of(ElementSet(sub.ground, pmask))
-            q_host = ground.set_of(
-                ElementSet(sub.ground, sub.ground.full_mask & ~pmask)
-            )
-            got = _breaking_core(window, p_host, q_host, window_budget)
-            if isinstance(got, _ExtendsVerdict):
-                if _kappa_mask(window, got.left.mask) > level:
-                    raise InvariantViolation(
-                        "component cover promised a separation the window lacks"
-                    )
-                extends = True
-                break
-            additions |= got[0].mask | got[1].mask
-        if extends:
-            return level, "exact", zone.labels()
-        if not saw_obstruction:
-            raise InvariantViolation(
-                "below the ceiling some separation at the current level must exist"
-            )
-        new_zone = zone.mask | additions
-        if new_zone == zone.mask:
-            raise InvariantViolation("breaking circuits added no new elements")
-        zone = ElementSet(ground, new_zone)
-
-
-def _stabilize(
+def stabilized_kappa_between(
     family: InfiniteFamily,
     x_labels: Sequence[str],
     y_labels: Sequence[str],
-    policy: StabilizationPolicy | None,
+    policy: StabilizationPolicy | None = None,
     certificates: Sequence["SeparationCertificate"] = (),
-):
+) -> StabilizationReport:
+    """Windowed lower bounds for kappa(X, Y) with optional certification.
+
+    Each window's exact value is one :func:`kappa_between` call; as the
+    windows are nested deletions, the values are lower bounds for the
+    infinite object and never decrease.  A plateau of
+    ``policy.plateau_length`` equal values sets ``stable_at``; the value is
+    certified exact only when one of the supplied certificates proves a
+    matching upper bound for the whole family.
+    """
     policy = policy or StabilizationPolicy()
     x_labels = tuple(x_labels)
     y_labels = tuple(y_labels)
@@ -385,20 +325,12 @@ def _stabilize(
             f"query needs window {start}, beyond max_window {policy.max_window}"
         )
 
+    # the report refuses values that decrease from one window to the next
     values: list[tuple[int, int]] = []
-    settled: list[tuple[int, str]] = []
-    zones: dict[int, tuple[str, ...]] = {}
-    zone: tuple[str, ...] = tuple(dict.fromkeys(x_labels + y_labels))
-    prev = 0
     for n in range(start, policy.max_window + 1):
         window = family.window(n)
-        value, how, zone = _grow_in_window(window, x_labels, y_labels, zone, policy)
-        if values and value < prev:
-            raise InvariantViolation("windowed lower bound decreased")
-        values.append((n, value))
-        settled.append((n, how))
-        zones[n] = zone
-        prev = value
+        x, y = window.ground.set_of(x_labels), window.ground.set_of(y_labels)
+        values.append((n, kappa_between(window, x, y)))
 
     stable_at = None
     seq = [v for _, v in values]
@@ -424,35 +356,16 @@ def _stabilize(
                 certificate_used = cert.description
                 break
 
-    report = StabilizationReport(
+    return StabilizationReport(
         family_id=family.family_id,
         x_labels=x_labels,
         y_labels=y_labels,
         values=tuple(values),
-        settled=tuple(settled),
+        settled=tuple((n, "exact") for n, _ in values),
         stable_at=stable_at,
         certified_value=certified_value,
         certificate=certificate_used,
     )
-    return report, zones
-
-
-def stabilized_kappa_between(
-    family: InfiniteFamily,
-    x_labels: Sequence[str],
-    y_labels: Sequence[str],
-    policy: StabilizationPolicy | None = None,
-    certificates: Sequence["SeparationCertificate"] = (),
-) -> StabilizationReport:
-    """Windowed lower bounds for kappa(X, Y) with optional certification.
-
-    Lower bounds are computed per window and never decrease.  A plateau of
-    ``policy.plateau_length`` equal values sets ``stable_at``; the value is
-    certified exact only when one of the supplied certificates proves a
-    matching upper bound for the whole family.
-    """
-    report, _ = _stabilize(family, x_labels, y_labels, policy, certificates)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +516,13 @@ def certified_separation(
 class WindowedLinkingResult:
     """A linking partition solved inside a window of an infinite family.
 
-    The partition's delete side implicitly extends over the entire
-    unexplored remainder of the infinite object: everything outside the
-    window is deleted as well (``deletes_outside_window``).
+    ``spec`` partitions the free elements of the stabilising window
+    ``window_index``, as :func:`linking_partition` chooses it there.  The
+    partition's delete side implicitly extends over the entire unexplored
+    remainder of the infinite object: everything outside the window is
+    deleted as well (``deletes_outside_window``).  ``trace`` is empty:
+    the solver has no stages to record; the field stays for readers of
+    the JSON schema.
     """
 
     window_index: int
@@ -637,12 +554,12 @@ def windowed_linking(
 ) -> WindowedLinkingResult:
     """Linking partition for a certified query on an infinite family.
 
-    Requires a certified stabilised value; solves constructively inside
-    the working restriction of the stabilising window, then deletes the
-    rest of that window and, symbolically, everything outside it.  The
-    achieved value is re-verified inside the window.
+    Requires a certified stabilised value; solves the whole stabilising
+    window with :func:`linking_partition` and deletes, symbolically,
+    everything outside it.  The achieved value is re-verified inside the
+    window against the certified value.
     """
-    report, zones = _stabilize(family, x_labels, y_labels, policy, certificates)
+    report = stabilized_kappa_between(family, x_labels, y_labels, policy, certificates)
     if report.certified_value is None:
         raise PreconditionError(
             "no certified value: supply a matching upper-bound certificate"
@@ -651,18 +568,10 @@ def windowed_linking(
     n = report.stable_at
     assert n is not None
     window = family.window(n)
-    zone = window.ground.set_of(zones[n])
-    sub = restrict(window, zone)
-    x_local = sub.ground.set_of(x_labels)
-    y_local = sub.ground.set_of(y_labels)
-    inner = constructive_linking(sub, x_local, y_local)
-    contract_host = window.ground.set_of(inner.spec.contract)
-    delete_host = window.ground.set_of(inner.spec.delete) | zone.complement()
-    x_host = window.ground.set_of(x_labels)
-    y_host = window.ground.set_of(y_labels)
-    spec = MinorSpec(contract_host - x_host - y_host, delete_host - x_host - y_host)
+    x = window.ground.set_of(x_labels)
+    spec = linking_partition(window, x, window.ground.set_of(y_labels)).spec
     minor = take_minor(window, spec)
-    achieved = _kappa_mask(minor, x_host.in_universe(minor.ground).mask)
+    achieved = _kappa_mask(minor, x.in_universe(minor.ground).mask)
     if achieved != target:
         raise InvariantViolation(
             f"window solution achieves {achieved}, certified value is {target}"
@@ -674,7 +583,7 @@ def windowed_linking(
         target=target,
         deletes_outside_window=True,
         report=report,
-        trace=inner.trace,
+        trace=(),
     )
 
 

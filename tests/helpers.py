@@ -16,12 +16,18 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from matroid_kappa import (
+    ElementSet,
     Matroid,
+    MinorSpec,
     explicit_matroid,
     gf2_matroid,
     graphic_matroid,
+    kappa,
+    kappa_between,
+    take_minor,
     uniform_matroid,
 )
+from matroid_kappa.core import iter_submasks_binary
 
 
 def powerset(items):
@@ -303,3 +309,23 @@ def triangle_sum(count: int = 3):
         for i in range(count)
     ]
     return direct_sum(parts)
+
+
+def brute_linking_partition(m: Matroid, x, y):
+    """First (contract, delete) split of the free elements, in binary
+    counting order, whose minor keeps kappa(X, Y): the exhaustive 2^n scan.
+
+    Bit i of the counter contracts the i-th free element.  Minors and
+    kappa come from the package, which the rest of the suite checks
+    against the naive oracles above.
+    """
+    free = m.ground.full_mask & ~x.mask & ~y.mask
+    target = kappa_between(m, x, y)
+    for cmask in iter_submasks_binary(free):
+        spec = MinorSpec(
+            ElementSet(m.ground, cmask), ElementSet(m.ground, free & ~cmask)
+        )
+        minor = take_minor(m, spec)
+        if kappa(minor, x.in_universe(minor.ground)) == target:
+            return spec
+    raise AssertionError("no partition preserves kappa(X, Y)")

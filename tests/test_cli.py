@@ -179,11 +179,19 @@ class TestExitCodes:
         labels = " ".join(f"x{i}" for i in range(20))
         path = tmp_path / "big.matroid"
         path.write_text(f"type: uniform\nelements: {labels}\nk: 3\n")
+        # the circuit enumeration of the constructive link covers 20 elements
         code, _, err = run(
-            capsys, ["link", "--x=x0", "--y=x1", "--budget=16", str(path)]
+            capsys,
+            ["link", "--constructive", "--x=x0", "--y=x1", "--budget=16", str(path)],
         )
         assert code == 2
         assert "budget" in err
+
+    def test_plain_link_rejects_budget(self, capsys, u24_file):
+        # plain link runs no budgeted scan, so a budget there is not honoured
+        code, _, err = run(capsys, ["link", "--x=a", "--y=b", "--budget=16", u24_file])
+        assert code == 1
+        assert "--constructive" in err
 
     def test_constructive_link_keeps_library_defaults(self, capsys, tmp_path):
         labels = " ".join("abcdefghijklmnopqr")
@@ -253,14 +261,12 @@ class TestExitCodes:
         path = tmp_path / "big.matroid"
         path.write_text(f"type: uniform\nelements: {labels}\nk: 2\n")
         monkeypatch.setenv("MATROID_KAPPA_BUDGET", "10")
-        # the linking scan runs over 17 free elements
-        code, _, err = run(capsys, ["link", "--x=x0", "--y=x1", str(path)])
+        # the constructive link enumerates the circuits of all 19 elements
+        argv = ["link", "--constructive", "--x=x0", "--y=x1"]
+        code, _, err = run(capsys, argv + [str(path)])
         assert code == 2
         # the flag overrides the environment
-        code, out, _ = run(
-            capsys,
-            ["link", "--x=x0", "--y=x1", "--budget=17", str(path)],
-        )
+        code, out, _ = run(capsys, argv + ["--budget=19", str(path)])
         assert code == 0
 
     def test_budget_env_read_only_by_budgeted_verbs(self, capsys, u24_file, monkeypatch):
@@ -273,9 +279,14 @@ class TestExitCodes:
              "--x=rung[0]", "--y=rung[2]", "--certificate=rung:0"],
         )
         assert code == 0
-        code, _, err = run(capsys, ["link", "--x=a", "--y=b", u24_file])
+        code, _, err = run(
+            capsys, ["link", "--constructive", "--x=a", "--y=b", u24_file]
+        )
         assert code == 1
         assert "MATROID_KAPPA_BUDGET" in err
+        # plain link runs no budgeted scan
+        code, out, _ = run(capsys, ["link", "--x=a", "--y=b", u24_file])
+        assert code == 0 and "achieved = 1" in out
 
     @pytest.mark.parametrize("fid", ["infinite-uniform(x)", "infinite-uniform()"])
     def test_malformed_family_id_is_domain_error(self, capsys, fid):

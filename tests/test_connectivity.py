@@ -19,6 +19,7 @@ from matroid_kappa import (
     kappa,
     kappa_between,
     kappa_rank_formula,
+    linking_partition,
     take_minor,
     MinorSpec,
     uniform_matroid,
@@ -427,5 +428,12 @@ class TestPolynomialGuard:
         m = helpers.grid_graph(8, 8)
         labels = list(m.ground)
         kappa_between(m, m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:]))
+        n, r = len(m.ground), m.full_rank
+        assert len(m._memo) <= r * n * n
+
+    def test_linking_partition_oracle_calls(self):
+        m = helpers.grid_graph(8, 8)
+        labels = list(m.ground)
+        linking_partition(m, m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:]))
         n, r = len(m.ground), m.full_rank
         assert len(m._memo) <= r * n * n

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from matroid_kappa import (
@@ -83,6 +84,50 @@ class TestLinkingPartition:
             res = linking_partition(m, x, y)
             union = res.spec.contract | res.spec.delete
             assert union == (x | y).complement(), name
+
+
+class TestGreedyLinkingSolver:
+    """The greedy solver against the exhaustive scan in binary counting order."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(m=helpers.representations(max_n=14), data=st.data())
+    def test_matches_scan(self, m, data):
+        labels = list(m.ground)
+        size_x = data.draw(st.integers(1, 3))
+        size_y = data.draw(st.integers(1, 3))
+        assume(size_x + size_y <= len(labels))
+        picks = data.draw(st.permutations(labels))
+        x = m.ground.set_of(picks[:size_x])
+        y = m.ground.set_of(picks[size_x : size_x + size_y])
+        res = linking_partition(m, x, y)
+        assert res.spec == helpers.brute_linking_partition(m, x, y)
+        assert res.achieved == res.target == kappa_between(m, x, y)
+
+    def test_forced_contraction(self):
+        # deleting both free elements of U(2, 4) leaves {a, b} free, so
+        # one must be contracted: the scan's first answer contracts c
+        m = u24()
+        x = m.ground.set_of("a")
+        y = m.ground.set_of("b")
+        res = linking_partition(m, x, y)
+        assert res.spec == helpers.brute_linking_partition(m, x, y)
+        assert sorted(res.spec.contract) == ["c"]
+        assert sorted(res.spec.delete) == ["d"]
+        assert res.achieved == 1
+
+    def test_deletion_after_an_augmenting_path(self):
+        # K4 with e6 parallel to e1: e5 lies in the largest common
+        # independent set, and only an augmenting path that swaps it out
+        # shows that deleting it keeps the value
+        m = graphic_matroid(
+            [("e0", "0", "2"), ("e1", "2", "3"), ("e2", "0", "1"), ("e3", "1", "2"),
+             ("e4", "3", "0"), ("e5", "3", "1"), ("e6", "3", "2")]
+        )
+        x = m.ground.set_of(["e6"])
+        y = m.ground.set_of(["e3"])
+        res = linking_partition(m, x, y)
+        assert res.spec == helpers.brute_linking_partition(m, x, y)
+        assert sorted(res.spec.contract) == ["e2", "e4"]
 
 
 class TestBreakingCircuits:

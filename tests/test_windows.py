@@ -176,8 +176,8 @@ class TestStabilization:
 
     def test_growth_engine_on_random_graphs(self):
         # a constant rule makes every window the same matroid, so the
-        # engine's value must match kappa_between on the window whenever
-        # it reports "exact" and never exceed it otherwise
+        # engine's value must match kappa_between on the window, and every
+        # window is settled exactly
         import random
 
         rng = random.Random(271)
@@ -208,9 +208,33 @@ class TestStabilization:
             )
             value = dict(rep.values)[0]
             how = dict(rep.settled)[0]
-            assert value <= exact, (trial, edges, picks)
-            if how == "exact":
-                assert value == exact, (trial, edges, picks)
+            assert how == "exact", (trial, edges, picks)
+            assert value == exact, (trial, edges, picks)
+
+    def test_every_window_exact_up_to_window_twenty(self):
+        fam = double_ladder()
+        x_labels = ["railT[0]", "railB[1]"]
+        y_labels = ["railT[1]", "railB[0]"]
+        policy = StabilizationPolicy(max_window=20)
+        certs = [certified_separation(fam, "set:railT[0]+railB[1]")]
+        rep = stabilized_kappa_between(fam, x_labels, y_labels, policy, certs)
+        assert [n for n, _ in rep.values] == list(range(1, 21))
+        assert len(fam.window(20).ground) == 124
+        for n, value in rep.values:
+            w = fam.window(n)
+            x, y = w.ground.set_of(x_labels), w.ground.set_of(y_labels)
+            exact = kappa_between(w, x, y)
+            assert value == exact == 2, n
+        assert all(how == "exact" for _, how in rep.settled)
+        res = windowed_linking(fam, x_labels, y_labels, policy, certs)
+        w = fam.window(res.window_index)
+        spec = MinorSpec(
+            w.ground.set_of(res.spec.contract), w.ground.set_of(res.spec.delete)
+        )
+        free = w.ground.set_of(x_labels + y_labels).complement()
+        assert spec.contract | spec.delete == free
+        minor = take_minor(w, spec)
+        assert kappa(minor, minor.ground.set_of(x_labels)) == res.achieved == 2
 
     def test_interleaved_rails_reach_level_two(self):
         # the sides wrap around each other, so no single stretch of the
