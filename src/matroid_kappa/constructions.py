@@ -2,11 +2,12 @@
 
 Each representation in :mod:`matroid_kappa.core` builds its own dual and
 minors: uniform matroids stay uniform, graphic minors are taken on the
-graph, explicit restrictions filter the family, and everything else wraps
-the oracle of the source matroid instead of materialising independence
-families, so chains of constructions stay cheap.  The functions here are
-the public spellings of those methods; the test suite checks every
-representation's own route against the generic wrappers.
+graph, graphic and binary duals and binary minors are binary matrices,
+explicit minors filter the family, and a direct sum works part by part.
+Only a matroid given by a bare oracle, and the dual of an explicit one,
+wrap the oracle of the source matroid.  The functions here are the public
+spellings of those methods; the test suite checks every representation's
+own route against the generic wrappers.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def take_minor(m: Matroid, spec: MinorSpec) -> Matroid:
 class _DirectSum(Matroid):
     """Disjoint union: independent iff each part's slice is independent.
 
-    Its circuits are the circuits of the parts.
+    Its circuits are the circuits of the parts, its dual is the sum of
+    their duals, and its minors are sums of their minors.
     """
 
     __slots__ = ("_parts",)
@@ -88,6 +90,22 @@ class _DirectSum(Matroid):
         for part, off in self._parts:
             for c in part._circuit_masks():
                 yield c << off
+
+    def _dual(self) -> Matroid:
+        return _DirectSum(self.ground, tuple((p.dual(), off) for p, off in self._parts))
+
+    def _contracted(self, ground: GroundSet, keep_mask: int, base_mask: int) -> Matroid:
+        parts = []
+        at = 0
+        for part, off in self._parts:
+            full = part.ground.full_mask
+            keep = keep_mask >> off & full
+            if keep:
+                count = keep.bit_count()
+                sub = GroundSet(ground.labels[at : at + count])
+                parts.append((part._contracted(sub, keep, base_mask >> off & full), at))
+                at += count
+        return _DirectSum(ground, tuple(parts))
 
 
 def direct_sum(parts: Sequence[Matroid]) -> Matroid:

@@ -6,12 +6,14 @@ greedy choice and every enumeration in the package breaks ties by it,
 which makes all results reproducible.
 
 A :class:`Matroid` is an independence oracle, a pure function from element
-sets to booleans.  Its dual and minors wrap that oracle instead of
-materialising set families.  Each concrete representation (uniform,
-graphic, binary linear, explicit family) is a subclass that owns its data
-and oracle and overrides what its data answers directly: uniform duals
-and minors stay uniform, graphic minors and circuits come from the graph,
-and explicit restrictions filter the family.
+sets to booleans.  Each concrete representation (uniform, graphic, binary
+linear, explicit family) is a subclass that owns its data and oracle and
+builds its dual and minors from that data: uniform duals and minors stay
+uniform, graphic minors and circuits come from the graph, graphic and
+binary duals and binary minors are binary matrices again, and explicit
+minors filter the family.  Only a matroid given by a bare oracle, and the
+dual of an explicit one, wrap the source oracle.  Every matroid keeps its
+dual once built, and the dual of the dual is the matroid itself.
 """
 
 from __future__ import annotations
@@ -250,11 +252,11 @@ class Matroid:
     are memoised on the instance; the memo only grows and recomputation is
     idempotent, so instances are safe to share read-only across workers.
 
-    This class is also the generic representation: its dual, restriction
-    and contraction wrap its oracle, and its circuits are enumerated from
-    the oracle.  The concrete representations below subclass it and
-    override those operations where their own data gives the answer
-    directly.  The class attribute ``rep`` names the representation;
+    This class is also the generic representation: its dual (:meth:`_dual`)
+    and minors (:meth:`_contracted`) wrap its oracle, and its circuits are
+    enumerated from the oracle.  The concrete representations below
+    subclass it and override those hooks where their own data gives the
+    answer directly.  The class attribute ``rep`` names the representation;
     ``"derived"`` marks an oracle wrapper.
     """
 
@@ -439,9 +441,19 @@ class Matroid:
     def dual(self) -> "Matroid":
         """The dual: S is independent iff the complement of S spans this matroid.
 
-        The generic version asks the rank oracle: a set is coindependent
-        exactly when removing it does not lower the rank of the ground set.
+        Built once by :meth:`_dual` and kept on both sides, so the dual of
+        the dual is this very object.
         """
+        d = self._cache.get("dual")
+        if d is None:
+            d = self._cache["dual"] = self._dual()
+            d._cache["dual"] = self
+        return d
+
+    def _dual(self) -> "Matroid":
+        """A new dual.  The generic version asks the rank oracle: a set is
+        coindependent exactly when removing it does not lower the rank of
+        the ground set."""
         full_mask = self.ground.full_mask
         target = self.full_rank
         basis = self._greedy_basis_mask
@@ -452,7 +464,7 @@ class Matroid:
     def restrict(self, keep: ElementSet) -> "Matroid":
         """The matroid on ``keep`` whose independent sets are those of this one."""
         self._check_universe(keep)
-        return self._restricted(GroundSet(keep.labels()), keep.mask)
+        return self._contracted(GroundSet(keep.labels()), keep.mask, 0)
 
     def delete(self, drop: ElementSet) -> "Matroid":
         """Restriction to the complement of ``drop``."""
@@ -467,27 +479,22 @@ class Matroid:
         is used.  When that basis is empty, contracting is deleting.
         """
         self._check_universe(away)
-        base_mask = self._greedy_basis_mask(away.mask)
         keep = away.complement()
-        ground = GroundSet(keep.labels())
-        if base_mask == 0:
-            return self._restricted(ground, keep.mask)
-        return self._contracted(ground, keep.mask, base_mask)
+        return self._contracted(
+            GroundSet(keep.labels()), keep.mask, self._greedy_basis_mask(away.mask)
+        )
 
     def minor(self, contract_set: ElementSet, delete_set: ElementSet) -> "Matroid":
         from .constructions import MinorSpec, take_minor
 
         return take_minor(self, MinorSpec(contract_set, delete_set))
 
-    def _restricted(self, ground: GroundSet, keep_mask: int) -> "Matroid":
-        """The restriction to ``keep_mask``, relabelled onto ``ground``."""
-        return self._contracted(ground, keep_mask, 0)
-
     def _contracted(
         self, ground: GroundSet, keep_mask: int, base_mask: int
     ) -> "Matroid":
         """The elements of ``keep_mask``, relabelled onto ``ground``, after
-        contracting the independent set ``base_mask`` and deleting the rest."""
+        contracting the independent set ``base_mask`` and deleting the rest.
+        With ``base_mask`` 0 this is the restriction to ``keep_mask``."""
         positions = tuple(_bit_indices(keep_mask))
         indep = self._indep
         return Matroid(ground, lambda mask: indep(_spread(mask, positions) | base_mask))
@@ -541,7 +548,7 @@ class UniformMatroid(Matroid):
     def _circuit_masks(self) -> Iterable[int]:
         return submasks_of_size(self.ground.full_mask, self.k + 1)
 
-    def dual(self) -> Matroid:
+    def _dual(self) -> Matroid:
         return UniformMatroid(self.ground, len(self.ground) - self.k)
 
     def _contracted(self, ground: GroundSet, keep_mask: int, base_mask: int) -> Matroid:
@@ -565,7 +572,8 @@ class GraphicMatroid(Matroid):
     ``edges`` are (label, endpoint, endpoint) triples in element order.  A
     set of edges is independent iff it contains no cycle, which the oracle
     decides with union-find.  Minors are taken on the graph: deleted edges
-    are dropped and contracted edges merge their endpoints.
+    are dropped and contracted edges merge their endpoints.  The dual is
+    the binary dual of the vertex-edge incidence matrix.
     """
 
     rep = "graphic"
@@ -657,6 +665,12 @@ class GraphicMatroid(Matroid):
         )
         return GraphicMatroid(ground, kept)
 
+    def _dual(self) -> Matroid:
+        # the incidence matrix over GF(2) represents the graph; a loop is
+        # the zero column
+        columns = tuple((1 << u) ^ (1 << v) for u, v in self._ends)
+        return BinaryMatroid(self.ground, columns)._dual()
+
 
 def graphic_matroid(edges: Iterable[tuple[str, str, str]]) -> Matroid:
     """Finite-cycle matroid of a multigraph.
@@ -673,12 +687,13 @@ class BinaryMatroid(Matroid):
     """Linear matroid over the two-element field.
 
     ``columns`` holds one integer per element, bit i being the entry in
-    row i.  The oracle runs incremental elimination; minors and the dual
-    are the generic oracle wrappers.
+    row i.  The oracle runs incremental elimination.  A contraction maps
+    the kept columns into the quotient by the span of the contracted ones,
+    and the dual is the standard-form dual, so both are binary again.
     """
 
     rep = "gf2"
-    __slots__ = ()
+    __slots__ = ("columns",)
 
     def __init__(self, ground: GroundSet, columns: tuple[int, ...]):
         def oracle(mask: int) -> bool:
@@ -697,6 +712,56 @@ class BinaryMatroid(Matroid):
             return True
 
         super().__init__(ground, oracle)
+        self.columns = columns
+
+    def _contracted(self, ground: GroundSet, keep_mask: int, base_mask: int) -> Matroid:
+        # reducing a column to zero at every pivot row of the contracted
+        # columns' echelon form is a linear map whose kernel is their span
+        pivots, _ = _eliminate(self.columns[i] for i in _bit_indices(base_mask))
+        order = sorted(((h, p) for h, (p, _) in pivots.items()), reverse=True)
+        columns = []
+        for i in _bit_indices(keep_mask):
+            v = self.columns[i]
+            for h, p in order:
+                if v >> (h - 1) & 1:
+                    v ^= p
+            columns.append(v)
+        return BinaryMatroid(ground, tuple(columns))
+
+    def _dual(self) -> Matroid:
+        # with B the canonical basis, M = M[I_B | A] and M* = M[A^T | I]:
+        # dual row j is the fundamental circuit of the j-th element outside B
+        _, circuits = _eliminate(self.columns)
+        columns = [0] * len(self.columns)
+        for j, circuit in enumerate(circuits):
+            for i in _bit_indices(circuit):
+                columns[i] |= 1 << j
+        return BinaryMatroid(self.ground, tuple(columns))
+
+
+def _eliminate(columns: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Gaussian elimination over GF(2), taking the columns in order.
+
+    Returns the pivots, keyed by leading bit, each a vector of the column
+    span with the mask of the input positions that sum to it; and, for
+    every column that depends on earlier ones, the mask of its
+    fundamental circuit with respect to the greedy basis of the columns.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    circuits: list[int] = []
+    for i, v in enumerate(columns):
+        combo = 1 << i
+        while v:
+            h = v.bit_length()
+            p = pivots.get(h)
+            if p is None:
+                pivots[h] = (v, combo)
+                break
+            v ^= p[0]
+            combo ^= p[1]
+        if not v:
+            circuits.append(combo)
+    return pivots, circuits
 
 
 def gf2_matroid(labels: Iterable[str], rows: Iterable[Iterable[int]]) -> Matroid:
@@ -725,8 +790,9 @@ def gf2_matroid(labels: Iterable[str], rows: Iterable[Iterable[int]]) -> Matroid
 class ExplicitMatroid(Matroid):
     """Matroid given by the set of masks of its independent sets.
 
-    Restrictions keep the family's members inside the kept set; the dual
-    and contractions are the generic oracle wrappers.
+    Contracting an independent set B and keeping K leaves the members f
+    with B <= f <= B | K, relabelled as f - B onto K; a restriction is the
+    case B = {}.  The dual is the generic oracle wrapper.
     """
 
     rep = "explicit"
@@ -736,12 +802,13 @@ class ExplicitMatroid(Matroid):
         super().__init__(ground, family.__contains__)
         self.family = family
 
-    def _restricted(self, ground: GroundSet, keep_mask: int) -> Matroid:
+    def _contracted(self, ground: GroundSet, keep_mask: int, base_mask: int) -> Matroid:
         positions = tuple(_bit_indices(keep_mask))
+        inside = keep_mask | base_mask
         family = frozenset(
             sum(1 << j for j, pos in enumerate(positions) if f >> pos & 1)
             for f in self.family
-            if f & ~keep_mask == 0
+            if f & base_mask == base_mask and f & ~inside == 0
         )
         return ExplicitMatroid(ground, family)
 

@@ -322,18 +322,14 @@ def constructive_linking(
             break
     if seed is None:
         raise InvariantViolation("a joining circuit exists whenever the level is positive")
+    # one restriction per zone serves its scan, its value and stage 3, so
+    # they share one independence memo
     zone = x_core | y_core | seed
-    trace.append(
-        {
-            "stage": "window",
-            "t": 1,
-            "zone": sorted(zone),
-            "kappa": _restricted_value(m, zone, x_core, y_core),
-        }
-    )
+    sub = restrict(m, zone)
+    reached = _core_value(sub, x_core, y_core)
+    trace.append({"stage": "window", "t": 1, "zone": sorted(zone), "kappa": reached})
 
     for t in range(2, target + 1):
-        sub = restrict(m, zone)
         x_local = x_core.in_universe(sub.ground)
         y_local = y_core.in_universe(sub.ground)
         free_local = sub.ground.full_mask & ~x_local.mask & ~y_local.mask
@@ -357,7 +353,8 @@ def constructive_linking(
             c1, c2 = breaking_circuits(m, p_host, q_host, t, budget)
             additions |= c1.mask | c2.mask
         zone = ElementSet(m.ground, additions)
-        reached = _restricted_value(m, zone, x_core, y_core)
+        sub = restrict(m, zone)
+        reached = _core_value(sub, x_core, y_core)
         if reached < t:
             raise InvariantViolation(
                 f"restricted connectivity {reached} below stage level {t}"
@@ -366,13 +363,11 @@ def constructive_linking(
             {"stage": "window", "t": t, "zone": sorted(zone), "kappa": reached}
         )
 
-    final_value = _restricted_value(m, zone, x_core, y_core)
-    if final_value != target:
+    if reached != target:
         raise InvariantViolation(
-            f"restriction reached {final_value} instead of the target {target}"
+            f"restriction reached {reached} instead of the target {target}"
         )
 
-    sub = restrict(m, zone)
     inner = linking_partition(
         sub, x_core.in_universe(sub.ground), y_core.in_universe(sub.ground)
     )
@@ -397,10 +392,7 @@ def constructive_linking(
     return LinkingResult(spec, achieved, target, tuple(trace))
 
 
-def _restricted_value(
-    m: Matroid, zone: ElementSet, x_core: ElementSet, y_core: ElementSet
-) -> int:
-    sub = restrict(m, zone)
+def _core_value(sub: Matroid, x_core: ElementSet, y_core: ElementSet) -> int:
     return kappa_between(
         sub, x_core.in_universe(sub.ground), y_core.in_universe(sub.ground)
     )

@@ -447,6 +447,14 @@ def certified_separation(
     def present(w: Matroid, labels) -> ElementSet:
         return w.ground.set_of(lab for lab in labels if lab in w.ground)
 
+    def number() -> int:
+        try:
+            return int(description.split(":", 1)[1])
+        except ValueError:
+            raise DomainError(
+                f"certificate {description!r} needs an integer after ':'"
+            ) from None
+
     if description.startswith("singleton:"):
         label = description.split(":", 1)[1]
         return SeparationCertificate(
@@ -464,7 +472,7 @@ def certified_separation(
         if not m:
             raise DomainError("prefix certificates apply to uniform families only")
         k = int(m.group(1))
-        count = int(description.split(":", 1)[1])
+        count = number()
         labels = [f"a{i}" for i in range(1, count + 1)]
         return SeparationCertificate(
             description, min(count, k), lambda w: present(w, labels)
@@ -473,7 +481,7 @@ def certified_separation(
     if description.startswith("rung:"):
         if fid != "double-ladder":
             raise DomainError("rung certificates apply to the ladder with rungs")
-        pos = int(description.split(":", 1)[1])
+        pos = number()
         return SeparationCertificate(
             description, 1, lambda w: present(w, [f"rung[{pos}]"])
         )
@@ -481,7 +489,7 @@ def certified_separation(
     if description.startswith("cut:"):
         if not fid.startswith("double-ladder"):
             raise DomainError("cut certificates apply to ladder families")
-        pos = int(description.split(":", 1)[1])
+        pos = number()
 
         def side(w: Matroid) -> ElementSet:
             keep = []

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_kappa import cli
 from matroid_kappa.cli import parse_and_run
@@ -293,6 +298,188 @@ class TestExitCodes:
         code, _, err = run(capsys, ["family", f"--id={fid}", "--window=3", "window-info"])
         assert code == 1
         assert fid in err
+
+    @pytest.mark.parametrize(
+        "fid, cert, x, y",
+        [
+            ("double-ladder", "rung:x", "rung[0]", "rung[2]"),
+            ("infinite-uniform(2)", "prefix:x", "a1", "a3"),
+            ("infinite-uniform(2)", "prefix:", "a1", "a3"),
+            ("double-ladder", "cut:x", "rung[0]", "rung[2]"),
+        ],
+    )
+    def test_malformed_certificate_is_domain_error(self, capsys, fid, cert, x, y):
+        argv = ["family", f"--id={fid}", "--window=3", f"--certificate={cert}",
+                "kappa-between", f"--x={x}", f"--y={y}"]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert repr(cert) in err
+
+
+# -- fuzzing ---------------------------------------------------------------
+#
+# The strategies mostly draw well-formed input, so that the commands reach
+# the library, and break one part of it now and then.
+
+
+def _sometimes(draw, good, bad):
+    return draw(bad) if draw(st.integers(0, 5)) == 0 else draw(good)
+
+
+def _label_sets(draw, labels, count: int) -> list[str]:
+    """``count`` disjoint comma-separated label sets, now and then broken."""
+    order = draw(st.permutations(labels))
+    out = []
+    for _ in range(count):
+        size = draw(st.integers(0, min(3, len(order))))
+        good = ",".join(order[:size])
+        order = order[size:]
+        out.append(_sometimes(draw, st.just(good), st.sampled_from(["zz", "{}", ",", "-"])))
+    return out
+
+
+def _description(draw, name: str, labels: list[str]) -> str:
+    """A description file of one of the five types, now and then broken;
+    a file-derived one builds on base.matroid (a b c d) and other.matroid
+    (p q)."""
+    kind = _sometimes(draw, st.sampled_from(
+        ["uniform", "graphic", "linear-gf2", "explicit", "file-derived"]
+    ), st.just("zap"))
+    lines = [f"type: {kind}"]
+    shown = _sometimes(draw, st.just(labels), st.just(labels + labels[:1]))
+    if kind != "file-derived" or draw(st.integers(0, 5)) == 0:
+        lines.append("elements: " + " ".join(shown))
+    if kind == "uniform":
+        k = _sometimes(draw, st.integers(0, 6).map(str), st.sampled_from(["-1", "x", ""]))
+        lines.append(f"k: {k}")
+    elif kind == "graphic":
+        ends = st.sampled_from(["u-v", "v-w", "w-u", "u-u", "v-x", "x-u"])
+        broken = st.sampled_from(["u", "u-v-w", "-"])
+        edges = [f"{lab}={_sometimes(draw, ends, broken)}" for lab in labels]
+        lines.append("edges: " + " ".join(edges))
+    elif kind == "linear-gf2":
+        lines.append("matrix:")
+        for _ in range(draw(st.integers(0, 3))):
+            row = [draw(st.sampled_from("01")) for _ in labels]
+            lines.append(" ".join(_sometimes(draw, st.just(row), st.just(row + ["2"]))))
+    elif kind == "explicit":
+        # the independent sets of U(1, n), or a family the axioms reject
+        lines.append("independent:")
+        lines += ["{}"] + _sometimes(
+            draw, st.just(labels), st.just(labels[:1] + [",".join(labels)])
+        )
+    elif kind == "file-derived":
+        base = st.sampled_from([name, "missing.matroid"])
+        lines.append(f"base: {_sometimes(draw, st.just('base.matroid'), base)}")
+        apply = _sometimes(draw, st.sampled_from(["dual", "minor", "sum"]), st.just("zap"))
+        lines.append(f"apply: {apply}")
+        if apply == "minor":
+            contract, delete = _label_sets(draw, list("abcd"), 2)
+            lines += [f"contract: {contract}", f"delete: {delete}"]
+        if apply == "sum":
+            other = _sometimes(draw, st.just("other.matroid"), st.sampled_from([name, ""]))
+            lines.append(f"with: {other}")
+    if draw(st.integers(0, 7)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["# comment", "k: 2", "junk line", "type: uniform"]
+        )))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _file_command(draw, workdir: str):
+    path = os.path.join(workdir, "main.matroid")
+    labels = [f"e{i}" for i in range(draw(st.integers(1, 5)))]
+    text = _description(draw, "main.matroid", labels)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if "file-derived" in text:
+        labels = list("abcdpq")
+    x, y = _label_sets(draw, labels, 2)
+    number = st.sampled_from(["0", "1", "2", "3"])
+    verb = draw(st.sampled_from([
+        ["rank"], ["rank", f"--set={x}"], ["circuits"], ["dual"],
+        ["minor", f"--contract={x}", f"--delete={y}"],
+        ["components"], ["connected"], ["kappa", f"--set={x}"],
+        ["kappa-between", f"--x={x}", f"--y={y}"],
+        ["separation", f"--k={_sometimes(draw, number, st.just('-1'))}"],
+        ["check-axioms"], ["sum"],
+        ["link", f"--x={x}", f"--y={y}"],
+        ["link", "--constructive", f"--x={x}", f"--y={y}"],
+    ]))
+    budgeted = ("circuits", "dual", "minor", "separation", "check-axioms")
+    if verb[0] in budgeted and draw(st.booleans()):
+        verb.append("--budget=" + _sometimes(draw, number, st.just("x")))
+    if verb[0] == "sum":
+        return verb + [path, os.path.join(workdir, "base.matroid")]
+    return verb + [path]
+
+
+_FAMILIES = {
+    "double-ladder": (["rung[0]", "rung[2]", "railT[1]", "railB[0]"], ["rung:", "cut:"]),
+    "double-ladder-rungless": (["railT[0]", "railT[3]", "railB[1]"], ["rails-split", "cut:"]),
+    "infinite-uniform(2)": (["a1", "a2", "a3", "a4"], ["prefix:"]),
+    "omega-tree": (["e[0]", "e[1]", "e[0.1]"], []),
+}
+
+
+@st.composite
+def _family_command(draw):
+    fid = _sometimes(draw, st.sampled_from(sorted(_FAMILIES)), st.sampled_from(
+        ["infinite-uniform(0)", "infinite-uniform(-1)", "infinite-uniform(x)", "zap"]
+    ))
+    labels, templates = _FAMILIES.get(fid, (["a1", "rung[0]"], ["prefix:", "rung:"]))
+    argv = ["family", f"--id={fid}"]
+    small = st.sampled_from(["0", "1", "2", "3", "5"])
+    for flag in ("--window", "--plateau"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={_sometimes(draw, small, st.sampled_from(['-1', 'x']))}")
+    for _ in range(draw(st.integers(0, 2))):
+        template = _sometimes(
+            draw,
+            st.sampled_from(templates + ["singleton:" + labels[0], "set:" + "+".join(labels[:2])]),
+            st.sampled_from(["rung:", "prefix:", "cut:", "rails-split", "zap:"]),
+        )
+        if template in ("rung:", "prefix:", "cut:"):
+            bad = st.sampled_from(["-1", "x", ""])
+            template += _sometimes(draw, st.sampled_from(["0", "1", "2"]), bad)
+        argv.append("--certificate=" + template)
+    argv.append(draw(st.sampled_from(["kappa-between", "link", "window-info"])))
+    for flag, side in zip(("--x", "--y"), _label_sets(draw, labels, 2)):
+        if draw(st.integers(0, 7)):
+            argv.append(f"{flag}={side}")
+    return argv
+
+
+class TestFuzz:
+    """Every command line ends in a documented exit code, never a traceback."""
+
+    @staticmethod
+    def _exit_code(argv) -> int:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            return parse_and_run(argv)
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_description_files(self, data):
+        with tempfile.TemporaryDirectory() as workdir:
+            with open(os.path.join(workdir, "base.matroid"), "w", encoding="utf-8") as fh:
+                fh.write(U24)
+            with open(os.path.join(workdir, "other.matroid"), "w", encoding="utf-8") as fh:
+                fh.write("type: uniform\nelements: p q\nk: 1\n")
+            argv = data.draw(_file_command(workdir))
+            if data.draw(st.booleans()):
+                argv = ["--output=json"] + argv
+            assert self._exit_code(argv) in (0, 1, 2, 70)
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(argv=_family_command(), json_output=st.booleans())
+    def test_family_flags(self, argv, json_output):
+        if json_output:
+            argv = ["--output=json"] + argv
+        assert self._exit_code(argv) in (0, 1, 2, 70)
 
 
 class TestDeterminism:

@@ -431,6 +431,17 @@ class TestPolynomialGuard:
         n, r = len(m.ground), m.full_rank
         assert len(m._memo) <= r * n * n
 
+    def test_kappa_between_on_grid_dual_oracle_calls(self):
+        # the dual is built from the graph's incidence matrix, so no call
+        # reaches the grid's own oracle
+        grid = helpers.grid_graph(8, 8)
+        m = dual(grid)
+        labels = list(m.ground)
+        kappa_between(m, m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:]))
+        n, r = len(m.ground), m.full_rank
+        assert len(grid._memo) == 0
+        assert len(m._memo) <= r * n * n
+
     def test_linking_partition_oracle_calls(self):
         m = helpers.grid_graph(8, 8)
         labels = list(m.ground)

@@ -402,7 +402,46 @@ class TestRepresentationRoutes:
         count = data.draw(st.integers(1, 3))
         parts = [data.draw(helpers.representations(f"p{i}_", max_n=4)) for i in range(count)]
         m = direct_sum(parts)
-        assert m.circuits() == generic(m).circuits()
+        ref = generic(m)
+        s = m.ground.from_mask(data.draw(st.integers(0, m.ground.full_mask)))
+        assert m.circuits() == ref.circuits()
+        assert same_independence(dual(m), dual(ref))
+        assert same_independence(restrict(m, s), restrict(ref, s))
+        assert same_independence(contract(m, s), contract(ref, s))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=helpers.representations())
+    def test_dual_of_dual_is_the_matroid(self, m):
+        assert dual(dual(m)) is m
+        assert dual(m) is dual(m)
+        ref = generic(m)
+        assert dual(dual(ref)) is ref
+        summed = direct_sum([m, uniform_matroid(["s0", "s1"], 1)])
+        assert dual(dual(summed)) is summed
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            gf2_matroid("abcd", [[0, 0, 0, 0], [0, 0, 0, 0]]),
+            gf2_matroid("abc", []),
+            graphic_matroid(
+                [("l1", "u", "u"), ("p1", "u", "v"), ("p2", "u", "v"),
+                 ("p3", "v", "u"), ("e", "v", "w"), ("l2", "w", "w")]
+            ),
+            uniform_matroid("abcd", 0),
+            free_matroid("abcd"),
+        ],
+        ids=["gf2-zero", "gf2-no-rows", "graph-loops-parallel", "u0n", "free"],
+    )
+    def test_edge_cases_match_generic(self, m):
+        ref = generic(m)
+        assert same_independence(dual(m), dual(ref))
+        assert dual(dual(m)) is m
+        for mask in range(m.ground.full_mask + 1):
+            s = m.ground.from_mask(mask)
+            assert same_independence(contract(m, s), contract(ref, s))
+            assert same_independence(restrict(m, s), restrict(ref, s))
+            assert same_independence(contract(dual(m), s), contract(dual(ref), s))
 
     def test_representation_field_of_each_construction(self):
         u = u24()
@@ -419,14 +458,15 @@ class TestRepresentationRoutes:
             (take_minor(u, spec(u, "a", "b")), "uniform"),
             (g, "graphic"),
             (take_minor(g, spec(g, ["e1"], ["e2"])), "graphic"),
-            (dual(g), "derived"),
+            (dual(g), "gf2"),
+            (dual(dual(g)), "graphic"),
             (b, "gf2"),
-            (take_minor(b, spec(b, "a", "")), "derived"),
-            (dual(b), "derived"),
+            (take_minor(b, spec(b, "a", "")), "gf2"),
+            (dual(b), "gf2"),
             (e, "explicit"),
             (restrict(e, e.ground.set_of("ab")), "explicit"),
             (take_minor(e, spec(e, "", "a")), "explicit"),
-            (contract(e, e.ground.set_of("a")), "derived"),
+            (contract(e, e.ground.set_of("a")), "explicit"),
             (direct_sum([u, g]), "derived"),
         ]
         for m, want in cases:
