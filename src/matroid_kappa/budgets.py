@@ -1,9 +1,9 @@
 """Default enumeration budgets.
 
 Only work that is still exponential carries a budget: circuit
-enumeration, axiom checking and the "first in canonical order" scans for
-separations and their extensions.  Polynomial queries (rank, kappa,
-kappa(X, Y), components, linking partitions, window values) take none.
+enumeration, axiom checking and the "first in canonical order" scan for
+separations.  Polynomial queries (rank, kappa, kappa(X, Y), components,
+linking partitions, separation extensions, window values) take none.
 Each budgeted scan raises ``CapacityError`` instead of silently running
 for hours.  A scan called with ``budget=None`` uses its default from this
 module; any other value overrides it for that call.
@@ -12,8 +12,8 @@ On the command line, ``MATROID_KAPPA_BUDGET`` is read by exactly the
 verbs that accept ``--budget`` (``link`` only with ``--constructive``).
 Those verbs take one number from ``--budget=N`` or, failing that, from
 the environment variable, and pass it to every budgeted scan they run
-(``link --constructive --budget=N`` bounds its circuit enumerations and
-extension scans alike); with neither, each scan keeps its own default.
+(``link --constructive --budget=N`` bounds its circuit enumerations);
+with neither, each scan keeps its own default.
 """
 
 import os
@@ -32,11 +32,6 @@ for the strong circuit-exchange check."""
 
 SEPARATION_SCAN = 16
 """Maximum ground-set size for the separation search."""
-
-LINKING_FREE = 16
-"""Maximum number of free elements in the separation-extension scan of
-``extends_to_separation`` (behind ``breaking_circuits`` and
-``constructive_linking``); ``linking_partition`` takes no budget."""
 
 WINDOW_ELEMENTS = 256
 """Largest window an infinite family will materialise."""

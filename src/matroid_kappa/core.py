@@ -174,9 +174,6 @@ class ElementSet:
     def with_element(self, label: str) -> "ElementSet":
         return ElementSet(self.ground, self.mask | 1 << self.ground.index(label))
 
-    def without(self, label: str) -> "ElementSet":
-        return ElementSet(self.ground, self.mask & ~(1 << self.ground.index(label)))
-
     @property
     def is_empty(self) -> bool:
         return self.mask == 0
@@ -483,11 +480,6 @@ class Matroid:
         return self._contracted(
             GroundSet(keep.labels()), keep.mask, self._greedy_basis_mask(away.mask)
         )
-
-    def minor(self, contract_set: ElementSet, delete_set: ElementSet) -> "Matroid":
-        from .constructions import MinorSpec, take_minor
-
-        return take_minor(self, MinorSpec(contract_set, delete_set))
 
     def _contracted(
         self, ground: GroundSet, keep_mask: int, base_mask: int

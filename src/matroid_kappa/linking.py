@@ -13,6 +13,10 @@ that break low-order separations, solves inside the restriction with
 ``linking_partition`` and deletes everything outside.  The circuit-pair
 step is exposed as ``breaking_circuits``.
 
+A split (X, Y) with k elements per side extends to a k-separation
+exactly when kappa(X, Y) <= k - 1, so only circuit enumeration here
+takes a budget.
+
 Every witness is re-verified on its minor before being returned;
 auditability beats speed throughout this module.
 """
@@ -21,17 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import budgets
-from .connectivity import _kappa_mask, _largest_common_independent, kappa_between
-from .constructions import MinorSpec, components, contract, restrict, take_minor
-from .core import (
-    ElementSet,
-    Matroid,
-    _bit_indices,
-    iter_submasks_binary,
-    iter_submasks_lex,
+from .connectivity import (
+    Separation,
+    _kappa_mask,
+    _largest_common_independent,
+    grow_pair,
+    kappa_between,
 )
-from .errors import CapacityError, InvariantViolation, PreconditionError
+from .constructions import MinorSpec, components, contract, restrict, take_minor
+from .core import ElementSet, Matroid, _bit_indices, iter_submasks_binary
+from .errors import InvariantViolation, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -59,39 +62,40 @@ def _check_disjoint_sides(m: Matroid, x: ElementSet, y: ElementSet) -> None:
         raise PreconditionError("the two sides overlap")
 
 
-def extends_to_separation(
-    m: Matroid, x: ElementSet, y: ElementSet, k: int, budget: int | None = None
-):
+def extends_to_separation(m: Matroid, x: ElementSet, y: ElementSet, k: int):
     """First k-separation (U, E minus U) of ``m`` with X inside U and Y outside.
 
-    Returns the separation, or None when the split of X from Y cannot be
-    realised at order k in ``m``.
+    Returns the first such U in canonical subset order, or None.  With k
+    elements per side, U qualifies when kappa(U) <= k - 1, and one
+    exists when kappa(X, Y) <= k - 1.  The order is walked greedily:
+    until U qualifies, each free element in index order joins U if a
+    qualifying set still lies between U plus it and Y plus the elements
+    passed over (one :func:`kappa_between`), and is passed over if not.
     """
-    from .connectivity import Separation
-
-    if budget is None:
-        budget = budgets.LINKING_FREE
     _check_disjoint_sides(m, x, y)
-    free = m.ground.full_mask & ~x.mask & ~y.mask
-    if free.bit_count() > budget:
-        raise CapacityError(
-            f"extension scan over {free.bit_count()} free elements exceeds budget {budget}"
-        )
-    n = len(m.ground)
-    for extra in iter_submasks_lex(free):
-        umask = x.mask | extra
-        size_u = umask.bit_count()
-        if size_u < k or n - size_u < k:
-            continue
-        value = _kappa_mask(m, umask)
-        if value <= k - 1:
-            return Separation(
-                ElementSet(m.ground, umask),
-                ElementSet(m.ground, m.ground.full_mask & ~umask),
-                value,
-                value + 1,
-            )
-    return None
+    if len(x) < k or len(y) < k:
+        raise PreconditionError("both sides need at least k elements")
+    if kappa_between(m, x, y) > k - 1:
+        return None
+    umask, ymask = x.mask, y.mask
+    for e in _bit_indices(m.ground.full_mask & ~x.mask & ~y.mask):
+        if _kappa_mask(m, umask) <= k - 1:
+            break
+        bit = 1 << e
+        grown = ElementSet(m.ground, umask | bit)
+        if kappa_between(m, grown, ElementSet(m.ground, ymask)) <= k - 1:
+            umask |= bit
+        else:
+            ymask |= bit
+    value = _kappa_mask(m, umask)
+    if value > k - 1:
+        raise InvariantViolation("the greedy walk lost a separation that exists")
+    return Separation(
+        ElementSet(m.ground, umask),
+        ElementSet(m.ground, m.ground.full_mask & ~umask),
+        value,
+        value + 1,
+    )
 
 
 def linking_partition(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingResult:
@@ -236,8 +240,9 @@ def breaking_circuits(
     both sides have at least k elements), and it does not extend to a
     k-separation of ``m``.  The returned circuits guarantee that (X, Y)
     does not extend to a k-separation of the restriction to
-    X union Y union C1 union C2 either, which is re-verified by direct
-    scan before returning.
+    X union Y union C1 union C2 either.  Both extension questions are
+    answered by :func:`kappa_between` (exact, as both sides have at least
+    k elements); ``budget`` bounds only the circuit enumeration.
     """
     _check_disjoint_sides(m, x, y)
     sub = restrict(m, x | y)
@@ -248,21 +253,13 @@ def breaking_circuits(
         )
     if len(x) < k or len(y) < k:
         raise PreconditionError("both sides need at least k elements")
-    if extends_to_separation(m, x, y, k, budget) is not None:
+    if kappa_between(m, x, y) <= k - 1:
         raise PreconditionError("the separation already extends to the host matroid")
 
     first, second = _breaking_core(m, x, y, budget)
     grown = restrict(m, x | y | first | second)
-    if (
-        extends_to_separation(
-            grown,
-            x.in_universe(grown.ground),
-            y.in_universe(grown.ground),
-            k,
-            budget,
-        )
-        is not None
-    ):
+    gx, gy = x.in_universe(grown.ground), y.in_universe(grown.ground)
+    if kappa_between(grown, gx, gy) <= k - 1:
         raise InvariantViolation("breaking circuits failed to block the extension")
     return first, second
 
@@ -282,8 +279,6 @@ def constructive_linking(
     answer back to the original X, Y.  Each stage records a trace entry
     and every intermediate claim is asserted.
     """
-    from .connectivity import grow_pair
-
     _check_disjoint_sides(m, x, y)
     target = kappa_between(m, x, y)
     free = m.ground.full_mask & ~x.mask & ~y.mask

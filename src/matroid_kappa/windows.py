@@ -250,7 +250,8 @@ def graph_rule_family(
 class StabilizationPolicy:
     """Tuning knobs for the windowed lower-bound computation."""
 
-    max_window: int = 8
+    max_window: int | None = None
+    """Last window; unset, up to 8 as far as windows fit the element budget."""
     plateau_length: int = 3
     zone_extra: int = 14
     """Unused: every window is solved whole.  Kept so that existing callers
@@ -298,6 +299,21 @@ class StabilizationReport:
         }
 
 
+def _window_range(family: InfiniteFamily, start: int, max_window: int | None) -> range:
+    """Windows ``start`` .. ``max_window``; when that is None, up to 8 but
+    stopping before the first window over ``budgets.WINDOW_ELEMENTS``."""
+    last = 8 if max_window is None else max_window
+    if start > last:
+        raise DomainError(f"query needs window {start}, beyond max_window {last}")
+    if max_window is None:
+        for n in range(start + 1, last + 1):
+            try:
+                family.window(n)
+            except CapacityError:
+                return range(start, n)
+    return range(start, last + 1)
+
+
 def stabilized_kappa_between(
     family: InfiniteFamily,
     x_labels: Sequence[str],
@@ -320,14 +336,11 @@ def stabilized_kappa_between(
     if set(x_labels) & set(y_labels):
         raise PreconditionError("the two sides overlap")
     start = family.exactness_radius(x_labels + y_labels)
-    if start > policy.max_window:
-        raise DomainError(
-            f"query needs window {start}, beyond max_window {policy.max_window}"
-        )
+    windows = _window_range(family, start, policy.max_window)
 
     # the report refuses values that decrease from one window to the next
     values: list[tuple[int, int]] = []
-    for n in range(start, policy.max_window + 1):
+    for n in windows:
         window = family.window(n)
         x, y = window.ground.set_of(x_labels), window.ground.set_of(y_labels)
         values.append((n, kappa_between(window, x, y)))
@@ -345,12 +358,7 @@ def stabilized_kappa_between(
     if stable_at is not None:
         plateau = dict(values)[stable_at]
         for cert in certificates:
-            cert.validate(
-                family,
-                range(start, policy.max_window + 1),
-                x_labels,
-                y_labels,
-            )
+            cert.validate(family, windows, x_labels, y_labels)
             if cert.kappa_bound == plateau:
                 certified_value = plateau
                 certificate_used = cert.description

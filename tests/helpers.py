@@ -19,6 +19,7 @@ from matroid_kappa import (
     ElementSet,
     Matroid,
     MinorSpec,
+    Separation,
     explicit_matroid,
     gf2_matroid,
     graphic_matroid,
@@ -27,7 +28,7 @@ from matroid_kappa import (
     take_minor,
     uniform_matroid,
 )
-from matroid_kappa.core import iter_submasks_binary
+from matroid_kappa.core import iter_submasks_binary, iter_submasks_lex
 
 
 def powerset(items):
@@ -329,3 +330,28 @@ def brute_linking_partition(m: Matroid, x, y):
         if kappa(minor, x.in_universe(minor.ground)) == target:
             return spec
     raise AssertionError("no partition preserves kappa(X, Y)")
+
+
+def brute_extends_to_separation(m: Matroid, x, y, k: int):
+    """First k-separation (U, E minus U) with X inside U and Y outside, in
+    canonical subset order over the free elements: the exhaustive scan.
+
+    kappa comes from the package, which the rest of the suite checks
+    against the naive oracles above.
+    """
+    free = m.ground.full_mask & ~x.mask & ~y.mask
+    n = len(m.ground)
+    for extra in iter_submasks_lex(free):
+        umask = x.mask | extra
+        size_u = umask.bit_count()
+        if size_u < k or n - size_u < k:
+            continue
+        value = kappa(m, ElementSet(m.ground, umask))
+        if value <= k - 1:
+            return Separation(
+                ElementSet(m.ground, umask),
+                ElementSet(m.ground, m.ground.full_mask & ~umask),
+                value,
+                value + 1,
+            )
+    return None

@@ -155,6 +155,16 @@ class TestVerbs:
         code, out, _ = run(capsys, argv)
         assert "circuits" in out
 
+    def test_family_default_window_fits_the_element_budget(self, capsys):
+        # omega-tree window 8 holds 510 elements, over the budget of 256
+        argv = ["family", "--id=omega-tree", "kappa-between", "--x=e[0]", "--y=e[1]"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "window values: 1:0 2:0 3:0 4:0 5:0 6:0 7:0" in out
+        code, _, err = run(capsys, argv[:2] + ["--window=8"] + argv[2:])
+        assert code == 2
+        assert "window 8 holds 510 elements, over the window budget 256" in err
+
     def test_repeated_flags_do_not_carry_over(self, monkeypatch):
         seen = []
         monkeypatch.setattr(

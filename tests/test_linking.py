@@ -11,6 +11,7 @@ from matroid_kappa import (
     components,
     constructive_linking,
     contract,
+    dual,
     extends_to_separation,
     graphic_matroid,
     infinite_kappa_chain,
@@ -130,6 +131,54 @@ class TestGreedyLinkingSolver:
         assert sorted(res.spec.contract) == ["e2", "e4"]
 
 
+class TestSeparationExtension:
+    """The greedy walk against the exhaustive scan in canonical order."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=helpers.representations(max_n=12), data=st.data())
+    def test_matches_scan(self, m, data):
+        if data.draw(st.booleans()):
+            m = dual(m)
+        k = data.draw(st.integers(1, 3))
+        labels = list(m.ground)
+        size_x = data.draw(st.integers(k, k + 2))
+        size_y = data.draw(st.integers(k, k + 2))
+        assume(size_x + size_y <= len(labels))
+        picks = data.draw(st.permutations(labels))
+        x = m.ground.set_of(picks[:size_x])
+        y = m.ground.set_of(picks[size_x : size_x + size_y])
+        got = extends_to_separation(m, x, y, k)
+        assert got == helpers.brute_extends_to_separation(m, x, y, k)
+        assert (got is None) == (kappa_between(m, x, y) > k - 1)
+
+    def test_short_side_rejected(self):
+        m = u24()
+        with pytest.raises(PreconditionError, match="at least k elements"):
+            extends_to_separation(m, m.ground.set_of("a"), m.ground.set_of("cd"), 2)
+        with pytest.raises(PreconditionError, match="at least k elements"):
+            extends_to_separation(m, m.ground.set_of("ab"), m.ground.set_of("c"), 2)
+
+    def test_answers_on_the_six_by_six_grid(self):
+        # 60 edges, 58 or more of them free
+        m = helpers.grid_graph(6, 6)
+        for k in (1, 2, 3):
+            labels = list(m.ground)
+            x = m.ground.set_of(labels[:k])
+            y = m.ground.set_of(labels[-k:])
+            got = extends_to_separation(m, x, y, k)
+            if k == 1:
+                # the grid is connected
+                assert got is None
+                continue
+            # the first k edges meet at the corner vertex, so a
+            # separation of order at most k exists around it
+            assert got is not None
+            assert x <= got.left and got.right.isdisjoint(x)
+            assert y <= got.right
+            assert kappa(m, got.left) == got.kappa <= k - 1
+            assert min(len(got.left), len(got.right)) >= k
+
+
 class TestBreakingCircuits:
     def test_u24_textbook_instance(self):
         m = u24()
@@ -152,6 +201,21 @@ class TestBreakingCircuits:
         y = m.ground.set_of(["b1"])
         with pytest.raises(PreconditionError):
             breaking_circuits(m, x, y, 1)
+
+    def test_singleton_sides_on_a_twenty_edge_host(self):
+        # ten parallel paths of length two: 2-connected, 18 free elements
+        m = helpers.theta_graph(10)
+        x = m.ground.set_of(["in1"])
+        y = m.ground.set_of(["out3"])
+        c1, c2 = breaking_circuits(m, x, y, 1)
+        # the exhaustive extension scan, given budget for 18 free
+        # elements, picks the same pair
+        assert sorted(c1) == ["in1", "in3", "out1", "out3"]
+        assert sorted(c2) == ["in1", "in2", "out1", "out2"]
+        grown = restrict(m, x | y | c1 | c2)
+        assert extends_to_separation(
+            grown, x.in_universe(grown.ground), y.in_universe(grown.ground), 1
+        ) is None
 
     def test_inexact_separation_rejected(self):
         m = u24()
