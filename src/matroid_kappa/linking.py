@@ -7,11 +7,13 @@ contracting C and deleting D (Tutte's linking theorem).
 counting order, found greedily with one matroid-intersection
 augmentation per element instead of a scan over all partitions.
 ``constructive_linking`` follows the paper's construction instead: it
-shrinks X and Y to cores of size k, grows a small restriction whose inner
-connectivity already reaches k by repeatedly adding pairs of circuits
-that break low-order separations, solves inside the restriction with
-``linking_partition`` and deletes everything outside.  The circuit-pair
-step is exposed as ``breaking_circuits``.
+shrinks X and Y to cores of size k and grows a small restriction until
+its inner connectivity reaches k.  Each step takes the first exact
+low-order separation between the cores (``extends_to_separation``) and
+adds the pair of circuits that blocks it (``breaking_circuits``); a
+blocked separation stays blocked in every larger restriction.  It then
+solves inside the restriction with ``linking_partition`` and deletes
+everything outside.
 
 A split (X, Y) with k elements per side extends to a k-separation
 exactly when kappa(X, Y) <= k - 1, so only circuit enumeration here
@@ -33,7 +35,7 @@ from .connectivity import (
     kappa_between,
 )
 from .constructions import MinorSpec, components, contract, restrict, take_minor
-from .core import ElementSet, Matroid, _bit_indices, iter_submasks_binary
+from .core import ElementSet, Matroid, _bit_indices
 from .errors import InvariantViolation, PreconditionError
 
 
@@ -155,15 +157,22 @@ def linking_partition(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingResult
             base_x |= bit
             base_y |= bit
     spec = MinorSpec(ElementSet(m.ground, cmask), ElementSet(m.ground, free & ~cmask))
+    _verify_partition(m, x, spec, target, "linking partition")
+    return LinkingResult(spec, target, target)
+
+
+def _verify_partition(
+    m: Matroid, x: ElementSet, spec: MinorSpec, target: int, what: str
+) -> None:
+    """Raise unless kappa(X, Y) is ``target`` in the minor ``spec`` of ``m``.
+
+    ``spec`` must contract or delete everything outside X union Y, so
+    kappa(X, Y) in the minor is just kappa of the X side.
+    """
     minor = take_minor(m, spec)
-    # the minor's ground set is exactly X union Y, so kappa(X, Y) there is
-    # just kappa of the X side
     achieved = _kappa_mask(minor, x.in_universe(minor.ground).mask)
     if achieved != target:
-        raise InvariantViolation(
-            f"linking partition achieves {achieved}, expected {target}"
-        )
-    return LinkingResult(spec, target, target)
+        raise InvariantViolation(f"{what} achieves {achieved}, expected {target}")
 
 
 def _breaking_core(
@@ -270,14 +279,16 @@ def constructive_linking(
     """Build a connectivity-preserving partition constructively.
 
     Stage 1 grows cores X', Y' of size k with kappa(X', Y') = k.  Stage 2
-    grows a finite restriction Z: starting from X', Y' and one circuit
-    joining them, every exact t-separation of the current restriction
-    gets a pair of breaking circuits added, which forces the restricted
-    connectivity up to t; after stage t = k the restriction already
-    carries the full value.  Stage 3 solves inside the restriction with
-    :func:`linking_partition`, deletes everything outside, and trims the
-    answer back to the original X, Y.  Each stage records a trace entry
-    and every intermediate claim is asserted.
+    grows a finite restriction Z, starting from X', Y' and one circuit
+    joining them.  At stage t, while the restricted kappa(X', Y') is below
+    t, the first exact t-separation between the cores
+    (:func:`extends_to_separation`) gets its pair of breaking circuits
+    added.  A blocked separation stays blocked in every larger
+    restriction, and each step adds at least one element, so after stage
+    t = k the restriction carries the full value.  Stage 3 solves inside
+    the restriction with :func:`linking_partition`, deletes everything
+    outside, and trims the answer back to the original X, Y.  Each stage
+    records a trace entry and every intermediate claim is asserted.
     """
     _check_disjoint_sides(m, x, y)
     target = kappa_between(m, x, y)
@@ -286,10 +297,7 @@ def constructive_linking(
 
     if target == 0:
         spec = MinorSpec(m.ground.empty(), ElementSet(m.ground, free))
-        minor = take_minor(m, spec)
-        achieved = _kappa_mask(minor, x.in_universe(minor.ground).mask)
-        if achieved != 0:
-            raise InvariantViolation("deleting all free elements must keep level 0")
+        _verify_partition(m, x, spec, 0, "deleting all free elements")
         trace.append({"stage": "solve", "contract": [], "delete": sorted(spec.delete)})
         return LinkingResult(spec, 0, 0, tuple(trace))
 
@@ -317,43 +325,28 @@ def constructive_linking(
             break
     if seed is None:
         raise InvariantViolation("a joining circuit exists whenever the level is positive")
-    # one restriction per zone serves its scan, its value and stage 3, so
-    # they share one independence memo
+    # one restriction per zone serves its separation search, its value
+    # and stage 3, so they share one independence memo
     zone = x_core | y_core | seed
     sub = restrict(m, zone)
     reached = _core_value(sub, x_core, y_core)
     trace.append({"stage": "window", "t": 1, "zone": sorted(zone), "kappa": reached})
 
     for t in range(2, target + 1):
-        x_local = x_core.in_universe(sub.ground)
-        y_local = y_core.in_universe(sub.ground)
-        free_local = sub.ground.full_mask & ~x_local.mask & ~y_local.mask
-        additions = zone.mask
-        n_local = len(sub.ground)
-        for extra in iter_submasks_binary(free_local):
-            pmask = x_local.mask | extra
-            if pmask.bit_count() < t or n_local - pmask.bit_count() < t:
-                continue
-            value = _kappa_mask(sub, pmask)
-            if value > t - 1:
-                continue
-            if value != t - 1:
+        while reached < t:
+            sep = extends_to_separation(
+                sub, x_core.in_universe(sub.ground), y_core.in_universe(sub.ground), t
+            )
+            if sep is None or sep.kappa != t - 1:
                 raise InvariantViolation(
                     "a separation below the current level contradicts the last stage"
                 )
-            p_host = m.ground.set_of(ElementSet(sub.ground, pmask))
-            q_host = m.ground.set_of(
-                ElementSet(sub.ground, sub.ground.full_mask & ~pmask)
+            c1, c2 = breaking_circuits(
+                m, m.ground.set_of(sep.left), m.ground.set_of(sep.right), t, budget
             )
-            c1, c2 = breaking_circuits(m, p_host, q_host, t, budget)
-            additions |= c1.mask | c2.mask
-        zone = ElementSet(m.ground, additions)
-        sub = restrict(m, zone)
-        reached = _core_value(sub, x_core, y_core)
-        if reached < t:
-            raise InvariantViolation(
-                f"restricted connectivity {reached} below stage level {t}"
-            )
+            zone = zone | c1 | c2
+            sub = restrict(m, zone)
+            reached = _core_value(sub, x_core, y_core)
         trace.append(
             {"stage": "window", "t": t, "zone": sorted(zone), "kappa": reached}
         )
@@ -371,12 +364,7 @@ def constructive_linking(
     final_contract = contract_host - x - y
     final_delete = delete_host - x - y
     spec = MinorSpec(final_contract, final_delete)
-    minor = take_minor(m, spec)
-    achieved = _kappa_mask(minor, x.in_universe(minor.ground).mask)
-    if achieved != target:
-        raise InvariantViolation(
-            f"constructive partition achieves {achieved}, expected {target}"
-        )
+    _verify_partition(m, x, spec, target, "constructive partition")
     trace.append(
         {
             "stage": "solve",
@@ -384,7 +372,7 @@ def constructive_linking(
             "delete": sorted(final_delete),
         }
     )
-    return LinkingResult(spec, achieved, target, tuple(trace))
+    return LinkingResult(spec, target, target, tuple(trace))
 
 
 def _core_value(sub: Matroid, x_core: ElementSet, y_core: ElementSet) -> int:

@@ -40,7 +40,7 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
 )
-from .linking import linking_partition
+from .linking import _verify_partition, linking_partition
 
 
 class InfiniteFamily:
@@ -256,6 +256,12 @@ class StabilizationPolicy:
     zone_extra: int = 14
     """Unused: every window is solved whole.  Kept so that existing callers
     that pass it still work."""
+
+    def __post_init__(self) -> None:
+        if self.plateau_length < 1:
+            raise DomainError(
+                f"plateau length must be at least 1, got {self.plateau_length}"
+            )
 
 
 @dataclass(frozen=True)
@@ -586,16 +592,11 @@ def windowed_linking(
     window = family.window(n)
     x = window.ground.set_of(x_labels)
     spec = linking_partition(window, x, window.ground.set_of(y_labels)).spec
-    minor = take_minor(window, spec)
-    achieved = _kappa_mask(minor, x.in_universe(minor.ground).mask)
-    if achieved != target:
-        raise InvariantViolation(
-            f"window solution achieves {achieved}, certified value is {target}"
-        )
+    _verify_partition(window, x, spec, target, "window solution")
     return WindowedLinkingResult(
         window_index=n,
         spec=spec,
-        achieved=achieved,
+        achieved=target,
         target=target,
         deletes_outside_window=True,
         report=report,

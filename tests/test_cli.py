@@ -309,6 +309,15 @@ class TestExitCodes:
         assert code == 1
         assert fid in err
 
+    @pytest.mark.parametrize("plateau", ["0", "-2"])
+    def test_non_positive_plateau_is_domain_error(self, capsys, plateau):
+        argv = ["family", "--id=double-ladder", f"--plateau={plateau}",
+                "kappa-between", "--x=rung[0]", "--y=rung[2]"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"plateau length must be at least 1, got {plateau}" in err
+
     @pytest.mark.parametrize(
         "fid, cert, x, y",
         [

@@ -17,6 +17,7 @@ from matroid_kappa import (
     infinite_kappa_chain,
     kappa,
     kappa_between,
+    linking,
     linking_partition,
     restrict,
     take_minor,
@@ -385,6 +386,60 @@ class TestConstructiveLinking:
             level_entries = [t for t in res.trace if t["stage"] == "window"]
             for entry in level_entries:
                 assert entry["kappa"] >= entry["t"], name
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(m=helpers.representations(max_n=12), data=st.data())
+    def test_growth_loop_reaches_the_value(self, m, data):
+        if data.draw(st.booleans()):
+            m = dual(m)
+        labels = list(m.ground)
+        size_x = data.draw(st.integers(2, 3))
+        size_y = data.draw(st.integers(2, 3))
+        assume(size_x + size_y <= len(labels))
+        picks = data.draw(st.permutations(labels))
+        x = m.ground.set_of(picks[:size_x])
+        y = m.ground.set_of(picks[size_x : size_x + size_y])
+        res = constructive_linking(m, x, y)
+        assert res.achieved == res.target == kappa_between(m, x, y)
+        spec = res.spec
+        assert spec.contract.isdisjoint(spec.delete)
+        assert spec.contract | spec.delete == (x | y).complement()
+        windows = [t for t in res.trace if t["stage"] == "window"]
+        assert [w["t"] for w in windows] == list(range(1, res.target + 1))
+        values = [w["kappa"] for w in windows]
+        assert values == sorted(values)
+        assert all(w["kappa"] >= w["t"] for w in windows)
+        zones = [set(w["zone"]) for w in windows]
+        assert all(a <= b for a, b in zip(zones, zones[1:]))
+
+    def test_one_breaking_pair_per_blocked_separation(self, monkeypatch):
+        # the parent construction added a pair for every exact
+        # 2-separation of the first zone at once: 32 calls here
+        edges = (
+            "e0=v8-v5 e1=v7-v0 e2=v3-v2 e3=v8-v2 e4=v1-v4 e5=v0-v1 e6=v1-v0 "
+            "e7=v7-v0 e8=v4-v3 e9=v4-v1 e10=v2-v5 e11=v4-v1 e12=v2-v8 "
+            "e13=v4-v2 e14=v4-v8 e15=v7-v5 e16=v7-v8 e17=v1-v0 e18=v4-v6 "
+            "e19=v5-v6"
+        )
+        m = graphic_matroid(
+            (lab, *ends.split("-"))
+            for lab, ends in (edge.split("=") for edge in edges.split())
+        )
+        calls = []
+        original = linking.breaking_circuits
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linking, "breaking_circuits", counting)
+        x = m.ground.set_of(["e6", "e8"])
+        y = m.ground.set_of(["e3", "e18"])
+        res = constructive_linking(m, x, y)
+        assert res.achieved == 2
+        first_zone = next(t["zone"] for t in res.trace if t["stage"] == "window")
+        assert 0 < len(calls) <= len(m.ground) - len(first_zone) == 10
+        assert minor_value(m, res.spec, x, y) == 2
 
     def test_agrees_with_search_on_corpus_sample(self, small_corpus):
         rng = random.Random(73)
