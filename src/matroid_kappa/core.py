@@ -14,6 +14,13 @@ binary duals and binary minors are binary matrices again, and explicit
 minors filter the family.  Only a matroid given by a bare oracle, and the
 dual of an explicit one, wrap the source oracle.  Every matroid keeps its
 dual once built, and the dual of the dual is the matroid itself.
+
+Greedy bases, and with them rank, come from one pass of a representation's
+own kernel where it has one: a graphic matroid runs one union-find over
+its vertices and a binary one one GF(2) elimination over its columns.
+Binary circuits are the minimal supports of the cycle space, found with
+2^(n - r) rank checks; graphic circuits are the graph's simple cycles.
+Everything else asks the oracle once per candidate element.
 """
 
 from __future__ import annotations
@@ -249,12 +256,15 @@ class Matroid:
     are memoised on the instance; the memo only grows and recomputation is
     idempotent, so instances are safe to share read-only across workers.
 
-    This class is also the generic representation: its dual (:meth:`_dual`)
-    and minors (:meth:`_contracted`) wrap its oracle, and its circuits are
-    enumerated from the oracle.  The concrete representations below
-    subclass it and override those hooks where their own data gives the
-    answer directly.  The class attribute ``rep`` names the representation;
-    ``"derived"`` marks an oracle wrapper.
+    This class is also the generic representation: its greedy bases
+    (:meth:`_greedy_basis_mask`) ask its oracle, its dual (:meth:`_dual`)
+    and minors (:meth:`_contracted`) wrap its oracle, and its circuits
+    (:meth:`_circuit_masks`) are enumerated from the oracle.  The concrete
+    representations below subclass it and override those hooks where
+    their own data gives the answer directly; a kernel that answers from
+    the data makes no oracle call and leaves the memo untouched.  The
+    class attribute ``rep`` names the representation; ``"derived"`` marks
+    an oracle wrapper.
     """
 
     rep = "derived"
@@ -296,7 +306,12 @@ class Matroid:
 
         Candidates are scanned in canonical order, so the result is
         deterministic.  Exchange guarantees all maximal independent
-        subsets of a set have equal size, hence this computes rank.
+        subsets of a set have equal size, hence this computes rank.  A
+        dependent ``start`` admits no candidate and comes back unchanged.
+
+        An override must return exactly this set, the start plus every
+        candidate of ``within`` that is independent of those taken before,
+        and must return a dependent ``start`` unchanged.
         """
         cur = start
         rest = within & ~start
@@ -562,14 +577,15 @@ class GraphicMatroid(Matroid):
     """Finite-cycle matroid of a multigraph, one edge per element.
 
     ``edges`` are (label, endpoint, endpoint) triples in element order.  A
-    set of edges is independent iff it contains no cycle, which the oracle
-    decides with union-find.  Minors are taken on the graph: deleted edges
-    are dropped and contracted edges merge their endpoints.  The dual is
-    the binary dual of the vertex-edge incidence matrix.
+    set of edges is independent iff it contains no cycle.  The oracle and
+    the greedy basis share one union-find kernel over the vertices, so a
+    basis is one pass over the candidates.  Minors are taken on the graph:
+    deleted edges are dropped and contracted edges merge their endpoints.
+    The dual is the binary dual of the vertex-edge incidence matrix.
     """
 
     rep = "graphic"
-    __slots__ = ("edges", "_ends")
+    __slots__ = ("edges", "_ends", "_nv")
 
     def __init__(self, ground: GroundSet, edges: tuple[tuple[str, str, str], ...]):
         vertices: dict[str, int] = {}
@@ -578,27 +594,14 @@ class GraphicMatroid(Matroid):
             vertices.setdefault(v, len(vertices))
         ends = tuple((vertices[u], vertices[v]) for _, u, v in edges)
         nv = len(vertices)
-
-        def oracle(mask: int) -> bool:
-            parent = list(range(nv))
-
-            def find(a: int) -> int:
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for i in _bit_indices(mask):
-                u, v = ends[i]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-            return True
-
-        super().__init__(ground, oracle)
+        super().__init__(ground, lambda mask: _grow_forest(ends, nv, mask, 0) is not None)
         self.edges = edges
         self._ends = ends
+        self._nv = nv
+
+    def _greedy_basis_mask(self, within: int, start: int = 0) -> int:
+        grown = _grow_forest(self._ends, self._nv, start, within & ~start)
+        return start if grown is None else grown
 
     def _circuit_masks(self) -> Iterable[int]:
         """Edge masks of all simple cycles.
@@ -664,6 +667,31 @@ class GraphicMatroid(Matroid):
         return BinaryMatroid(self.ground, columns)._dual()
 
 
+def _grow_forest(
+    ends: tuple[tuple[int, int], ...], nv: int, start: int, rest: int
+) -> int | None:
+    """Union-find over the ``nv`` vertices: ``start`` plus every edge of
+    ``rest`` (disjoint from it), in canonical order, that closes no cycle
+    with those taken before; None when ``start`` already holds a cycle."""
+    parent = list(range(nv))
+    for mask in (start, rest):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = ends[low.bit_length() - 1]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                if start & low:
+                    return None
+                continue
+            parent[u] = v
+            start |= low
+    return start
+
+
 def graphic_matroid(edges: Iterable[tuple[str, str, str]]) -> Matroid:
     """Finite-cycle matroid of a multigraph.
 
@@ -679,32 +707,42 @@ class BinaryMatroid(Matroid):
     """Linear matroid over the two-element field.
 
     ``columns`` holds one integer per element, bit i being the entry in
-    row i.  The oracle runs incremental elimination.  A contraction maps
-    the kept columns into the quotient by the span of the contracted ones,
-    and the dual is the standard-form dual, so both are binary again.
+    row i.  The oracle and the greedy basis share one incremental GF(2)
+    elimination kernel, so a basis is one pass over the columns, and the
+    circuits are walked in the cycle space.  A contraction maps the kept
+    columns into the quotient by the span of the contracted ones, and the
+    dual is the standard-form dual, so both are binary again.
     """
 
     rep = "gf2"
     __slots__ = ("columns",)
 
     def __init__(self, ground: GroundSet, columns: tuple[int, ...]):
-        def oracle(mask: int) -> bool:
-            pivots: dict[int, int] = {}
-            for i in _bit_indices(mask):
-                v = columns[i]
-                while v:
-                    h = v.bit_length()
-                    p = pivots.get(h)
-                    if p is None:
-                        pivots[h] = v
-                        break
-                    v ^= p
-                if not v:
-                    return False
-            return True
-
-        super().__init__(ground, oracle)
+        super().__init__(ground, lambda mask: _grow_span(columns, mask, 0) is not None)
         self.columns = columns
+
+    def _greedy_basis_mask(self, within: int, start: int = 0) -> int:
+        grown = _grow_span(self.columns, start, within & ~start)
+        return start if grown is None else grown
+
+    def _circuit_masks(self) -> Iterable[int]:
+        """Minimal supports in the cycle space, walked in Gray-code order.
+
+        The fundamental circuits of the canonical basis span the space of
+        element sets whose columns sum to zero, and every circuit is such
+        a set.  A nonzero member S is a circuit exactly when r(S) = |S| - 1,
+        that is when S minus any one element is independent; so the scan
+        makes 2^(n - r) rank checks instead of 2^n oracle calls.
+        """
+        _, spanning = _eliminate(self.columns)
+        columns = self.columns
+        found: list[int] = []
+        cycle = 0
+        for step in range(1, 1 << len(spanning)):
+            cycle ^= spanning[(step & -step).bit_length() - 1]
+            if _grow_span(columns, cycle & (cycle - 1), 0) is not None:
+                found.append(cycle)
+        return found
 
     def _contracted(self, ground: GroundSet, keep_mask: int, base_mask: int) -> Matroid:
         # reducing a column to zero at every pivot row of the contracted
@@ -729,6 +767,30 @@ class BinaryMatroid(Matroid):
             for i in _bit_indices(circuit):
                 columns[i] |= 1 << j
         return BinaryMatroid(self.ground, tuple(columns))
+
+
+def _grow_span(columns: tuple[int, ...], start: int, rest: int) -> int | None:
+    """Column elimination over GF(2): ``start`` plus every column of
+    ``rest`` (disjoint from it), in canonical order, outside the span of
+    those taken before; None when the columns of ``start`` are dependent."""
+    pivots: dict[int, int] = {}
+    for mask in (start, rest):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            v = columns[low.bit_length() - 1]
+            while v:
+                h = v.bit_length()
+                p = pivots.get(h)
+                if p is None:
+                    pivots[h] = v
+                    start |= low
+                    break
+                v ^= p
+            else:
+                if start & low:
+                    return None
+    return start
 
 
 def _eliminate(columns: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:

@@ -13,6 +13,7 @@ from matroid_kappa import (
     dual,
     find_separation,
     free_matroid,
+    gf2_matroid,
     graphic_matroid,
     grow_pair,
     is_k_connected,
@@ -416,7 +417,33 @@ class TestPolynomialEngine:
 
 class TestPolynomialGuard:
     """The independence memo holds one entry per distinct oracle call, so
-    its size after a cold query bounds the work done."""
+    its size after a cold query bounds the oracle calls made.  It counts
+    nothing done inside a representation's own kernels: graphic and binary
+    greedy bases and binary circuits make no oracle call at all."""
+
+    @pytest.mark.parametrize("side", ["grid", "dual"])
+    def test_rank_and_basis_make_no_oracle_call(self, side):
+        m = helpers.grid_graph(8, 8)
+        if side == "dual":
+            m = dual(m)
+        labels = list(m.ground)
+        assert m.rank(m.ground.set_of(labels[::3])) <= m.full_rank
+        assert len(m.basis()) == m.full_rank == m.rank() == (49 if side == "dual" else 63)
+        assert len(m._memo) == 0
+
+    def test_binary_circuits_make_no_oracle_call(self):
+        # 18 columns of rank 12: the identity and six sums of its columns
+        extra = [0b111, 0b111000, 0b111000000, 0b111000000000, 0b101010101010, 0b110011001100]
+        columns = [1 << i for i in range(12)] + extra
+        m = gf2_matroid(
+            [f"c{j}" for j in range(18)],
+            [[col >> i & 1 for col in columns] for i in range(12)],
+        )
+        found = m.circuits()
+        assert len(m._memo) == 0
+        assert m.full_rank == 12
+        assert len(found) > 6
+        assert all(m.is_circuit(c) for c in found)
 
     def test_components_oracle_calls(self):
         m = helpers.grid_graph(8, 8)

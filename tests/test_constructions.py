@@ -28,6 +28,7 @@ from matroid_kappa import (
     take_minor,
     uniform_matroid,
 )
+from matroid_kappa.core import BinaryMatroid
 
 
 def u24():
@@ -424,6 +425,7 @@ class TestRepresentationRoutes:
         [
             gf2_matroid("abcd", [[0, 0, 0, 0], [0, 0, 0, 0]]),
             gf2_matroid("abc", []),
+            gf2_matroid("abcdef", [[1, 1, 0, 0, 1, 0], [0, 0, 1, 1, 1, 0]]),
             graphic_matroid(
                 [("l1", "u", "u"), ("p1", "u", "v"), ("p2", "u", "v"),
                  ("p3", "v", "u"), ("e", "v", "w"), ("l2", "w", "w")]
@@ -431,12 +433,19 @@ class TestRepresentationRoutes:
             uniform_matroid("abcd", 0),
             free_matroid("abcd"),
         ],
-        ids=["gf2-zero", "gf2-no-rows", "graph-loops-parallel", "u0n", "free"],
+        ids=["gf2-zero", "gf2-no-rows", "gf2-repeated", "graph-loops-parallel", "u0n", "free"],
     )
     def test_edge_cases_match_generic(self, m):
         ref = generic(m)
         assert same_independence(dual(m), dual(ref))
         assert dual(dual(m)) is m
+        for own, scan in ((m, ref), (dual(m), dual(ref))):
+            assert own.circuits() == scan.circuits()
+            full = own.ground.full_mask
+            for within in range(full + 1):
+                for start in (0, within, full & ~within):
+                    got = own._greedy_basis_mask(within, start)
+                    assert got == scan._greedy_basis_mask(within, start)
         for mask in range(m.ground.full_mask + 1):
             s = m.ground.from_mask(mask)
             assert same_independence(contract(m, s), contract(ref, s))
@@ -471,3 +480,73 @@ class TestRepresentationRoutes:
         ]
         for m, want in cases:
             assert matroid_summary(m)["representation"] == want, m
+
+
+@st.composite
+def derived_matroids(draw):
+    """A representation, or one of its duals, minors or direct sums."""
+    m = draw(helpers.representations(max_n=6))
+    kind = draw(st.sampled_from(["self", "dual", "minor", "dual-minor", "sum", "dual-sum"]))
+    if kind.startswith("dual"):
+        m = dual(m)
+    if kind.endswith("minor"):
+        away = draw(st.integers(0, m.ground.full_mask))
+        drop = draw(st.integers(0, m.ground.full_mask)) & ~away
+        m = take_minor(m, MinorSpec(m.ground.from_mask(away), m.ground.from_mask(drop)))
+    if kind.endswith("sum"):
+        m = direct_sum([m, draw(helpers.representations("s", max_n=4))])
+    return m
+
+
+@st.composite
+def binary_matroids(draw):
+    """A GF(2) matrix with zero and repeated columns likely, or a minor or
+    dual of one, or the dual of a multigraph with loops and parallel edges."""
+    n = draw(st.integers(0, 9))
+    labels = [f"c{i}" for i in range(n)]
+    if draw(st.booleans()):
+        vertex = st.integers(0, 3).map(str)
+        return dual(graphic_matroid((lab, draw(vertex), draw(vertex)) for lab in labels))
+    height = draw(st.integers(0, 4))
+    columns = draw(st.lists(st.integers(0, (1 << height) - 1), min_size=n, max_size=n))
+    m = gf2_matroid(labels, [[c >> i & 1 for c in columns] for i in range(height)])
+    kind = draw(st.sampled_from(["self", "dual", "minor"]))
+    if kind == "dual":
+        return dual(m)
+    if kind == "minor":
+        away = draw(st.integers(0, m.ground.full_mask))
+        return contract(m, m.ground.from_mask(away))
+    return m
+
+
+class TestRepresentationKernels:
+    """Each representation's own greedy basis and binary circuits against
+    the generic oracle scans."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=derived_matroids(), data=st.data())
+    def test_greedy_basis_matches_generic(self, m, data):
+        ref = generic(m)
+        full = m.ground.full_mask
+        within = data.draw(st.integers(0, full))
+        independent = ref._greedy_basis_mask(data.draw(st.integers(0, full)))
+        starts = [0, independent, independent & within, data.draw(st.integers(0, full))]
+        circuits = ref.circuits()
+        if circuits:
+            # a circuit plus anything is dependent and must come back unchanged
+            dependent = data.draw(st.sampled_from(circuits)).mask
+            dependent |= data.draw(st.integers(0, full))
+            assert m._greedy_basis_mask(within, dependent) == dependent
+            starts.append(dependent)
+        for start in starts:
+            assert m._greedy_basis_mask(within, start) == ref._greedy_basis_mask(within, start)
+        assert m.basis() == ref.basis()
+        assert m.full_rank == ref.full_rank
+        s = m.ground.from_mask(within)
+        assert m.rank(s) == ref.rank(s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=binary_matroids())
+    def test_binary_circuits_match_generic(self, m):
+        assert isinstance(m, BinaryMatroid)
+        assert m.circuits() == generic(m).circuits()
