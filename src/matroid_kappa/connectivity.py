@@ -11,9 +11,12 @@ r(X) + r(E minus X) - r(E), which the suite checks exhaustively.
 between X and the complement of Y.  By Edmonds' matroid-intersection
 theorem it equals nu + r(X) + r(Y) - r(E), where nu is the size of a
 largest common independent set of M/X and M/Y on the free elements, so
-it is computed in polynomially many oracle calls with Cunningham's
-shortest augmenting paths.  ``find_separation`` promises the first split
-in canonical order and stays an exhaustive, budget-guarded scan.
+it is computed in polynomial time with Cunningham's shortest augmenting
+paths.  The exchange graph is read off two spans (``Matroid._span``), so
+a graphic or binary matroid answers from its union-find or elimination
+kernel and makes no oracle call; other matroids ask their oracle.
+``find_separation`` promises the first split in canonical order and
+stays an exhaustive, budget-guarded scan.
 """
 
 from __future__ import annotations
@@ -48,17 +51,19 @@ def del_count(m: Matroid, left: ElementSet, right: ElementSet) -> int:
 
 
 def _kappa_mask(m: Matroid, xmask: int) -> int:
+    """del_count of the canonical bases of X and of E - X.
+
+    Together the two bases span E, so a maximal independent subset of
+    their union has r(E) elements and del_count is the union's size minus
+    ``m.full_rank``; no third basis is grown.
+    """
     memo = m._cache.setdefault("kappa_memo", {})
     hit = memo.get(xmask)
-    if hit is not None:
-        return hit
-    basis_x = m._greedy_basis_mask(xmask)
-    basis_rest = m._greedy_basis_mask(m.ground.full_mask & ~xmask)
-    union = basis_x | basis_rest
-    kept = m._greedy_basis_mask(union)
-    value = union.bit_count() - kept.bit_count()
-    memo[xmask] = value
-    return value
+    if hit is None:
+        basis_x = m._greedy_basis_mask(xmask)
+        basis_rest = m._greedy_basis_mask(m.ground.full_mask & ~xmask)
+        hit = memo[xmask] = (basis_x | basis_rest).bit_count() - m.full_rank
+    return hit
 
 
 def kappa(m: Matroid, x: ElementSet) -> int:
@@ -83,19 +88,24 @@ def kappa_between(m: Matroid, x: ElementSet, y: ElementSet) -> int:
     For U = X + A with A among the free elements Z, kappa(U) is
     r(X) + r(Y) - r(E) + r_{M/X}(A) + r_{M/Y}(Z - A), and the minimum of
     the last two terms is the largest common independent set of M/X and
-    M/Y on Z (Edmonds).  Polynomial in the number of elements.
+    M/Y on Z (Edmonds).  Polynomial in the number of elements.  Values
+    are memoised on ``m`` per pair of sides.
     """
     m._check_universe(x)
     m._check_universe(y)
     if not x.isdisjoint(y):
         raise PreconditionError("the two sides overlap")
-    free = m.ground.full_mask & ~x.mask & ~y.mask
-    base_x = m._greedy_basis_mask(x.mask)
-    base_y = m._greedy_basis_mask(y.mask)
-    common = _largest_common_independent(m, free, base_x, base_y)
-    return (
-        common.bit_count() + base_x.bit_count() + base_y.bit_count() - m.full_rank
-    )
+    memo = m._cache.setdefault("kappa_between_memo", {})
+    hit = memo.get((x.mask, y.mask))
+    if hit is None:
+        free = m.ground.full_mask & ~x.mask & ~y.mask
+        base_x = m._greedy_basis_mask(x.mask)
+        base_y = m._greedy_basis_mask(y.mask)
+        common = _largest_common_independent(m, free, base_x, base_y)
+        hit = memo[x.mask, y.mask] = (
+            common.bit_count() + base_x.bit_count() + base_y.bit_count() - m.full_rank
+        )
+    return hit
 
 
 def _largest_common_independent(
@@ -109,50 +119,48 @@ def _largest_common_independent(
     """A largest subset of ``free`` independent in both M/X and M/Y.
 
     S is independent in M/X when S + base_x is independent in ``m``, and
-    likewise for Y.  A greedy pass in canonical order grows ``start``
+    likewise for Y, so the spans of I + base_x and I + base_y answer every
+    question about I.  A greedy pass in canonical order grows ``start``
     (which must be common independent) to a first set I; then each round
     searches the exchange graph breadth-first: arcs from an element b of
     I to an outside element e when I - b + e is independent in M/X, arcs
     from e to b when it is independent in M/Y, sources the outside
     elements addable in M/X and sinks those addable in M/Y.  Flipping a
-    shortest source-to-sink path grows I by one; when no path exists, I
-    is largest (Cunningham).  A caller that knows the largest size can
-    pass it as ``limit`` to stop as soon as I reaches it.
+    shortest source-to-sink path grows I by one, and the two spans are
+    built again; when no path exists, I is largest (Cunningham).  A
+    caller that knows the largest size can pass it as ``limit`` to stop
+    as soon as I reaches it.
     """
-    indep = m._indep
-
-    def in_x(s: int) -> bool:
-        return indep(s | base_x)
-
-    def in_y(s: int) -> bool:
-        return indep(s | base_y)
-
+    span_x = m._span(base_x | start)
+    span_y = m._span(base_y | start)
     common = start
     for e in _bit_indices(free & ~start):
         if common.bit_count() == limit:
             break
-        grown = common | 1 << e
-        if in_x(grown) and in_y(grown):
-            common = grown
+        bit = 1 << e
+        if span_x.adds(bit) and span_y.adds(bit):
+            span_x.add(bit)
+            span_y.add(bit)
+            common |= bit
     while common.bit_count() != limit:
         outside = [1 << e for e in _bit_indices(free & ~common)]
         inside = [1 << b for b in _bit_indices(common)]
-        parent = {bit: 0 for bit in outside if in_x(common | bit)}
+        parent = {bit: 0 for bit in outside if span_x.adds(bit)}
         queue = deque(parent)
         end = 0
         while queue:
             at = queue.popleft()
             if common & at:
                 for bit in outside:
-                    if bit not in parent and in_x(common ^ at | bit):
+                    if bit not in parent and span_x.swaps(at, bit):
                         parent[bit] = at
                         queue.append(bit)
-            elif in_y(common | at):
+            elif span_y.adds(at):
                 end = at
                 break
             else:
                 for bit in inside:
-                    if bit not in parent and in_y(common ^ bit | at):
+                    if bit not in parent and span_y.swaps(bit, at):
                         parent[bit] = at
                         queue.append(bit)
         if not end:
@@ -160,6 +168,8 @@ def _largest_common_independent(
         while end:
             common ^= end
             end = parent[end]
+        span_x = m._span(base_x | common)
+        span_y = m._span(base_y | common)
     return common
 
 

@@ -148,15 +148,20 @@ class ComponentPartition:
 def components(m: Matroid) -> ComponentPartition:
     """Connected components of ``m`` from the fundamental circuits of one basis.
 
-    For the canonical basis B and each e outside it, an element b of B lies
-    in the fundamental circuit C(e, B) exactly when B - b + e is
-    independent; joining e to every such b with union-find gives the
-    components (Krogdahl), in (n - r) * r oracle calls and no circuit
-    enumeration.  Every join is witnessed by a circuit, so each block lies
-    inside one component; the ranks of the blocks must then sum to r(E),
-    which makes every block a separator and the partition exact.  A
-    failing sum is reported as an invariant violation.
+    For the canonical basis B, joining the elements of each fundamental
+    circuit C(e, B) with union-find gives the components (Krogdahl),
+    with no circuit enumeration.  The circuits are read off the span of B
+    (``Matroid._span``): tree paths of a graph, or the pivot combinations
+    of a GF(2) elimination, with no oracle call; other matroids ask their
+    oracle about B + e and each B - b + e.  Every join is witnessed by a
+    circuit, so each block lies inside one component; the ranks of the
+    blocks must then sum to r(E), which makes every block a separator and
+    the partition exact.  A failing sum is reported as an invariant
+    violation.  The partition is kept on ``m``.
     """
+    cached = m._cache.get("components")
+    if cached is not None:
+        return cached
     n = len(m.ground)
     parent = list(range(n))
 
@@ -166,13 +171,10 @@ def components(m: Matroid) -> ComponentPartition:
             a = parent[a]
         return a
 
-    basis = m.basis().mask
-    members = list(_bit_indices(basis))
-    for e in _bit_indices(m.ground.full_mask & ~basis):
-        with_e = basis | 1 << e
-        for b in members:
-            if m._indep(with_e & ~(1 << b)):
-                parent[find(b)] = find(e)
+    for circuit in m._fundamental_circuits():
+        head = (circuit & -circuit).bit_length() - 1
+        for b in _bit_indices(circuit):
+            parent[find(b)] = find(head)
 
     by_root: dict[int, int] = {}
     for i in range(n):
@@ -186,7 +188,10 @@ def components(m: Matroid) -> ComponentPartition:
             f"component ranks sum to {rank_sum}, not to the rank {m.full_rank}: "
             "the fundamental-circuit blocks are not separators"
         )
-    return ComponentPartition(tuple(ElementSet(m.ground, b) for b in blocks))
+    found = m._cache["components"] = ComponentPartition(
+        tuple(ElementSet(m.ground, b) for b in blocks)
+    )
+    return found
 
 
 def lift_circuit(m: Matroid, away: ElementSet, circuit: ElementSet) -> ElementSet:

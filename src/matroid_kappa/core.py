@@ -18,9 +18,14 @@ dual once built, and the dual of the dual is the matroid itself.
 Greedy bases, and with them rank, come from one pass of a representation's
 own kernel where it has one: a graphic matroid runs one union-find over
 its vertices and a binary one one GF(2) elimination over its columns.
-Binary circuits are the minimal supports of the cycle space, found with
-2^(n - r) rank checks; graphic circuits are the graph's simple cycles.
-Everything else asks the oracle once per candidate element.
+The same kernels, kept open, are the span of an independent set
+(:meth:`Matroid._span`): it answers whether an element can be added or
+swapped in and gives fundamental circuits, from a union-find with tree
+paths or from an elimination that records which columns sum to each
+pivot.  Binary circuits are the minimal supports of the cycle space,
+found with 2^(n - r) rank checks; graphic circuits are the graph's simple
+cycles.  Uniform, explicit and derived matroids ask their oracle for all
+of these.
 """
 
 from __future__ import annotations
@@ -257,12 +262,13 @@ class Matroid:
     idempotent, so instances are safe to share read-only across workers.
 
     This class is also the generic representation: its greedy bases
-    (:meth:`_greedy_basis_mask`) ask its oracle, its dual (:meth:`_dual`)
-    and minors (:meth:`_contracted`) wrap its oracle, and its circuits
-    (:meth:`_circuit_masks`) are enumerated from the oracle.  The concrete
-    representations below subclass it and override those hooks where
-    their own data gives the answer directly; a kernel that answers from
-    the data makes no oracle call and leaves the memo untouched.  The
+    (:meth:`_greedy_basis_mask`) and spans (:meth:`_span`) ask its oracle,
+    its dual (:meth:`_dual`) and minors (:meth:`_contracted`) wrap its
+    oracle, and its circuits (:meth:`_circuit_masks`) are enumerated from
+    the oracle.  The concrete representations below subclass it and
+    override those hooks where their own data gives the answer directly;
+    a kernel that answers from the data makes no oracle call and leaves
+    the memo untouched.  The
     class attribute ``rep`` names the representation; ``"derived"`` marks
     an oracle wrapper.
     """
@@ -367,6 +373,20 @@ class Matroid:
             self.ground, self._greedy_basis_mask(within.mask, independent.mask)
         )
 
+    def _span(self, independent: int) -> "_Span":
+        """The span of the independent set ``independent``, to grow it and
+        read fundamental circuits off it (see :class:`_Span`).  This one
+        asks the oracle; a representation with a kernel overrides it."""
+        return _Span(self._indep, independent)
+
+    def _fundamental_circuits(self) -> list[int]:
+        """The fundamental circuit of every element outside the canonical
+        basis, in canonical order of those elements."""
+        basis = self.basis().mask
+        span = self._span(basis)
+        outside = self.ground.full_mask & ~basis
+        return [span.circuit(1 << e) for e in _bit_indices(outside)]
+
     # -- circuits --------------------------------------------------------
 
     def circuits(self, budget: int | None = None) -> list[ElementSet]:
@@ -438,12 +458,12 @@ class Matroid:
         xbit = 1 << self.ground.index(x)
         if base.mask & xbit:
             raise PreconditionError(f"element {x!r} already lies in the basis")
-        if not self._indep(base.mask) or base.mask.bit_count() != self.full_rank:
+        if (
+            base.mask.bit_count() != self.full_rank
+            or self._greedy_basis_mask(base.mask) != base.mask
+        ):
             raise PreconditionError("the given set is not a basis")
-        circuit = self.find_circuit_in(ElementSet(self.ground, base.mask | xbit))
-        if circuit is None:
-            raise PreconditionError("basis plus element is independent")
-        return circuit
+        return ElementSet(self.ground, self._span(base.mask).circuit(xbit))
 
     def cocircuits(self, budget: int | None = None) -> list[ElementSet]:
         return self.dual().circuits(budget)
@@ -505,6 +525,43 @@ class Matroid:
         positions = tuple(_bit_indices(keep_mask))
         indep = self._indep
         return Matroid(ground, lambda mask: indep(_spread(mask, positions) | base_mask))
+
+
+class _Span:
+    """An independent set I that can grow, answered by the oracle.
+
+    Elements are one-bit masks.  ``adds(e)`` tells whether I + e is
+    independent and ``add(e)`` puts e into I; ``circuit(e)`` is the
+    fundamental circuit of e in I + e, or 0 when I + e is independent;
+    ``swaps(b, e)``, for b in I, tells whether I - b + e is independent.
+    A representation's kernel answers the same questions from its own
+    data, with no oracle call.
+    """
+
+    __slots__ = ("mask", "_indep")
+
+    def __init__(self, indep: Callable[[int], bool], independent: int):
+        self.mask = independent
+        self._indep = indep
+
+    def adds(self, e: int) -> bool:
+        return self._indep(self.mask | e)
+
+    def add(self, e: int) -> None:
+        self.mask |= e
+
+    def circuit(self, e: int) -> int:
+        # with I + e dependent, b lies on the circuit iff I - b + e is independent
+        if self.adds(e):
+            return 0
+        found = e
+        for i in _bit_indices(self.mask):
+            if self.swaps(1 << i, e):
+                found |= 1 << i
+        return found
+
+    def swaps(self, b: int, e: int) -> bool:
+        return self._indep(self.mask ^ b | e)
 
 
 def _spread(mask: int, positions: tuple[int, ...]) -> int:
@@ -577,9 +634,10 @@ class GraphicMatroid(Matroid):
     """Finite-cycle matroid of a multigraph, one edge per element.
 
     ``edges`` are (label, endpoint, endpoint) triples in element order.  A
-    set of edges is independent iff it contains no cycle.  The oracle and
-    the greedy basis share one union-find kernel over the vertices, so a
-    basis is one pass over the candidates.  Minors are taken on the graph:
+    set of edges is independent iff it contains no cycle.  The oracle, the
+    greedy basis and the span share one union-find kernel over the
+    vertices, so a basis is one pass over the candidates, and fundamental
+    circuits are paths in a forest.  Minors are taken on the graph:
     deleted edges are dropped and contracted edges merge their endpoints.
     The dual is the binary dual of the vertex-edge incidence matrix.
     """
@@ -594,14 +652,19 @@ class GraphicMatroid(Matroid):
             vertices.setdefault(v, len(vertices))
         ends = tuple((vertices[u], vertices[v]) for _, u, v in edges)
         nv = len(vertices)
-        super().__init__(ground, lambda mask: _grow_forest(ends, nv, mask, 0) is not None)
+        super().__init__(
+            ground, lambda mask: _grow_forest(ends, list(range(nv)), mask, 0) is not None
+        )
         self.edges = edges
         self._ends = ends
         self._nv = nv
 
     def _greedy_basis_mask(self, within: int, start: int = 0) -> int:
-        grown = _grow_forest(self._ends, self._nv, start, within & ~start)
+        grown = _grow_forest(self._ends, list(range(self._nv)), start, within & ~start)
         return start if grown is None else grown
+
+    def _span(self, independent: int) -> "_ForestSpan":
+        return _ForestSpan(self._ends, self._nv, independent)
 
     def _circuit_masks(self) -> Iterable[int]:
         """Edge masks of all simple cycles.
@@ -668,12 +731,12 @@ class GraphicMatroid(Matroid):
 
 
 def _grow_forest(
-    ends: tuple[tuple[int, int], ...], nv: int, start: int, rest: int
+    ends: tuple[tuple[int, int], ...], parent: list[int], start: int, rest: int
 ) -> int | None:
-    """Union-find over the ``nv`` vertices: ``start`` plus every edge of
-    ``rest`` (disjoint from it), in canonical order, that closes no cycle
-    with those taken before; None when ``start`` already holds a cycle."""
-    parent = list(range(nv))
+    """Union-find over the vertices, ``parent`` being its forest of
+    vertices: joins ``start`` and then every edge of ``rest`` (disjoint
+    from it), in canonical order, that closes no cycle with those joined
+    before, and returns those edges; None when ``start`` closes a cycle."""
     for mask in (start, rest):
         while mask:
             low = mask & -mask
@@ -692,6 +755,86 @@ def _grow_forest(
     return start
 
 
+class _ForestSpan:
+    """The span of a forest, as :class:`_Span` describes it.
+
+    A union-find over the vertices, grown by :func:`_grow_forest`, answers
+    ``adds`` and ``add``.  The first ``circuit`` after an ``add`` roots
+    the forest; the circuit of an edge is then the edge with the tree path
+    between its ends, kept per edge until the next ``add``.
+    """
+
+    __slots__ = ("mask", "_ends", "_parent", "_up", "_circuits")
+
+    def __init__(self, ends: tuple[tuple[int, int], ...], nv: int, independent: int):
+        self._ends = ends
+        self._parent = list(range(nv))
+        _grow_forest(ends, self._parent, independent, 0)
+        self.mask = independent
+        # per vertex: (depth, parent vertex, edge to it), built on demand
+        self._up: list[tuple[int, int, int]] | None = None
+        self._circuits: dict[int, int] = {}
+
+    def adds(self, e: int) -> bool:
+        u, v = self._ends[e.bit_length() - 1]
+        parent = self._parent
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return u != v
+
+    def add(self, e: int) -> None:
+        _grow_forest(self._ends, self._parent, e, 0)
+        self.mask |= e
+        self._up = None
+        self._circuits = {}
+
+    def circuit(self, e: int) -> int:
+        found = self._circuits.get(e)
+        if found is None:
+            found = self._circuits[e] = 0 if self.adds(e) else self._tree_path(e)
+        return found
+
+    def swaps(self, b: int, e: int) -> bool:
+        found = self.circuit(e)
+        return found == 0 or found & b != 0
+
+    def _tree_path(self, e: int) -> int:
+        up = self._up
+        if up is None:
+            up = self._up = self._rooted()
+        u, v = self._ends[e.bit_length() - 1]
+        found = e
+        while u != v:
+            if up[u][0] < up[v][0]:
+                u, v = v, u
+            _, u, bit = up[u]
+            found |= bit
+        return found
+
+    def _rooted(self) -> list[tuple[int, int, int]]:
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in self._parent]
+        for i in _bit_indices(self.mask):
+            u, v = self._ends[i]
+            adjacency[u].append((v, 1 << i))
+            adjacency[v].append((u, 1 << i))
+        up: list = [None] * len(adjacency)
+        for root in range(len(up)):
+            if up[root] is not None:
+                continue
+            up[root] = (0, root, 0)
+            stack = [root]
+            while stack:
+                at = stack.pop()
+                depth = up[at][0] + 1
+                for nxt, bit in adjacency[at]:
+                    if up[nxt] is None:
+                        up[nxt] = (depth, at, bit)
+                        stack.append(nxt)
+        return up
+
+
 def graphic_matroid(edges: Iterable[tuple[str, str, str]]) -> Matroid:
     """Finite-cycle matroid of a multigraph.
 
@@ -707,11 +850,12 @@ class BinaryMatroid(Matroid):
     """Linear matroid over the two-element field.
 
     ``columns`` holds one integer per element, bit i being the entry in
-    row i.  The oracle and the greedy basis share one incremental GF(2)
-    elimination kernel, so a basis is one pass over the columns, and the
-    circuits are walked in the cycle space.  A contraction maps the kept
-    columns into the quotient by the span of the contracted ones, and the
-    dual is the standard-form dual, so both are binary again.
+    row i.  The oracle, the greedy basis and the span run incremental
+    GF(2) elimination over the columns, so a basis is one pass over them
+    and a fundamental circuit is read off the pivots; the circuits are
+    walked in the cycle space.  A contraction maps the kept columns into
+    the quotient by the span of the contracted ones, and the dual is the
+    standard-form dual, so both are binary again.
     """
 
     rep = "gf2"
@@ -725,6 +869,9 @@ class BinaryMatroid(Matroid):
         grown = _grow_span(self.columns, start, within & ~start)
         return start if grown is None else grown
 
+    def _span(self, independent: int) -> "_EliminationSpan":
+        return _EliminationSpan(self.columns, independent)
+
     def _circuit_masks(self) -> Iterable[int]:
         """Minimal supports in the cycle space, walked in Gray-code order.
 
@@ -734,7 +881,7 @@ class BinaryMatroid(Matroid):
         that is when S minus any one element is independent; so the scan
         makes 2^(n - r) rank checks instead of 2^n oracle calls.
         """
-        _, spanning = _eliminate(self.columns)
+        spanning = self._fundamental_circuits()
         columns = self.columns
         found: list[int] = []
         cycle = 0
@@ -747,7 +894,7 @@ class BinaryMatroid(Matroid):
     def _contracted(self, ground: GroundSet, keep_mask: int, base_mask: int) -> Matroid:
         # reducing a column to zero at every pivot row of the contracted
         # columns' echelon form is a linear map whose kernel is their span
-        pivots, _ = _eliminate(self.columns[i] for i in _bit_indices(base_mask))
+        pivots = _EliminationSpan(self.columns, base_mask).pivots
         order = sorted(((h, p) for h, (p, _) in pivots.items()), reverse=True)
         columns = []
         for i in _bit_indices(keep_mask):
@@ -761,9 +908,8 @@ class BinaryMatroid(Matroid):
     def _dual(self) -> Matroid:
         # with B the canonical basis, M = M[I_B | A] and M* = M[A^T | I]:
         # dual row j is the fundamental circuit of the j-th element outside B
-        _, circuits = _eliminate(self.columns)
         columns = [0] * len(self.columns)
-        for j, circuit in enumerate(circuits):
+        for j, circuit in enumerate(self._fundamental_circuits()):
             for i in _bit_indices(circuit):
                 columns[i] |= 1 << j
         return BinaryMatroid(self.ground, tuple(columns))
@@ -793,29 +939,57 @@ def _grow_span(columns: tuple[int, ...], start: int, rest: int) -> int | None:
     return start
 
 
-def _eliminate(columns: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """Gaussian elimination over GF(2), taking the columns in order.
+class _EliminationSpan:
+    """The span of independent columns, as :class:`_Span` describes it.
 
-    Returns the pivots, keyed by leading bit, each a vector of the column
-    span with the mask of the input positions that sum to it; and, for
-    every column that depends on earlier ones, the mask of its
-    fundamental circuit with respect to the greedy basis of the columns.
+    ``pivots`` maps a leading bit to a vector of the span together with
+    the mask of the columns that sum to it.  A column reduces to zero
+    against the pivots exactly when it is spanned, and then the columns it
+    was reduced by are, with it, its fundamental circuit.  Reductions are
+    kept per column until the next ``add``.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    circuits: list[int] = []
-    for i, v in enumerate(columns):
-        combo = 1 << i
-        while v:
-            h = v.bit_length()
-            p = pivots.get(h)
-            if p is None:
-                pivots[h] = (v, combo)
-                break
-            v ^= p[0]
-            combo ^= p[1]
-        if not v:
-            circuits.append(combo)
-    return pivots, circuits
+
+    __slots__ = ("pivots", "_columns", "_reduced")
+
+    def __init__(self, columns: tuple[int, ...], independent: int):
+        self._columns = columns
+        self.pivots: dict[int, tuple[int, int]] = {}
+        self._reduced: dict[int, tuple[int, int]] = {}
+        for i in _bit_indices(independent):
+            self.add(1 << i)
+
+    def adds(self, e: int) -> bool:
+        return self._reduce(e)[0] != 0
+
+    def add(self, e: int) -> None:
+        v, combo = self._reduce(e)
+        self.pivots[v.bit_length()] = (v, combo)
+        self._reduced.clear()
+
+    def circuit(self, e: int) -> int:
+        v, combo = self._reduce(e)
+        return 0 if v else combo
+
+    def swaps(self, b: int, e: int) -> bool:
+        v, combo = self._reduce(e)
+        return v != 0 or combo & b != 0
+
+    def _reduce(self, e: int) -> tuple[int, int]:
+        """Column ``e`` reduced against the pivots, and the mask of the
+        columns summed into it, ``e`` included."""
+        hit = self._reduced.get(e)
+        if hit is None:
+            v = self._columns[e.bit_length() - 1]
+            combo = e
+            pivots = self.pivots
+            while v:
+                p = pivots.get(v.bit_length())
+                if p is None:
+                    break
+                v ^= p[0]
+                combo ^= p[1]
+            hit = self._reduced[e] = (v, combo)
+        return hit
 
 
 def gf2_matroid(labels: Iterable[str], rows: Iterable[Iterable[int]]) -> Matroid:

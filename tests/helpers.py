@@ -80,6 +80,11 @@ def brute_del(indep, left, right) -> int:
     raise AssertionError("unreachable")
 
 
+def generic(m: Matroid) -> Matroid:
+    """Strip representation data so the generic oracle paths run."""
+    return Matroid(m.ground, m._indep)
+
+
 def oracle_of(m: Matroid):
     """Label-set independence predicate of a package matroid."""
 

@@ -25,6 +25,7 @@ from matroid_kappa import (
     MinorSpec,
     uniform_matroid,
 )
+from matroid_kappa.connectivity import _largest_common_independent
 
 
 def u24():
@@ -376,8 +377,35 @@ class TestPolynomialEngine:
     def test_components_match_circuit_union_find(self, m):
         got = components(m)
         assert {frozenset(b) for b in got.blocks} == brute_blocks(m)
+        assert got == components(helpers.generic(m))
         firsts = [m.ground.index(b.labels()[0]) for b in got.blocks]
         assert firsts == sorted(firsts)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=small_matroids(), data=st.data())
+    def test_common_independent_matches_generic(self, m, data):
+        ref = helpers.generic(m)
+        x, y = disjoint_sides(data.draw, m)
+        free = m.ground.full_mask & ~x.mask & ~y.mask
+        base_x = ref._greedy_basis_mask(x.mask)
+        base_y = ref._greedy_basis_mask(y.mask)
+        start = 0
+        for i in range(len(m.ground)):
+            bit = data.draw(st.sampled_from([0, 1 << i])) & free
+            if ref._indep(start | bit | base_x) and ref._indep(start | bit | base_y):
+                start |= bit
+        limit = data.draw(st.sampled_from([None, 0, 1, 2]))
+        if limit is not None:
+            limit += start.bit_count()
+        got = _largest_common_independent(m, free, base_x, base_y, start, limit)
+        assert got == _largest_common_independent(ref, free, base_x, base_y, start, limit)
+        assert got & start == start and got & ~free == 0
+        assert ref._indep(got | base_x) and ref._indep(got | base_y)
+        if limit is None:
+            labels = list(m.ground)
+            value = helpers.brute_kappa_between(helpers.oracle_of(m), labels, list(x), list(y))
+            largest = value + m.full_rank - base_x.bit_count() - base_y.bit_count()
+            assert got.bit_count() == largest
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(m=small_matroids())
@@ -415,11 +443,18 @@ class TestPolynomialEngine:
         assert is_k_connected(m, 2)
 
 
+def grid_and_dual():
+    grid = helpers.grid_graph(8, 8)
+    return [("grid", grid), ("dual", dual(grid))]
+
+
 class TestPolynomialGuard:
     """The independence memo holds one entry per distinct oracle call, so
-    its size after a cold query bounds the oracle calls made.  It counts
+    its size after a cold query counts the oracle calls made.  It counts
     nothing done inside a representation's own kernels: graphic and binary
-    greedy bases and binary circuits make no oracle call at all."""
+    greedy bases, spans, fundamental circuits, components, kappa(X, Y),
+    linking partitions and binary circuits make no oracle call at all, so
+    on the 8x8 grid and its dual the memo stays empty."""
 
     @pytest.mark.parametrize("side", ["grid", "dual"])
     def test_rank_and_basis_make_no_oracle_call(self, side):
@@ -446,32 +481,38 @@ class TestPolynomialGuard:
         assert all(m.is_circuit(c) for c in found)
 
     def test_components_oracle_calls(self):
-        m = helpers.grid_graph(8, 8)
-        components(m)
-        n, r = len(m.ground), m.full_rank
-        assert len(m._memo) <= n * r + n
+        for side, m in grid_and_dual():
+            assert components(m).is_connected, side
+            assert len(m._memo) == 0, side
 
     def test_kappa_between_oracle_calls(self):
         m = helpers.grid_graph(8, 8)
         labels = list(m.ground)
         kappa_between(m, m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:]))
-        n, r = len(m.ground), m.full_rank
-        assert len(m._memo) <= r * n * n
+        assert len(m._memo) == 0
 
     def test_kappa_between_on_grid_dual_oracle_calls(self):
         # the dual is built from the graph's incidence matrix, so no call
-        # reaches the grid's own oracle
+        # reaches the grid's own oracle either
         grid = helpers.grid_graph(8, 8)
         m = dual(grid)
         labels = list(m.ground)
         kappa_between(m, m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:]))
-        n, r = len(m.ground), m.full_rank
         assert len(grid._memo) == 0
-        assert len(m._memo) <= r * n * n
+        assert len(m._memo) == 0
 
     def test_linking_partition_oracle_calls(self):
-        m = helpers.grid_graph(8, 8)
-        labels = list(m.ground)
-        linking_partition(m, m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:]))
-        n, r = len(m.ground), m.full_rank
-        assert len(m._memo) <= r * n * n
+        for side, m in grid_and_dual():
+            labels = list(m.ground)
+            linking_partition(m, m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:]))
+            assert len(m._memo) == 0, side
+
+    @pytest.mark.parametrize("side", ["grid", "dual"])
+    def test_fundamental_circuits_make_no_oracle_call(self, side):
+        m = dict(grid_and_dual())[side]
+        base = m.basis()
+        for label in m.ground:
+            if label not in base:
+                circuit = m.fundamental_circuit(base, label)
+                assert label in circuit and len(circuit - base) == 1
+        assert len(m._memo) == 0

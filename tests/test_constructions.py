@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from helpers import generic
 from matroid_kappa import (
     DomainError,
     ElementSet,
@@ -33,11 +34,6 @@ from matroid_kappa.core import BinaryMatroid
 
 def u24():
     return uniform_matroid("abcd", 2)
-
-
-def generic(m: Matroid) -> Matroid:
-    """Strip representation data so the generic oracle paths run."""
-    return Matroid(m.ground, m._indep)
 
 
 class TestDual:
@@ -519,9 +515,22 @@ def binary_matroids(draw):
     return m
 
 
+@st.composite
+def multigraph_matroids(draw):
+    """A multigraph with loops and parallel edges likely, or a minor of one."""
+    n = draw(st.integers(0, 9))
+    vertex = st.integers(0, 3).map(str)
+    m = graphic_matroid((f"g{i}", draw(vertex), draw(vertex)) for i in range(n))
+    if draw(st.booleans()):
+        away = draw(st.integers(0, m.ground.full_mask))
+        drop = draw(st.integers(0, m.ground.full_mask)) & ~away
+        m = take_minor(m, MinorSpec(m.ground.from_mask(away), m.ground.from_mask(drop)))
+    return m
+
+
 class TestRepresentationKernels:
-    """Each representation's own greedy basis and binary circuits against
-    the generic oracle scans."""
+    """Each representation's own greedy basis, span and binary circuits
+    against the generic oracle scans."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(m=derived_matroids(), data=st.data())
@@ -550,3 +559,28 @@ class TestRepresentationKernels:
     def test_binary_circuits_match_generic(self, m):
         assert isinstance(m, BinaryMatroid)
         assert m.circuits() == generic(m).circuits()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=st.one_of(binary_matroids(), multigraph_matroids()), data=st.data())
+    def test_span_matches_generic(self, m, data):
+        ref = generic(m)
+        full = m.ground.full_mask
+        taken = ref._greedy_basis_mask(data.draw(st.integers(0, full)))
+        span, scan = m._span(taken), ref._span(taken)
+        bits = [1 << i for i in range(len(m.ground))]
+        for e in data.draw(st.permutations(bits)) + [0]:
+            for f in bits:
+                if taken & f:
+                    continue
+                assert span.adds(f) == scan.adds(f) == ref._indep(taken | f)
+                circuit = span.circuit(f)
+                assert circuit == scan.circuit(f)
+                if circuit:
+                    assert ref.find_circuit_in(m.ground.from_mask(taken | f)).mask == circuit
+                for b in bits:
+                    if taken & b:
+                        assert span.swaps(b, f) == scan.swaps(b, f)
+            if e and not taken & e and scan.adds(e):
+                span.add(e)
+                scan.add(e)
+                taken |= e
