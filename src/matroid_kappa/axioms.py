@@ -5,9 +5,32 @@ over a small ground set, :func:`check_axioms` verifies each independence
 axiom and each circuit axiom and reports, for every failure, a minimal
 witness found in canonical scan order.
 
+Each check works from tables of the 2^n subsets, not from pairs of sets.
+A table is one int with bit s set for each chosen subset s, so a pass over
+all 2^n subsets is one shift per element:
+
+* I2 and I3 walk the family once in canonical order (one shared sort).
+* I3 finds the maximal members from one downward pass ("s lies inside a
+  member") and marks, in one upward pass, every s that contains a maximal
+  member.  A non-maximal I fails against a maximal I' exactly when I' lies
+  inside I united with the elements e for which I + e is not a member,
+  which is one table lookup per I; the first such I' in canonical order is
+  the witness.
+* The candidate circuits of an independence family, its minimal
+  non-members, come from one upward pass: s is one exactly when s is not
+  a member and every s - e is a member whose subsets all are.  Given
+  circuits, the induced family is every set outside one upward pass, and
+  C2 scans pairs of circuits only when one pass finds a nested pair.
+* C3 takes the options for each C_x from a per-element circuit index and
+  memoises, for each set it searches, the union of the circuits inside it
+  (at most 2^n entries), so "a circuit through z" is one bit test.
+
 The strong circuit-exchange check (C3) quantifies over tuples
 (C, X, (C_x for x in X), z); the number of such tuples can explode, so the
-scan is capped and the report records whether it ran to completion.
+scan is capped and the report records whether it ran to completion.  The
+cap counts every (C, X, family, z) tuple visited in the same order as a
+one-at-a-time scan would, so the truncation point and ``exhaustive`` do
+not depend on how the tuples are tested.
 """
 
 from __future__ import annotations
@@ -107,7 +130,8 @@ def check_axioms(
     too; when independent sets are given, the circuit checks run on the
     inclusion-minimal non-members.  The ground set is checked against
     ``budget`` before any family is read, so a lazily generated family
-    over too many elements is never enumerated.
+    over too many elements is never enumerated.  A mask in
+    ``independent_masks`` outside the ground set raises ``DomainError``.
     """
     if budget is None:
         budget = budgets.AXIOM_GROUND
@@ -115,9 +139,7 @@ def check_axioms(
         c3_budget = budgets.AXIOM_C3_TUPLES
     if not isinstance(ground, GroundSet):
         ground = GroundSet(ground)
-    n = len(ground)
-    if n > budget:
-        raise CapacityError(f"axiom check over {n} elements exceeds budget {budget}")
+    _check_ground_budget(ground, budget)
 
     given = sum(x is not None for x in (independent, circuits, independent_masks))
     if given != 1:
@@ -125,27 +147,23 @@ def check_axioms(
 
     if circuits is not None:
         circuit_masks = sorted(
-            {ground.set_of(c).mask for c in circuits},
-            key=lambda m: tuple(_bit_indices(m)),
+            {ground.set_of(c).mask for c in circuits}, key=_canonical_key
         )
-        family = frozenset(
-            mask
-            for mask in range(ground.full_mask + 1)
-            if not any(c & mask == c for c in circuit_masks)
-        )
+        dependent = _grow(_table(circuit_masks), _lanes(len(ground)))
+        family = frozenset(_bit_indices(_every_subset(ground) & ~dependent))
         circuits_given = True
     else:
         if independent_masks is not None:
             family = frozenset(independent_masks)
+            if any(not 0 <= m <= ground.full_mask for m in family):
+                raise DomainError("a mask in the family lies outside the ground set")
         else:
             family = frozenset(ground.set_of(s).mask for s in independent)  # type: ignore[union-attr]
         circuit_masks = _minimal_nonmembers(ground, family)
         circuits_given = False
 
     checks = [
-        _check_i1(ground, family),
-        _check_i2(ground, family),
-        _check_i3(ground, family),
+        *_independence_checks(ground, family),
         AxiomCheck(
             "IM",
             True,
@@ -166,20 +184,87 @@ def check_axioms(
     return AxiomReport(ground, tuple(checks))
 
 
+def _check_ground_budget(ground: GroundSet, budget: int) -> None:
+    n = len(ground)
+    if n > budget:
+        raise CapacityError(f"axiom check over {n} elements exceeds budget {budget}")
+
+
+def _canonical_key(mask: int) -> tuple[int, ...]:
+    return tuple(_bit_indices(mask))
+
+
+def _independence_checks(
+    ground: GroundSet, family: frozenset[int]
+) -> tuple[AxiomCheck, AxiomCheck, AxiomCheck]:
+    """I1, I2 and I3 for a family of masks inside the ground set."""
+    ordered = sorted(family, key=_canonical_key)
+    return (
+        _check_i1(ground, family),
+        _check_i2(ground, family, ordered),
+        _check_i3(ground, family, ordered),
+    )
+
+
+def _lanes(n: int) -> list[int]:
+    """For each element i, the subset table of the sets without i."""
+    lanes = []
+    for i in range(n):
+        step = 1 << i
+        lane, width = (1 << step) - 1, 2 * step
+        while width < 1 << n:
+            lane |= lane << width
+            width *= 2
+        lanes.append(lane)
+    return lanes
+
+
+def _table(masks: Iterable[int]) -> int:
+    table = 0
+    for mask in masks:
+        table |= 1 << mask
+    return table
+
+
+def _grow(table: int, lanes: list[int]) -> int:
+    """The sets that contain some set of ``table``."""
+    for i, lane in enumerate(lanes):
+        table |= (table & lane) << (1 << i)
+    return table
+
+
+def _shrink(table: int, lanes: list[int]) -> int:
+    """The sets contained in some set of ``table``."""
+    for i, lane in enumerate(lanes):
+        table |= (table >> (1 << i)) & lane
+    return table
+
+
+def _step_up(table: int, lanes: list[int]) -> int:
+    """The sets s with some s - e in ``table``."""
+    out = 0
+    for i, lane in enumerate(lanes):
+        out |= (table & lane) << (1 << i)
+    return out
+
+
+def _step_down(table: int, lanes: list[int]) -> int:
+    """The sets s with some s + e in ``table``."""
+    out = 0
+    for i, lane in enumerate(lanes):
+        out |= (table >> (1 << i)) & lane
+    return out
+
+
+def _every_subset(ground: GroundSet) -> int:
+    return (1 << (ground.full_mask + 1)) - 1
+
+
 def _minimal_nonmembers(ground: GroundSet, family: frozenset[int]) -> list[int]:
-    minimal: list[int] = []
-    for size in range(0, len(ground) + 1):
-        for combo in itertools.combinations(range(len(ground)), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if mask in family:
-                continue
-            if any(c & mask == c for c in minimal):
-                continue
-            minimal.append(mask)
-    minimal.sort(key=lambda m: tuple(_bit_indices(m)))
-    return minimal
+    lanes = _lanes(len(ground))
+    outside = _every_subset(ground) & ~_table(family)
+    properly_above = _step_up(_grow(outside, lanes), lanes)
+    return sorted(_bit_indices(outside & ~properly_above), key=_canonical_key)
 
 
 def _check_i1(ground: GroundSet, family: frozenset[int]) -> AxiomCheck:
@@ -188,8 +273,10 @@ def _check_i1(ground: GroundSet, family: frozenset[int]) -> AxiomCheck:
     return AxiomCheck("I1", False, witness="the empty set is not in the family")
 
 
-def _check_i2(ground: GroundSet, family: frozenset[int]) -> AxiomCheck:
-    for mask in sorted(family, key=lambda m: tuple(_bit_indices(m))):
+def _check_i2(
+    ground: GroundSet, family: frozenset[int], ordered: list[int]
+) -> AxiomCheck:
+    for mask in ordered:
         for i in _bit_indices(mask):
             sub = mask & ~(1 << i)
             if sub not in family:
@@ -204,28 +291,34 @@ def _check_i2(ground: GroundSet, family: frozenset[int]) -> AxiomCheck:
     return AxiomCheck("I2", True)
 
 
-def _check_i3(ground: GroundSet, family: frozenset[int]) -> AxiomCheck:
-    ordered = sorted(family, key=lambda m: tuple(_bit_indices(m)))
-    maximal = [
-        m
-        for m in ordered
-        if not any(m != o and m & o == m for o in family)
-    ]
-    maximal_set = set(maximal)
+def _check_i3(
+    ground: GroundSet, family: frozenset[int], ordered: list[int]
+) -> AxiomCheck:
+    full = ground.full_mask
+    lanes = _lanes(len(ground))
+    members = _table(family)
+    maximal_table = members & ~_step_down(_shrink(members, lanes), lanes)
+    maximal = set(_bit_indices(maximal_table))
+    holds_maximal = _grow(maximal_table, lanes)
     for small in ordered:
-        if small in maximal_set:
+        if small in maximal:
             continue
-        for big in maximal:
-            candidates = big & ~small
-            if not any(small | (1 << i) in family for i in _bit_indices(candidates)):
-                return AxiomCheck(
-                    "I3",
-                    False,
-                    witness=(
-                        f"I={_fmt(ground, small)} cannot be augmented from the "
-                        f"maximal set I'={_fmt(ground, big)}"
-                    ),
-                )
+        # ext: the elements e with I + e in the family.  I fails against a
+        # maximal I' exactly when I' lies inside I united with E - ext.
+        ext = 0
+        for i in _bit_indices(full & ~small):
+            if small | (1 << i) in family:
+                ext |= 1 << i
+        if holds_maximal >> (small | (full & ~ext)) & 1:
+            big = next(m for m in ordered if m in maximal and not m & ~small & ext)
+            return AxiomCheck(
+                "I3",
+                False,
+                witness=(
+                    f"I={_fmt(ground, small)} cannot be augmented from the "
+                    f"maximal set I'={_fmt(ground, big)}"
+                ),
+            )
     return AxiomCheck("I3", True)
 
 
@@ -236,6 +329,10 @@ def _check_c1(ground: GroundSet, circuit_masks: list[int]) -> AxiomCheck:
 
 
 def _check_c2(ground: GroundSet, circuit_masks: list[int]) -> AxiomCheck:
+    lanes = _lanes(len(ground))
+    table = _table(circuit_masks)
+    if not table & _step_up(_grow(table, lanes), lanes):
+        return AxiomCheck("C2", True)
     for a, b in itertools.combinations(circuit_masks, 2):
         if a & b == a or a & b == b:
             small, big = (a, b) if a & b == a else (b, a)
@@ -259,8 +356,11 @@ def _check_c3(
     x in C_y exactly when x == y, every z in C outside the union of the
     C_x must lie on a circuit inside (C united with the C_x) minus X.
     """
+    through = [
+        [d for d in circuit_masks if d >> x & 1] for x in range(len(ground))
+    ]
+    reach: dict[int, int] = {}  # allowed -> union of the circuits inside it
     spent = 0
-    exhausted = True
     for cmask in circuit_masks:
         for xmask in iter_submasks_lex(cmask):
             if xmask == 0:
@@ -268,48 +368,47 @@ def _check_c3(
             xs = list(_bit_indices(xmask))
             per_x: list[list[int]] = []
             for x in xs:
-                xbit = 1 << x
-                options = [
-                    d
-                    for d in circuit_masks
-                    if d & xbit and not (d & (xmask & ~xbit))
-                ]
-                per_x.append(options)
-            if any(not opts for opts in per_x):
-                continue
-            for combo in itertools.product(*per_x):
-                union = 0
-                for d in combo:
-                    union |= d
-                zrange = cmask & ~union
-                allowed = (cmask | union) & ~xmask
-                for z in _bit_indices(zrange):
-                    spent += 1
-                    if spent > tuple_budget:
-                        exhausted = False
-                        break
-                    zbit = 1 << z
-                    if not any(
-                        d & zbit and d & allowed == d for d in circuit_masks
-                    ):
-                        family_txt = ", ".join(
-                            f"C_{ground.labels[x]}={_fmt(ground, d)}"
-                            for x, d in zip(xs, combo)
-                        )
-                        return AxiomCheck(
-                            "C3",
-                            False,
-                            witness=(
-                                f"C={_fmt(ground, cmask)}, X={_fmt(ground, xmask)}, "
-                                f"{family_txt}, z={ground.labels[z]}: no circuit "
-                                f"through z inside {_fmt(ground, allowed)}"
-                            ),
-                            exhaustive=exhausted,
-                        )
-                if not exhausted:
+                others = xmask & ~(1 << x)
+                options = [d for d in through[x] if not d & others]
+                if not options:
                     break
-            if not exhausted:
-                break
-        if not exhausted:
-            break
-    return AxiomCheck("C3", True, exhaustive=exhausted)
+                per_x.append(options)
+            else:
+                for combo in itertools.product(*per_x):
+                    union = 0
+                    for d in combo:
+                        union |= d
+                    zrange = cmask & ~union
+                    if not zrange:
+                        continue
+                    allowed = (cmask | union) & ~xmask
+                    covered = reach.get(allowed)
+                    if covered is None:
+                        covered = 0
+                        for d in circuit_masks:
+                            if d & allowed == d:
+                                covered |= d
+                        reach[allowed] = covered
+                    count = zrange.bit_count()
+                    if not zrange & ~covered and spent + count <= tuple_budget:
+                        spent += count
+                        continue
+                    for z in _bit_indices(zrange):
+                        spent += 1
+                        if spent > tuple_budget:
+                            return AxiomCheck("C3", True, exhaustive=False)
+                        if not covered >> z & 1:
+                            family_txt = ", ".join(
+                                f"C_{ground.labels[x]}={_fmt(ground, d)}"
+                                for x, d in zip(xs, combo)
+                            )
+                            return AxiomCheck(
+                                "C3",
+                                False,
+                                witness=(
+                                    f"C={_fmt(ground, cmask)}, X={_fmt(ground, xmask)}, "
+                                    f"{family_txt}, z={ground.labels[z]}: no circuit "
+                                    f"through z inside {_fmt(ground, allowed)}"
+                                ),
+                            )
+    return AxiomCheck("C3", True)

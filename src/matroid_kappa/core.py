@@ -1048,16 +1048,19 @@ def explicit_matroid(
 ) -> Matroid:
     """Matroid given by an explicit list of independent sets.
 
-    With ``check=True`` (the default) the family is verified against the
-    independence axioms first and a ``DomainError`` carrying the failed
-    axiom report is raised for non-matroids.
+    With ``check=True`` (the default) the family is checked against the
+    independence axioms I1-I3 only, as ``check_axioms`` checks them (the
+    circuit axioms follow from those), and a ``DomainError`` naming the
+    first failed axiom and its witness is raised for non-matroids.  The
+    check keeps the axiom checker's ground-set budget.
     """
     ground = _as_ground(labels)
     family = frozenset(ground.set_of(s).mask for s in independent)
     if check:
-        from .axioms import check_axioms
+        from .axioms import AxiomReport, _check_ground_budget, _independence_checks
 
-        report = check_axioms(ground, independent_masks=family)
-        if not report.independence_ok:
+        _check_ground_budget(ground, budgets.AXIOM_GROUND)
+        report = AxiomReport(ground, _independence_checks(ground, family))
+        if not report.ok:
             raise DomainError(f"family is not a matroid: {report.first_failure()}")
     return ExplicitMatroid(ground, family)

@@ -633,6 +633,10 @@ def rung_partition_counterexample(n: int) -> dict:
 
     Returns a report dict with the survivors made explicit; callers
     assert on ``all_partitions_fail`` and ``full_deletion_disconnects``.
+
+    This is a bounded demonstration, not a scalable query: it scans all
+    2^(2n + 2) contract/delete splits of window ``n``'s rungs, and the 4
+    extensions of each survivor into window ``n + 1``, with no budget.
     """
     family = double_ladder()
     inner = family.window(n)

@@ -360,3 +360,139 @@ def brute_extends_to_separation(m: Matroid, x, y, k: int):
                 value + 1,
             )
     return None
+
+
+def _brute_fmt(ground, mask: int) -> str:
+    return "{" + ",".join(ground.labels[i] for i in range(len(ground)) if mask >> i & 1) + "}"
+
+
+def _canon(mask: int) -> tuple:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def brute_check_axioms(ground, independent=None, *, circuits=None, independent_masks=None, c3_budget=20_000):
+    """The axiom report by direct scans: quadratic I3, minimal non-members
+    from ``itertools.combinations``, and C3 with a linear scan for a circuit
+    through each z.  Witnesses, their order, notes and the C3 tuple count
+    follow ``check_axioms`` exactly; the ground-size budget is not checked.
+    """
+    from matroid_kappa import AxiomCheck, AxiomReport, GroundSet
+
+    if not isinstance(ground, GroundSet):
+        ground = GroundSet(ground)
+    fmt = lambda mask: _brute_fmt(ground, mask)  # noqa: E731
+    n = len(ground)
+    if circuits is not None:
+        circuit_masks = sorted({ground.set_of(c).mask for c in circuits}, key=_canon)
+        family = frozenset(
+            mask for mask in range(1 << n) if not any(c & mask == c for c in circuit_masks)
+        )
+    else:
+        if independent_masks is not None:
+            family = frozenset(independent_masks)
+        else:
+            family = frozenset(ground.set_of(s).mask for s in independent)
+        circuit_masks = []
+        for size in range(n + 1):
+            for combo in itertools.combinations(range(n), size):
+                mask = sum(1 << i for i in combo)
+                if mask not in family and not any(c & mask == c for c in circuit_masks):
+                    circuit_masks.append(mask)
+        circuit_masks.sort(key=_canon)
+    ordered = sorted(family, key=_canon)
+
+    def i1():
+        if 0 in family:
+            return AxiomCheck("I1", True)
+        return AxiomCheck("I1", False, witness="the empty set is not in the family")
+
+    def i2():
+        for mask in ordered:
+            for i in _canon(mask):
+                sub = mask & ~(1 << i)
+                if sub not in family:
+                    return AxiomCheck(
+                        "I2", False,
+                        witness=f"{fmt(mask)} is in the family but its subset {fmt(sub)} is not",
+                    )
+        return AxiomCheck("I2", True)
+
+    def i3():
+        maximal = [m for m in ordered if not any(m != o and m & o == m for o in family)]
+        maximal_set = set(maximal)
+        for small in ordered:
+            if small in maximal_set:
+                continue
+            for big in maximal:
+                if not any(small | (1 << i) in family for i in _canon(big & ~small)):
+                    return AxiomCheck(
+                        "I3", False,
+                        witness=(
+                            f"I={fmt(small)} cannot be augmented from the "
+                            f"maximal set I'={fmt(big)}"
+                        ),
+                    )
+        return AxiomCheck("I3", True)
+
+    def c1():
+        if 0 in circuit_masks:
+            return AxiomCheck("C1", False, witness="the empty set appears as a circuit")
+        return AxiomCheck("C1", True)
+
+    def c2():
+        for a, b in itertools.combinations(circuit_masks, 2):
+            if a & b in (a, b):
+                small, big = (a, b) if a & b == a else (b, a)
+                return AxiomCheck(
+                    "C2", False,
+                    witness=f"circuit {fmt(small)} is contained in circuit {fmt(big)}",
+                )
+        return AxiomCheck("C2", True)
+
+    def c3():
+        spent = 0
+        for cmask in circuit_masks:
+            for xmask in iter_submasks_lex(cmask):
+                xs = list(_canon(xmask))
+                per_x = [
+                    [d for d in circuit_masks if d >> x & 1 and not d & (xmask & ~(1 << x))]
+                    for x in xs
+                ]
+                if not xs or not all(per_x):
+                    continue
+                for combo in itertools.product(*per_x):
+                    union = 0
+                    for d in combo:
+                        union |= d
+                    allowed = (cmask | union) & ~xmask
+                    for z in _canon(cmask & ~union):
+                        spent += 1
+                        if spent > c3_budget:
+                            return AxiomCheck("C3", True, exhaustive=False)
+                        if not any(d >> z & 1 and d & allowed == d for d in circuit_masks):
+                            family_txt = ", ".join(
+                                f"C_{ground.labels[x]}={fmt(d)}" for x, d in zip(xs, combo)
+                            )
+                            return AxiomCheck(
+                                "C3", False,
+                                witness=(
+                                    f"C={fmt(cmask)}, X={fmt(xmask)}, {family_txt}, "
+                                    f"z={ground.labels[z]}: no circuit through z "
+                                    f"inside {fmt(allowed)}"
+                                ),
+                            )
+        return AxiomCheck("C3", True)
+
+    checks = [
+        i1(), i2(), i3(),
+        AxiomCheck("IM", True, note="maximal extensions always exist over a finite ground set"),
+        c1(), c2(), c3(),
+    ]
+    if circuits is not None:
+        note = "independence family induced from the candidate circuits"
+        checks = [
+            AxiomCheck(c.name, c.passed, c.witness, c.exhaustive, note)
+            if c.name in ("I1", "I2", "I3") else c
+            for c in checks
+        ]
+    return AxiomReport(ground, tuple(checks))

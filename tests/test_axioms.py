@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
-from matroid_kappa import CapacityError, DomainError, check_axioms, explicit_matroid
+from matroid_kappa import (
+    CapacityError,
+    DomainError,
+    GroundSet,
+    check_axioms,
+    explicit_matroid,
+)
 
 
 def materialized(m):
@@ -117,3 +124,73 @@ class TestExplicitConstructor:
     def test_check_can_be_disabled(self):
         m = explicit_matroid("ab", [("a",)], check=False)
         assert not m.is_independent(m.ground.empty())
+
+
+@st.composite
+def candidate_families(draw):
+    """A ground set of 0-8 elements and a candidate family on it, as the
+    keyword arguments of ``check_axioms``."""
+    n = draw(st.integers(0, 8))
+    ground = GroundSet([f"e{i}" for i in range(n)])
+    masks = st.integers(0, ground.full_mask)
+    kind = draw(st.sampled_from(["random", "closure", "uniform", "circuits"]))
+    if kind == "circuits":
+        circuits = draw(st.lists(masks, max_size=6))
+        return ground, {"circuits": [ground.from_mask(c) for c in circuits]}
+    if kind == "random":
+        family = draw(st.sets(masks, max_size=40))
+    else:
+        if kind == "uniform":
+            k = draw(st.integers(0, n))
+            tops = [m for m in range(ground.full_mask + 1) if m.bit_count() == k]
+        else:
+            tops = draw(st.lists(masks, min_size=1, max_size=4))
+        family = {m for m in range(ground.full_mask + 1) if any(m & t == m for t in tops)}
+        if draw(st.booleans()):
+            family.discard(draw(st.sampled_from(sorted(family))))
+    if draw(st.booleans()):
+        return ground, {"independent_masks": family}
+    return ground, {"independent": [ground.from_mask(m) for m in family]}
+
+
+class TestAgainstBruteChecker:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=candidate_families(), c3_budget=st.integers(0, 50))
+    def test_report_and_explicit_error_match(self, case, c3_budget):
+        ground, family = case
+        expected = helpers.brute_check_axioms(ground, c3_budget=c3_budget, **family)
+        got = check_axioms(ground, c3_budget=c3_budget, **family)
+        assert got.to_jsonable() == expected.to_jsonable()
+        if "circuits" in family:
+            return
+        if "independent" in family:
+            sets = family["independent"]
+        else:
+            sets = [ground.from_mask(m) for m in family["independent_masks"]]
+        if expected.independence_ok:
+            explicit_matroid(ground, sets)
+        else:
+            with pytest.raises(DomainError) as err:
+                explicit_matroid(ground, sets)
+            assert str(err.value) == f"family is not a matroid: {expected.first_failure()}"
+
+    @pytest.mark.parametrize("name", ["U(1,3)", "U(2,4)", "U(1,5)"])
+    def test_every_c3_budget_around_the_full_scan(self, name):
+        # The full C3 scans of these count 6, 24 and 60 tuples, so the sweep
+        # truncates inside, at the end of and just past the last block.
+        m = dict(helpers.uniform_corpus(5))[name]
+        family = materialized(m)
+        for c3_budget in range(62):
+            expected = helpers.brute_check_axioms(m.ground, family, c3_budget=c3_budget)
+            got = check_axioms(m.ground, family, c3_budget=c3_budget)
+            assert got.to_jsonable() == expected.to_jsonable(), c3_budget
+
+    def test_default_budget_on_matroids(self):
+        for name, m in helpers.uniform_corpus(5) + list(helpers.gf2_corpus(4)):
+            family = materialized(m)
+            expected = helpers.brute_check_axioms(m.ground, family)
+            assert check_axioms(m.ground, family).to_jsonable() == expected.to_jsonable(), name
+
+    def test_mask_outside_ground_rejected(self):
+        with pytest.raises(DomainError):
+            check_axioms("ab", independent_masks=[0, 4])

@@ -322,13 +322,18 @@ class TestFundamentalCircuit:
 
 
 class TestDownwardClosure:
-    @settings(max_examples=60, derandomize=True)
-    @given(data=st.data())
-    def test_subsets_of_independent_stay_independent(self, data):
-        corpus = helpers.uniform_corpus(6) + [
+    @pytest.fixture(scope="class")
+    def closure_corpus(self):
+        # Built once before the first example: the cold graph enumeration
+        # alone takes most of hypothesis's 200 ms deadline.
+        return helpers.uniform_corpus(6) + [
             (n, m) for n, _, m in helpers.graph_corpus(5)
         ]
-        name, m = data.draw(st.sampled_from(corpus))
+
+    @settings(max_examples=60, derandomize=True)
+    @given(data=st.data())
+    def test_subsets_of_independent_stay_independent(self, closure_corpus, data):
+        name, m = data.draw(st.sampled_from(closure_corpus))
         labels = list(m.ground)
         subset = data.draw(st.sets(st.sampled_from(labels)) if labels else st.none())
         picked = m.ground.set_of(subset)
