@@ -220,6 +220,9 @@ def _family_verb(args, _):
     if args.operation == "window-info":
         if args.window is None:
             raise DomainError("window-info needs --window")
+        for flag in ("x", "y", "plateau", "certificate"):
+            if getattr(args, flag) not in (None, []):
+                raise DomainError(f"--{flag} does not apply to family window-info")
         payload, lines = _summary(family.window(args.window), args.budget)
         return {"window": args.window, "matroid": payload}, lines
     if args.x is None or args.y is None:

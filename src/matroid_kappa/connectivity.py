@@ -57,13 +57,9 @@ def _kappa_mask(m: Matroid, xmask: int) -> int:
     their union has r(E) elements and del_count is the union's size minus
     ``m.full_rank``; no third basis is grown.
     """
-    memo = m._cache.setdefault("kappa_memo", {})
-    hit = memo.get(xmask)
-    if hit is None:
-        basis_x = m._greedy_basis_mask(xmask)
-        basis_rest = m._greedy_basis_mask(m.ground.full_mask & ~xmask)
-        hit = memo[xmask] = (basis_x | basis_rest).bit_count() - m.full_rank
-    return hit
+    basis_x = m._greedy_basis_mask(xmask)
+    basis_rest = m._greedy_basis_mask(m.ground.full_mask & ~xmask)
+    return (basis_x | basis_rest).bit_count() - m.full_rank
 
 
 def kappa(m: Matroid, x: ElementSet) -> int:

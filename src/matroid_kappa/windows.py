@@ -21,11 +21,11 @@ the whole stabilising window with :func:`linking_partition`.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from . import budgets
-from .connectivity import _kappa_mask, kappa_between
+from .connectivity import kappa, kappa_between
 from .constructions import MinorSpec, components, take_minor
 from .core import (
     ElementSet,
@@ -40,7 +40,11 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
 )
-from .linking import _verify_partition, linking_partition
+from .linking import linking_partition
+
+Template = Callable[[str], tuple[int, Callable[[str], bool]]]
+"""A certificate template: from its description, the proven bound and the
+membership test of the split side U."""
 
 
 class InfiniteFamily:
@@ -50,6 +54,9 @@ class InfiniteFamily:
     ``exactness_radius(labels)`` gives a window index from which on the
     named elements are all present and their independence verdicts are
     final.  ``embed`` carries a set from one window into a larger one.
+    ``templates`` maps a certificate template name ("rung:", say) to the
+    :data:`Template` that proves its bound for this family; ``family_id``
+    is a display name only.
     """
 
     def __init__(
@@ -58,11 +65,13 @@ class InfiniteFamily:
         build: Callable[[int], Matroid],
         radius: Callable[[Sequence[str]], int],
         description: str = "",
+        templates: Mapping[str, Template] | None = None,
     ):
         self.family_id = family_id
         self._build = build
         self._radius = radius
         self.description = description
+        self.templates = dict(templates or {})
         self._windows: dict[int, Matroid] = {}
 
     def __repr__(self) -> str:
@@ -95,6 +104,17 @@ class InfiniteFamily:
 # ---------------------------------------------------------------------------
 
 _LADDER_LABEL = re.compile(r"^(rung|railT|railB)\[(-?\d+)\]$")
+_UNIFORM_LABEL = re.compile(r"^a(\d+)$")
+
+
+def _template_int(description: str) -> int:
+    """The integer after the ':' of a certificate template."""
+    try:
+        return int(description.split(":", 1)[1])
+    except ValueError:
+        raise DomainError(
+            f"certificate {description!r} needs an integer after ':'"
+        ) from None
 
 
 def double_ladder(include_rungs: bool = True) -> InfiniteFamily:
@@ -132,12 +152,32 @@ def double_ladder(include_rungs: bool = True) -> InfiniteFamily:
                 needed = max(needed, pos, -pos)
         return needed
 
+    def cut(description: str) -> tuple[int, Callable[[str], bool]]:
+        """``cut:i``: the rungs at columns <= i and the rails at <= i - 1;
+        bound 2, as at most the two rails cross the cut."""
+        pos = _template_int(description)
+
+        def contains(lab: str) -> bool:
+            m = _LADDER_LABEL.match(lab)
+            return bool(m) and int(m.group(2)) <= (pos if m.group(1) == "rung" else pos - 1)
+
+        return 2, contains
+
+    templates: dict[str, Template] = {"cut:": cut}
+    if include_rungs:
+        # rung:i, U = {rung[i]}: one element, bound 1
+        templates["rung:"] = lambda d: (1, f"rung[{_template_int(d)}]".__eq__)
+    else:
+        # rails-split, U = the top rail: the rails never meet, bound 0
+        templates["rails-split"] = lambda d: (0, lambda lab: lab.startswith("railT["))
+
     suffix = "" if include_rungs else " (rungs removed)"
     return InfiniteFamily(
         "double-ladder" if include_rungs else "double-ladder-rungless",
         build,
         radius,
         description="two-way infinite ladder, finite-cycle matroid" + suffix,
+        templates=templates,
     )
 
 
@@ -162,17 +202,30 @@ def infinite_uniform(k: int) -> InfiniteFamily:
     def radius(labels: Sequence[str]) -> int:
         highest = 0
         for lab in labels:
-            m = re.match(r"^a(\d+)$", lab)
+            m = _UNIFORM_LABEL.match(lab)
             if not m:
                 raise DomainError(f"not a uniform-family element: {lab!r}")
             highest = max(highest, int(m.group(1)))
         return max(highest, 2 * k)
+
+    def prefix(description: str) -> tuple[int, Callable[[str], bool]]:
+        """``prefix:m``: U = {a1 .. am}, bound min(m, k)."""
+        count = _template_int(description)
+        if count < 0:
+            raise DomainError(f"certificate {description!r} needs a non-negative count")
+
+        def contains(lab: str) -> bool:
+            m = _UNIFORM_LABEL.match(lab)
+            return bool(m) and int(m.group(1)) <= count
+
+        return min(count, k), contains
 
     return InfiniteFamily(
         f"infinite-uniform({k})",
         build,
         radius,
         description=f"rank-{k} uniform matroid on a countable ground set",
+        templates={"prefix:": prefix},
     )
 
 
@@ -391,16 +444,16 @@ def stabilized_kappa_between(
 class SeparationCertificate:
     """A symbolic split (U, complement) with a proven connectivity bound.
 
-    ``side(window)`` yields U's portion of a window; ``kappa_bound`` is
-    the proven bound on kappa of U, valid for every window and for the
-    infinite object.  ``validate`` checks the bound on the given windows
-    and that U separates the query (X inside U, Y outside), raising on
-    any failure.
+    ``contains`` tests a label for membership in U, and ``side(window)``
+    yields U's portion of a window; ``kappa_bound`` is the proven bound on
+    kappa of U, valid for every window and for the infinite object.
+    ``validate`` checks the bound on the given windows and that U
+    separates the query (X inside U, Y outside), raising on any failure.
     """
 
     description: str
     kappa_bound: int
-    _side: Callable[[Matroid], ElementSet] = field(repr=False)
+    contains: Callable[[str], bool] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -408,7 +461,7 @@ class SeparationCertificate:
         return self.kappa_bound + 1
 
     def side(self, window: Matroid) -> ElementSet:
-        return self._side(window)
+        return window.ground.set_of(lab for lab in window.ground if self.contains(lab))
 
     def validate(
         self,
@@ -430,7 +483,7 @@ class SeparationCertificate:
                     raise DomainError(
                         f"certificate {self.description!r} intersects Y"
                     )
-            value = _kappa_mask(window, u.mask)
+            value = kappa(window, u)
             if value > self.kappa_bound:
                 raise InvariantViolation(
                     f"certificate {self.description!r} bound {self.kappa_bound} "
@@ -441,92 +494,30 @@ class SeparationCertificate:
 def certified_separation(
     family: InfiniteFamily, description: str
 ) -> SeparationCertificate:
-    """Build a family-specific upper-bound certificate from a template name.
+    """Build an upper-bound certificate from a template name.
 
-    Templates:
-
-    * ``singleton:LABEL``  (any family) - U = {label}, bound 1.
-    * ``set:l1+l2+...``    (any family) - U as listed, bound |U|.
-    * ``prefix:m``         (infinite-uniform(k)) - U = {a1..am}, bound min(m, k).
-    * ``rung:i``           (double-ladder) - U = {rung[i]}, bound 1.
-    * ``cut:i``            (double-ladder) - U = everything at positions <= i,
-      bound 2 (at most the two rails crossing the cut).
-    * ``rails-split``      (rungless double-ladder) - U = the top rail,
-      bound 0 (the two rails never meet).
+    Every family accepts ``singleton:LABEL`` (U = {label}, bound 1) and
+    ``set:l1+l2+...`` (U as listed, bound the number listed).  Any other
+    template must be one of ``family.templates``, the proofs that the
+    family carries for itself; see FAMILIES.md.
 
     Raises ``DomainError`` when the template does not apply to the family.
     """
-    fid = family.family_id
-
-    def present(w: Matroid, labels) -> ElementSet:
-        return w.ground.set_of(lab for lab in labels if lab in w.ground)
-
-    def number() -> int:
-        try:
-            return int(description.split(":", 1)[1])
-        except ValueError:
+    name, colon, rest = description.partition(":")
+    if colon and name == "singleton":
+        bound, contains = 1, rest.__eq__
+    elif colon and name == "set":
+        labels = rest.split("+")
+        bound, contains = len(labels), frozenset(labels).__contains__
+    else:
+        template = family.templates.get(name + colon)
+        if template is None:
             raise DomainError(
-                f"certificate {description!r} needs an integer after ':'"
-            ) from None
-
-    if description.startswith("singleton:"):
-        label = description.split(":", 1)[1]
-        return SeparationCertificate(
-            description, 1, lambda w: present(w, [label])
-        )
-
-    if description.startswith("set:"):
-        labels = description.split(":", 1)[1].split("+")
-        return SeparationCertificate(
-            description, len(labels), lambda w: present(w, labels)
-        )
-
-    if description.startswith("prefix:"):
-        m = re.match(r"^infinite-uniform\((\d+)\)$", fid)
-        if not m:
-            raise DomainError("prefix certificates apply to uniform families only")
-        k = int(m.group(1))
-        count = number()
-        labels = [f"a{i}" for i in range(1, count + 1)]
-        return SeparationCertificate(
-            description, min(count, k), lambda w: present(w, labels)
-        )
-
-    if description.startswith("rung:"):
-        if fid != "double-ladder":
-            raise DomainError("rung certificates apply to the ladder with rungs")
-        pos = number()
-        return SeparationCertificate(
-            description, 1, lambda w: present(w, [f"rung[{pos}]"])
-        )
-
-    if description.startswith("cut:"):
-        if not fid.startswith("double-ladder"):
-            raise DomainError("cut certificates apply to ladder families")
-        pos = number()
-
-        def side(w: Matroid) -> ElementSet:
-            keep = []
-            for lab in w.ground:
-                m = _LADDER_LABEL.match(lab)
-                if m and int(m.group(2)) <= (pos if m.group(1) == "rung" else pos - 1):
-                    keep.append(lab)
-            return w.ground.set_of(keep)
-
-        return SeparationCertificate(description, 2, side)
-
-    if description == "rails-split":
-        if fid != "double-ladder-rungless":
-            raise DomainError("rails-split applies to the rungless ladder only")
-
-        def rails_side(w: Matroid) -> ElementSet:
-            return w.ground.set_of(
-                lab for lab in w.ground if lab.startswith("railT[")
+                f"certificate {description!r} is not a template of family "
+                f"{family.family_id}"
             )
-
-        return SeparationCertificate(description, 0, rails_side)
-
-    raise DomainError(f"unknown certificate template {description!r}")
+        bound, contains = template(description)
+    return SeparationCertificate(description, bound, contains)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +569,9 @@ def windowed_linking(
 
     Requires a certified stabilised value; solves the whole stabilising
     window with :func:`linking_partition` and deletes, symbolically,
-    everything outside it.  The achieved value is re-verified inside the
-    window against the certified value.
+    everything outside it.  :func:`linking_partition` verifies its own
+    target on the window's minor, and that target must equal the certified
+    value.
     """
     report = stabilized_kappa_between(family, x_labels, y_labels, policy, certificates)
     if report.certified_value is None:
@@ -590,12 +582,17 @@ def windowed_linking(
     n = report.stable_at
     assert n is not None
     window = family.window(n)
-    x = window.ground.set_of(x_labels)
-    spec = linking_partition(window, x, window.ground.set_of(y_labels)).spec
-    _verify_partition(window, x, spec, target, "window solution")
+    solved = linking_partition(
+        window, window.ground.set_of(x_labels), window.ground.set_of(y_labels)
+    )
+    # linking_partition has verified its own target on the window's minor
+    if solved.target != target:
+        raise InvariantViolation(
+            f"window solution achieves {solved.target}, expected {target}"
+        )
     return WindowedLinkingResult(
         window_index=n,
-        spec=spec,
+        spec=solved.spec,
         achieved=target,
         target=target,
         deletes_outside_window=True,

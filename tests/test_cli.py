@@ -319,12 +319,23 @@ class TestExitCodes:
         assert f"plateau length must be at least 1, got {plateau}" in err
 
     @pytest.mark.parametrize(
+        "flag", ["--x=", "--y=rung[0]", "--plateau=0", "--certificate=bogus"]
+    )
+    def test_window_info_refuses_query_flags(self, capsys, flag):
+        argv = ["family", "--id=double-ladder", "--window=1", flag, "window-info"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert flag.split("=")[0] in err
+
+    @pytest.mark.parametrize(
         "fid, cert, x, y",
         [
             ("double-ladder", "rung:x", "rung[0]", "rung[2]"),
             ("infinite-uniform(2)", "prefix:x", "a1", "a3"),
             ("infinite-uniform(2)", "prefix:", "a1", "a3"),
             ("double-ladder", "cut:x", "rung[0]", "rung[2]"),
+            ("infinite-uniform(2)", "prefix:-1", "", "a2"),
         ],
     )
     def test_malformed_certificate_is_domain_error(self, capsys, fid, cert, x, y):
@@ -498,7 +509,8 @@ class TestFuzz:
     def test_family_flags(self, argv, json_output):
         if json_output:
             argv = ["--output=json"] + argv
-        assert self._exit_code(argv) in (0, 1, 2, 70)
+        # 70 means an internal invariant broke: bad input must never reach it
+        assert self._exit_code(argv) in (0, 1, 2)
 
 
 class TestDeterminism:

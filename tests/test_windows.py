@@ -90,6 +90,25 @@ class TestWindows:
         assert fam.exactness_radius(["c3"]) == 1
 
 
+def _far_rung_rails(n):
+    """Ladder rails at positions -n .. n, joined by rungs only from window 6 on."""
+    edges = []
+    for i in range(-n, n + 2):
+        if n >= 6 and abs(i) >= 6:
+            edges.append((f"rung[{i}]", f"t{i}", f"b{i}"))
+        if i <= n:
+            edges.append((f"railT[{i}]", f"t{i}", f"t{i + 1}"))
+            edges.append((f"railB[{i}]", f"b{i}", f"b{i + 1}"))
+    return edges
+
+
+def _cut_side(i):
+    """``cut:i``: the rungs at columns <= i and the rails at positions <= i - 1."""
+    return lambda n: {f"rung[{j}]" for j in range(-n, i + 1)} | {
+        f"rail{s}[{j}]" for s in "TB" for j in range(-n, i)
+    }
+
+
 def _all_subsets(labels):
     import itertools
 
@@ -277,12 +296,77 @@ class TestCertificates:
             assert kappa(w, cert.side(w)) <= 2
 
     def test_misapplied_template_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"'rung:0'.*infinite-uniform\(2\)"):
             certified_separation(infinite_uniform(2), "rung:0")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="'rails-split'.*double-ladder"):
             certified_separation(double_ladder(), "rails-split")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="'no-such-template'"):
             certified_separation(double_ladder(), "no-such-template")
+
+    @pytest.mark.parametrize(
+        "fid, templates",
+        [
+            ("double-ladder", ["rung:0", "cut:0"]),
+            ("double-ladder-rungless", ["cut:0", "rails-split"]),
+            ("infinite-uniform(2)", ["prefix:1"]),
+        ],
+    )
+    def test_user_family_cannot_borrow_a_built_in_id(self, fid, templates):
+        fam = graph_rule_family(
+            _far_rung_rails, family_id=fid, radius=lambda labels: 0
+        )
+        for desc in templates:
+            with pytest.raises(DomainError):
+                certified_separation(fam, desc)
+        # the generic templates stay available to every family
+        assert certified_separation(fam, "singleton:railT[0]").kappa_bound == 1
+
+    def test_far_rung_rails_are_not_certified_by_rails_split(self):
+        """Windows 0-5 are two disjoint paths and window 6 joins them, so a
+        plateau at 0 up to window 4 is no proof; only the real rungless
+        ladder carries the rails-split bound."""
+        fam = graph_rule_family(_far_rung_rails, family_id="double-ladder-rungless")
+        rep = stabilized_kappa_between(
+            fam, ["railT[0]"], ["railB[0]"], StabilizationPolicy(max_window=4)
+        )
+        assert [v for _, v in rep.values] == [0, 0, 0, 0, 0]
+        w = fam.window(6)
+        x, y = w.ground.set_of(["railT[0]"]), w.ground.set_of(["railB[0]"])
+        assert kappa_between(w, x, y) == 1
+        with pytest.raises(DomainError):
+            certified_separation(fam, "rails-split")
+
+    @pytest.mark.parametrize(
+        "family, desc, expected",
+        [
+            (double_ladder, "rung:0", lambda n: {"rung[0]"}),
+            (double_ladder, "rung:-3", lambda n: {"rung[-3]"}),
+            (double_ladder, "rung:5", lambda n: {"rung[5]"}),
+            *[
+                (maker, f"cut:{i}", _cut_side(i))
+                for maker in (double_ladder, lambda: double_ladder(False))
+                for i in (-6, -1, 0, 2, 6)
+            ],
+            (lambda: double_ladder(False), "rails-split",
+             lambda n: {f"railT[{j}]" for j in range(-n, n + 1)}),
+            (lambda: infinite_uniform(2), "prefix:0", lambda n: set()),
+            (lambda: infinite_uniform(2), "prefix:3",
+             lambda n: {f"a{j}" for j in range(1, 4)}),
+            (lambda: infinite_uniform(1), "prefix:9",
+             lambda n: {f"a{j}" for j in range(1, 10)}),
+            (double_ladder, "singleton:railB[-1]", lambda n: {"railB[-1]"}),
+            (lambda: infinite_uniform(2), "set:a2+a4+zap", lambda n: {"a2", "a4"}),
+            (omega_tree_truncation, "set:e[0]+e[1.0]", lambda n: {"e[0]", "e[1.0]"}),
+            (omega_tree_truncation, "singleton:", lambda n: set()),
+        ],
+    )
+    def test_side_matches_the_documented_split(self, family, desc, expected):
+        """Each template's U, window by window, as FAMILIES.md defines it."""
+        fam = family()
+        cert = certified_separation(fam, desc)
+        for n in range(5):
+            w = fam.window(n)
+            assert set(cert.side(w)) == expected(n) & set(w.ground), (desc, n)
 
     def test_wrong_side_caught_during_validation(self):
         fam = double_ladder()
