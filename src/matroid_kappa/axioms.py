@@ -36,7 +36,7 @@ not depend on how the tuples are tested.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import budgets
@@ -149,8 +149,7 @@ def check_axioms(
         circuit_masks = sorted(
             {ground.set_of(c).mask for c in circuits}, key=_canonical_key
         )
-        dependent = _grow(_table(circuit_masks), _lanes(len(ground)))
-        family = frozenset(_bit_indices(_every_subset(ground) & ~dependent))
+        family = frozenset(sets_without(ground, circuit_masks))
         circuits_given = True
     else:
         if independent_masks is not None:
@@ -182,6 +181,14 @@ def check_axioms(
             for c in checks
         ]
     return AxiomReport(ground, tuple(checks))
+
+
+def sets_without(ground: GroundSet, masks: Iterable[int]) -> Iterator[int]:
+    """The subsets of the ground set that contain no set of ``masks``, in
+    increasing mask order; for the circuits of a matroid, its independent
+    sets."""
+    dependent = _grow(_table(masks), _lanes(len(ground)))
+    return _bit_indices(_every_subset(ground) & ~dependent)
 
 
 def _check_ground_budget(ground: GroundSet, budget: int) -> None:

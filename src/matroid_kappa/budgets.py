@@ -2,8 +2,9 @@
 
 Only work that is still exponential carries a budget: circuit
 enumeration, axiom checking and the "first in canonical order" scan for
-separations.  Polynomial queries (rank, kappa, kappa(X, Y), components,
-linking partitions, separation extensions, window values) take none.
+separations of order 2 and up.  Polynomial queries (rank, kappa,
+kappa(X, Y), components, linking partitions, separation extensions,
+window values) take none.
 Each budgeted scan raises ``CapacityError`` instead of silently running
 for hours.  A scan called with ``budget=None`` uses its default from this
 module; any other value overrides it for that call.
@@ -31,7 +32,9 @@ AXIOM_C3_TUPLES = 20_000
 for the strong circuit-exchange check."""
 
 SEPARATION_SCAN = 16
-"""Maximum ground-set size for the separation search."""
+"""Maximum ground-set size for ``find_separation``.  Only k of 2 or more
+scans subsets; k = 1 reads the components, but the check stays in front
+of both, so exit codes and ``--budget`` do not depend on k."""
 
 WINDOW_ELEMENTS = 256
 """Largest window an infinite family will materialise."""

@@ -15,8 +15,10 @@ it is computed in polynomial time with Cunningham's shortest augmenting
 paths.  The exchange graph is read off two spans (``Matroid._span``), so
 a graphic or binary matroid answers from its union-find or elimination
 kernel and makes no oracle call; other matroids ask their oracle.
-``find_separation`` promises the first split in canonical order and
-stays an exhaustive, budget-guarded scan.
+``find_separation`` promises the first split in canonical order.  For
+k = 1 it reads that split off the components, since kappa(X) = 0 exactly
+when X is a union of components; for larger k it stays an exhaustive,
+budget-guarded scan.
 """
 
 from __future__ import annotations
@@ -197,7 +199,9 @@ def find_separation(
     """First split that is an l-separation for some l at most ``k``.
 
     A qualifying split (X, Y) has kappa(X) + 1 at most min(|X|, |Y|, k).
-    Subsets are scanned in canonical order; None when nothing qualifies.
+    For k = 1 that is the first nonempty proper union of components (see
+    :func:`_first_separator`); otherwise subsets are scanned in canonical
+    order.  None when nothing qualifies.
     """
     if budget is None:
         budget = budgets.SEPARATION_SCAN
@@ -207,6 +211,13 @@ def find_separation(
     if k < 1:
         return None
     full = m.ground.full_mask
+    if k == 1:
+        xmask = _first_separator(m)
+        if xmask is None:
+            return None
+        return Separation(
+            ElementSet(m.ground, xmask), ElementSet(m.ground, full & ~xmask), 0, 1
+        )
     for xmask in iter_submasks_lex(full):
         if xmask == 0 or xmask == full:
             continue
@@ -224,6 +235,29 @@ def find_separation(
                 value + 1,
             )
     return None
+
+
+def _first_separator(m: Matroid) -> int | None:
+    """The first nonempty proper union of components in canonical order.
+
+    Such a set contains element 0, so it starts as the component of 0.
+    Taking the other components in the order of their first elements, a
+    component whose first element lies below some element of U makes an
+    earlier set, so U takes it whenever that leaves something outside;
+    once U lies wholly below a component's first element, every later
+    candidate extends U, and U is the answer.
+    """
+    blocks = [block.mask for block in components(m).blocks]
+    if len(blocks) < 2:
+        return None
+    full = m.ground.full_mask
+    umask = blocks[0]
+    for block in blocks[1:]:
+        if umask < block & -block:
+            break
+        if umask | block != full:
+            umask |= block
+    return umask
 
 
 def is_k_connected(m: Matroid, k: int, budget: int | None = None) -> bool:

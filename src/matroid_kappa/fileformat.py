@@ -22,6 +22,12 @@ followed by type-specific content:
 Blank lines and ``#`` comments are ignored.  Parse errors carry the line
 number and a reason; an error inside a ``base:`` or ``with:`` file also
 names that file.
+
+A file is identified by its device and inode, read with ``fstat`` from
+the handle it is read through, not by its resolved path.  So a file
+reached through a symlink, a hard link or a second relative path is the
+same file, and a chain of ``base:`` and ``with:`` references that
+returns to any of the files it passes through is rejected.
 """
 
 from __future__ import annotations
@@ -76,8 +82,12 @@ def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
     return _parse_text(text, base_dir, ())
 
 
-def _parse_text(text: str, base_dir: str, chain: tuple[str, ...]) -> Matroid:
-    """Parse one description; ``chain`` lists the real paths of the files
+_FileId = tuple[int, int]
+"""(st_dev, st_ino) of an open description file."""
+
+
+def _parse_text(text: str, base_dir: str, chain: tuple[_FileId, ...]) -> Matroid:
+    """Parse one description; ``chain`` lists the identities of the files
     whose parsing led here, so a derived file cannot name one of them."""
     lines = list(_scan(text))
     if not lines:
@@ -195,7 +205,7 @@ def _parse_text(text: str, base_dir: str, chain: tuple[str, ...]) -> Matroid:
 
 
 def _parse_derived(
-    fields, base_dir: str, type_no: int, chain: tuple[str, ...]
+    fields, base_dir: str, type_no: int, chain: tuple[_FileId, ...]
 ) -> Matroid:
     if "base" not in fields:
         raise ParseError(type_no, "file-derived needs a 'base:' path")
@@ -231,30 +241,32 @@ def _parse_derived(
 
 
 def parse_matroid_file(path: str) -> Matroid:
-    return _parse_file(path, ())
+    text, ident = _read(path)
+    return _parse_text(text, os.path.dirname(path) or ".", (ident,))
+
+
+def _read(path: str) -> tuple[str, _FileId]:
+    """The text of a description file and the identity of what was read."""
+    with open(path, encoding="utf-8") as fh:
+        st = os.fstat(fh.fileno())
+        return fh.read(), (st.st_dev, st.st_ino)
 
 
 def _parse_named(
-    base_dir: str, name: str, chain: tuple[str, ...], line_no: int
+    base_dir: str, name: str, chain: tuple[_FileId, ...], line_no: int
 ) -> Matroid:
     """Parse the file that line ``line_no`` of the last file in ``chain``
     names as ``name``; parse errors inside it carry that name."""
     path = os.path.join(base_dir, name)
-    if os.path.realpath(path) in chain:
+    text, ident = _read(path)
+    if ident in chain:
         raise ParseError(line_no, f"{path!r} refers back to a file being parsed")
     try:
-        return _parse_file(path, chain)
+        return _parse_text(text, os.path.dirname(path) or ".", chain + (ident,))
     except ParseError as exc:
         if exc.path is not None:
             raise
         raise ParseError(exc.line_no, exc.reason, name) from None
-
-
-def _parse_file(path: str, chain: tuple[str, ...]) -> Matroid:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    real = os.path.realpath(path)
-    return _parse_text(text, os.path.dirname(path) or ".", chain + (real,))
 
 
 def set_to_jsonable(s: ElementSet) -> list[str]:

@@ -362,6 +362,31 @@ def brute_extends_to_separation(m: Matroid, x, y, k: int):
     return None
 
 
+def brute_find_separation(m: Matroid, k: int):
+    """First split (X, E minus X) in canonical subset order with kappa(X) + 1
+    at most min(|X|, |E minus X|, k): the exhaustive scan.
+
+    kappa comes from the package, which the rest of the suite checks
+    against the naive oracles above.
+    """
+    full = m.ground.full_mask
+    n = len(m.ground)
+    for xmask in iter_submasks_lex(full):
+        size_x = xmask.bit_count()
+        cap = min(size_x, n - size_x, k)
+        if cap < 1:
+            continue
+        value = kappa(m, ElementSet(m.ground, xmask))
+        if value + 1 <= cap:
+            return Separation(
+                ElementSet(m.ground, xmask),
+                ElementSet(m.ground, full & ~xmask),
+                value,
+                value + 1,
+            )
+    return None
+
+
 def _brute_fmt(ground, mask: int) -> str:
     return "{" + ",".join(ground.labels[i] for i in range(len(ground)) if mask >> i & 1) + "}"
 

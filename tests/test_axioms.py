@@ -7,8 +7,10 @@ from matroid_kappa import (
     DomainError,
     GroundSet,
     check_axioms,
+    dual,
     explicit_matroid,
 )
+from matroid_kappa.axioms import sets_without
 
 
 def materialized(m):
@@ -190,6 +192,16 @@ class TestAgainstBruteChecker:
             family = materialized(m)
             expected = helpers.brute_check_axioms(m.ground, family)
             assert check_axioms(m.ground, family).to_jsonable() == expected.to_jsonable(), name
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(m=helpers.representations(max_n=8), dualise=st.booleans())
+    def test_sets_without_circuits_are_the_independent_sets(self, m, dualise):
+        # the CLI's check-axioms builds its family this way
+        if dualise:
+            m = dual(m)
+        circuits = [c.mask for c in m.circuits()]
+        family = [mask for mask in range(m.ground.full_mask + 1) if m._indep(mask)]
+        assert list(sets_without(m.ground, circuits)) == family
 
     def test_mask_outside_ground_rejected(self):
         with pytest.raises(DomainError):

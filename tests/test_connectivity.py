@@ -319,6 +319,18 @@ def small_matroids(draw):
     return m
 
 
+@st.composite
+def summed_matroids(draw):
+    """A direct sum of up to three small matroids, at most 12 elements,
+    perhaps dualised: many components, loops and coloops."""
+    parts = [
+        draw(helpers.representations(prefix=f"p{i}_", max_n=4))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    m = direct_sum(parts)
+    return dual(m) if draw(st.booleans()) else m
+
+
 def disjoint_sides(draw, m):
     """Disjoint X and Y; about half the elements stay free."""
     n = len(m.ground)
@@ -410,7 +422,12 @@ class TestPolynomialEngine:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(m=small_matroids())
     def test_two_connected_matches_separation_scan(self, m):
-        assert is_k_connected(m, 2) == (find_separation(m, 1) is None)
+        assert is_k_connected(m, 2) == (helpers.brute_find_separation(m, 1) is None)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=summed_matroids())
+    def test_order_one_separation_matches_scan(self, m):
+        assert find_separation(m, 1) == helpers.brute_find_separation(m, 1)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())

@@ -175,6 +175,47 @@ class TestDerivedFiles:
             m, parse_matroid_text("type: uniform\nelements: a b c d\nk: 4\n")
         )
 
+    def test_cycle_through_symlink_rejected(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "link.matroid").symlink_to("../a.matroid")
+        (tmp_path / "a.matroid").write_text(
+            "type: file-derived\nbase: sub/link.matroid\napply: dual\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_matroid_file(str(tmp_path / "a.matroid"))
+        assert (err.value.path, err.value.line_no) == (None, 2)
+        assert "link.matroid" in err.value.reason
+        assert "refers back" in err.value.reason
+
+    def test_two_paths_to_one_file_are_not_a_cycle(self, tmp_path):
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "u24.matroid").write_text(U24_TEXT)
+        (d / "ab.matroid").write_text(
+            "type: file-derived\nbase: ../d/u24.matroid\napply: minor\ndelete: c d\n"
+        )
+        (d / "cd.matroid").write_text(
+            "type: file-derived\nbase: u24.matroid\napply: minor\ndelete: a b\n"
+        )
+        (d / "sum.matroid").write_text(
+            "type: file-derived\nbase: ab.matroid\napply: sum\nwith: ./cd.matroid\n"
+        )
+        m = parse_matroid_file(str(d / "sum.matroid"))
+        assert same_independence(m, free_matroid("abcd"))
+
+    def test_hard_link_cycle_rejected(self, tmp_path):
+        # b.matroid is the same file as a.matroid, so the cycle closes on
+        # the line of a.matroid that names it
+        (tmp_path / "a.matroid").write_text(
+            "type: file-derived\nbase: b.matroid\napply: dual\n"
+        )
+        (tmp_path / "b.matroid").hardlink_to(tmp_path / "a.matroid")
+        with pytest.raises(ParseError) as err:
+            parse_matroid_file(str(tmp_path / "a.matroid"))
+        assert (err.value.path, err.value.line_no) == (None, 2)
+        assert "b.matroid" in err.value.reason
+        assert "refers back" in err.value.reason
+
     def test_missing_pieces_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             parse_matroid_text("type: file-derived\napply: dual\n")
