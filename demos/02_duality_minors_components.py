@@ -12,19 +12,18 @@ from matroid_kappa import (
     graphic_matroid,
     lift_circuit,
     restrict,
-    same_independence,
     take_minor,
     uniform_matroid,
 )
 
 u24 = uniform_matroid("abcd", 2)
 print("== duality ==")
-print(f"U(2,4) self-dual? {same_independence(dual(u24), u24)}")
+print(f"U(2,4) self-dual (same circuits)? {dual(u24).circuits() == u24.circuits()}")
 
 triangle = graphic_matroid([("e1", "u", "v"), ("e2", "v", "w"), ("e3", "w", "u")])
 bond = dual(triangle)
 print(f"dual of the triangle: circuits {bond.circuits()}  (every pair of edges)")
-print(f"double dual agrees with the original? {same_independence(dual(bond), triangle)}")
+print(f"double dual is the original? {dual(bond) is triangle}")
 
 print()
 print("== minors ==")

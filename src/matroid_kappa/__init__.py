@@ -11,7 +11,6 @@ approximations of infinite finitary families with certified limits.
 """
 
 from .axioms import AxiomCheck, AxiomReport, check_axioms
-from .budgets import resolve_budget
 from .connectivity import (
     Separation,
     del_count,
@@ -42,7 +41,6 @@ from .core import (
     free_matroid,
     gf2_matroid,
     graphic_matroid,
-    same_independence,
     uniform_matroid,
 )
 from .errors import (
@@ -143,10 +141,8 @@ __all__ = [
     "parse_label_set",
     "parse_matroid_file",
     "parse_matroid_text",
-    "resolve_budget",
     "restrict",
     "rung_partition_counterexample",
-    "same_independence",
     "set_to_jsonable",
     "stabilized_kappa_between",
     "take_minor",

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from . import budgets
 from .core import GroundSet, _bit_indices, iter_submasks_lex
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,11 @@ def check_axioms(
     over too many elements is never enumerated.  A mask in
     ``independent_masks`` outside the ground set raises ``DomainError``.
     """
-    if budget is None:
-        budget = budgets.AXIOM_GROUND
     if c3_budget is None:
         c3_budget = budgets.AXIOM_C3_TUPLES
     if not isinstance(ground, GroundSet):
         ground = GroundSet(ground)
-    _check_ground_budget(ground, budget)
+    budgets.check_scan("axiom check", len(ground), budget, budgets.AXIOM_GROUND)
 
     given = sum(x is not None for x in (independent, circuits, independent_masks))
     if given != 1:
@@ -189,12 +187,6 @@ def sets_without(ground: GroundSet, masks: Iterable[int]) -> Iterator[int]:
     sets."""
     dependent = _grow(_table(masks), _lanes(len(ground)))
     return _bit_indices(_every_subset(ground) & ~dependent)
-
-
-def _check_ground_budget(ground: GroundSet, budget: int) -> None:
-    n = len(ground)
-    if n > budget:
-        raise CapacityError(f"axiom check over {n} elements exceeds budget {budget}")
 
 
 def _canonical_key(mask: int) -> tuple[int, ...]:

@@ -5,9 +5,10 @@ enumeration, axiom checking and the "first in canonical order" scan for
 separations of order 2 and up.  Polynomial queries (rank, kappa,
 kappa(X, Y), components, linking partitions, separation extensions,
 window values) take none.
-Each budgeted scan raises ``CapacityError`` instead of silently running
-for hours.  A scan called with ``budget=None`` uses its default from this
-module; any other value overrides it for that call.
+Each budgeted scan calls :func:`check_scan`, which raises
+``CapacityError`` instead of silently running for hours: ``budget=None``
+takes the scan's default from this module, any other value overrides it
+for that call.  :func:`check_window` applies the fixed window limit.
 
 On the command line, ``MATROID_KAPPA_BUDGET`` is read by exactly the
 verbs that accept ``--budget`` (``link`` only with ``--constructive``).
@@ -19,7 +20,7 @@ with neither, each scan keeps its own default.
 
 import os
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 CIRCUIT_ENUMERATION = 20
 """Maximum ground-set size for circuit enumeration."""
@@ -40,6 +41,24 @@ WINDOW_ELEMENTS = 256
 """Largest window an infinite family will materialise."""
 
 ENV_VAR = "MATROID_KAPPA_BUDGET"
+
+
+def check_scan(what: str, n: int, budget: int | None, default: int) -> None:
+    """Refuse a scan of ``what`` over ``n`` elements above ``budget``, or
+    above ``default`` when ``budget`` is None."""
+    if budget is None:
+        budget = default
+    if n > budget:
+        raise CapacityError(f"{what} over {n} elements exceeds budget {budget}")
+
+
+def check_window(index: int, size: int) -> None:
+    """Refuse window ``index`` when it holds ``size`` elements, over the limit."""
+    if size > WINDOW_ELEMENTS:
+        shown = size if size < 10**100 else "more than 10^100"
+        raise CapacityError(
+            f"window {index} holds {shown} elements, over the window budget {WINDOW_ELEMENTS}"
+        )
 
 
 def resolve_budget(flag_value: int | None) -> int | None:

@@ -32,6 +32,7 @@ from .fileformat import (
     matroid_summary,
     parse_label_set,
     parse_matroid_file,
+    read_text,
     set_to_jsonable,
 )
 from .linking import constructive_linking, linking_partition
@@ -57,9 +58,8 @@ class _CliParser(argparse.ArgumentParser):
 
 def _read_set(ground: GroundSet, text: str):
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            labels = [line.strip() for line in fh if line.strip()]
-        return ground.set_of(labels)
+        lines = read_text(text[1:])[0].split("\n")
+        return ground.set_of(line.strip() for line in lines if line.strip())
     return parse_label_set(ground, text)
 
 

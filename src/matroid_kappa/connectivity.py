@@ -14,7 +14,10 @@ largest common independent set of M/X and M/Y on the free elements, so
 it is computed in polynomial time with Cunningham's shortest augmenting
 paths.  The exchange graph is read off two spans (``Matroid._span``), so
 a graphic or binary matroid answers from its union-find or elimination
-kernel and makes no oracle call; other matroids ask their oracle.
+kernel and makes no oracle call; other matroids ask their oracle.  This
+module owns that intersection: ``_intersection`` runs it once per pair
+of sides and keeps the bases, the common set and the value on the
+matroid, and ``linking_partition`` starts from the same record.
 ``find_separation`` promises the first split in canonical order.  For
 k = 1 it reads that split off the components, since kappa(X) = 0 exactly
 when X is a union of components; for larger k it stays an exhaustive,
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from . import budgets
 from .constructions import components
 from .core import ElementSet, Matroid, _bit_indices, iter_submasks_lex
-from .errors import CapacityError, InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError
 
 
 def del_count(m: Matroid, left: ElementSet, right: ElementSet) -> int:
@@ -80,30 +83,39 @@ def kappa_rank_formula(m: Matroid, x: ElementSet) -> int:
     return m.rank(x) + m.rank(x.complement()) - m.full_rank
 
 
-def kappa_between(m: Matroid, x: ElementSet, y: ElementSet) -> int:
-    """Minimum of kappa(U) over all U with X inside U inside E minus Y.
-
-    For U = X + A with A among the free elements Z, kappa(U) is
-    r(X) + r(Y) - r(E) + r_{M/X}(A) + r_{M/Y}(Z - A), and the minimum of
-    the last two terms is the largest common independent set of M/X and
-    M/Y on Z (Edmonds).  Polynomial in the number of elements.  Values
-    are memoised on ``m`` per pair of sides.
-    """
+def _intersection(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[int, int, int, int]:
+    """The record (base_x, base_y, common, value) of the disjoint sides X
+    and Y: their canonical bases, a largest common independent set of M/X
+    and M/Y on the free elements, and kappa(X, Y).  Memoised on ``m`` per
+    pair of sides; :func:`kappa_between` reads the value and
+    ``linking.linking_partition`` starts from the whole record."""
+    # checked here, not by a helper call: every memo hit runs these lines
     m._check_universe(x)
     m._check_universe(y)
     if not x.isdisjoint(y):
         raise PreconditionError("the two sides overlap")
-    memo = m._cache.setdefault("kappa_between_memo", {})
+    memo = m._cache.setdefault("intersections", {})
     hit = memo.get((x.mask, y.mask))
     if hit is None:
         free = m.ground.full_mask & ~x.mask & ~y.mask
         base_x = m._greedy_basis_mask(x.mask)
         base_y = m._greedy_basis_mask(y.mask)
         common = _largest_common_independent(m, free, base_x, base_y)
-        hit = memo[x.mask, y.mask] = (
-            common.bit_count() + base_x.bit_count() + base_y.bit_count() - m.full_rank
-        )
+        value = common.bit_count() + base_x.bit_count() + base_y.bit_count() - m.full_rank
+        hit = memo[x.mask, y.mask] = (base_x, base_y, common, value)
     return hit
+
+
+def kappa_between(m: Matroid, x: ElementSet, y: ElementSet) -> int:
+    """Minimum of kappa(U) over all U with X inside U inside E minus Y.
+
+    For U = X + A with A among the free elements Z, kappa(U) is
+    r(X) + r(Y) - r(E) + r_{M/X}(A) + r_{M/Y}(Z - A), and the minimum of
+    the last two terms is the largest common independent set of M/X and
+    M/Y on Z (Edmonds).  Polynomial in the number of elements; memoised
+    on ``m`` per pair of sides.
+    """
+    return _intersection(m, x, y)[3]
 
 
 def _largest_common_independent(
@@ -193,6 +205,12 @@ class Separation:
         }
 
 
+def _separation(m: Matroid, umask: int, value: int) -> Separation:
+    """The split (U, E minus U) whose connectivity is ``value``."""
+    rest = ElementSet(m.ground, m.ground.full_mask & ~umask)
+    return Separation(ElementSet(m.ground, umask), rest, value, value + 1)
+
+
 def find_separation(
     m: Matroid, k: int, budget: int | None = None
 ) -> Separation | None:
@@ -203,21 +221,14 @@ def find_separation(
     :func:`_first_separator`); otherwise subsets are scanned in canonical
     order.  None when nothing qualifies.
     """
-    if budget is None:
-        budget = budgets.SEPARATION_SCAN
     n = len(m.ground)
-    if n > budget:
-        raise CapacityError(f"separation scan over {n} elements exceeds budget {budget}")
+    budgets.check_scan("separation scan", n, budget, budgets.SEPARATION_SCAN)
     if k < 1:
         return None
     full = m.ground.full_mask
     if k == 1:
         xmask = _first_separator(m)
-        if xmask is None:
-            return None
-        return Separation(
-            ElementSet(m.ground, xmask), ElementSet(m.ground, full & ~xmask), 0, 1
-        )
+        return None if xmask is None else _separation(m, xmask, 0)
     for xmask in iter_submasks_lex(full):
         if xmask == 0 or xmask == full:
             continue
@@ -228,12 +239,7 @@ def find_separation(
             continue
         value = _kappa_mask(m, xmask)
         if value + 1 <= cap:
-            return Separation(
-                ElementSet(m.ground, xmask),
-                ElementSet(m.ground, full & ~xmask),
-                value,
-                value + 1,
-            )
+            return _separation(m, xmask, value)
     return None
 
 

@@ -34,12 +34,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator
 
 from . import budgets
-from .errors import (
-    CapacityError,
-    DomainError,
-    PreconditionError,
-    UniverseMismatchError,
-)
+from .errors import DomainError, PreconditionError, UniverseMismatchError
 
 
 class GroundSet:
@@ -395,13 +390,9 @@ class Matroid:
         Raises ``CapacityError`` when the ground set exceeds the
         enumeration budget (default from :mod:`matroid_kappa.budgets`).
         """
-        if budget is None:
-            budget = budgets.CIRCUIT_ENUMERATION
-        n = len(self.ground)
-        if n > budget:
-            raise CapacityError(
-                f"circuit enumeration over {n} elements exceeds budget {budget}"
-            )
+        budgets.check_scan(
+            "circuit enumeration", len(self.ground), budget, budgets.CIRCUIT_ENUMERATION
+        )
         masks = self._cache.get("circuit_masks")
         if masks is None:
             masks = tuple(
@@ -571,16 +562,6 @@ def _spread(mask: int, positions: tuple[int, ...]) -> int:
         if mask >> j & 1:
             out |= 1 << pos
     return out
-
-
-def same_independence(m1: Matroid, m2: Matroid) -> bool:
-    """Oracle equality over every subset; grounds must carry equal labels."""
-    if m1.ground != m2.ground:
-        return False
-    for mask in range(m1.ground.full_mask + 1):
-        if m1._indep(mask) != m2._indep(mask):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1057,9 +1038,9 @@ def explicit_matroid(
     ground = _as_ground(labels)
     family = frozenset(ground.set_of(s).mask for s in independent)
     if check:
-        from .axioms import AxiomReport, _check_ground_budget, _independence_checks
+        from .axioms import AxiomReport, _independence_checks
 
-        _check_ground_budget(ground, budgets.AXIOM_GROUND)
+        budgets.check_scan("axiom check", len(ground), None, budgets.AXIOM_GROUND)
         report = AxiomReport(ground, _independence_checks(ground, family))
         if not report.ok:
             raise DomainError(f"family is not a matroid: {report.first_failure()}")

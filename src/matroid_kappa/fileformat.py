@@ -241,15 +241,21 @@ def _parse_derived(
 
 
 def parse_matroid_file(path: str) -> Matroid:
-    text, ident = _read(path)
+    text, ident = read_text(path)
     return _parse_text(text, os.path.dirname(path) or ".", (ident,))
 
 
-def _read(path: str) -> tuple[str, _FileId]:
-    """The text of a description file and the identity of what was read."""
+def read_text(path: str) -> tuple[str, _FileId]:
+    """The text of a UTF-8 file and the identity of what was read; a file
+    that is not UTF-8 is a ``DomainError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         st = os.fstat(fh.fileno())
-        return fh.read(), (st.st_dev, st.st_ino)
+        try:
+            return fh.read(), (st.st_dev, st.st_ino)
+        except UnicodeDecodeError as exc:
+            raise DomainError(
+                f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
 
 
 def _parse_named(
@@ -258,7 +264,7 @@ def _parse_named(
     """Parse the file that line ``line_no`` of the last file in ``chain``
     names as ``name``; parse errors inside it carry that name."""
     path = os.path.join(base_dir, name)
-    text, ident = _read(path)
+    text, ident = read_text(path)
     if ident in chain:
         raise ParseError(line_no, f"{path!r} refers back to a file being parsed")
     try:

@@ -5,7 +5,9 @@ For disjoint X and Y in a finite matroid there is always a partition
 contracting C and deleting D (Tutte's linking theorem).
 ``linking_partition`` returns the first such partition in binary
 counting order, found greedily with one matroid-intersection
-augmentation per element instead of a scan over all partitions.
+augmentation per element instead of a scan over all partitions.  It
+starts from the intersection record that :mod:`connectivity` keeps for
+kappa(X, Y) and computes none of its bases, set or value again.
 ``constructive_linking`` follows the paper's construction instead: it
 shrinks X and Y to cores of size k and grows a small restriction until
 its inner connectivity reaches k.  Each step takes the first exact
@@ -28,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connectivity import (
-    Separation,
+    _intersection,
     _kappa_mask,
     _largest_common_independent,
+    _separation,
     grow_pair,
     kappa_between,
 )
@@ -92,12 +95,7 @@ def extends_to_separation(m: Matroid, x: ElementSet, y: ElementSet, k: int):
     value = _kappa_mask(m, umask)
     if value > k - 1:
         raise InvariantViolation("the greedy walk lost a separation that exists")
-    return Separation(
-        ElementSet(m.ground, umask),
-        ElementSet(m.ground, m.ground.full_mask & ~umask),
-        value,
-        value + 1,
-    )
+    return _separation(m, umask, value)
 
 
 def linking_partition(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingResult:
@@ -115,23 +113,18 @@ def linking_partition(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingResult
 
     The test reads kappa_N(X, Y) = nu + r(X + C) + r(Y + C) - r(C) -
     r(E - D), with ranks in M and nu the size of a largest common
-    independent set I of N/X and N/Y on the undecided elements (see
-    :func:`kappa_between`).  Deleting an
-    element outside I keeps nu, and keeps r(E - D) because coloops lie in
-    every maximal I.  An element of I costs one augmentation from I - e:
+    independent set I of N/X and N/Y on the undecided elements; the
+    bases, the first I and the target come from the record that
+    :func:`kappa_between` keeps for (X, Y).  Deleting an element outside
+    I keeps nu, and keeps r(E - D) because coloops lie in every maximal
+    I.  An element of I costs one augmentation from I - e:
     when it restores |I|, deleting keeps the value; otherwise deleting
     keeps it only for a coloop of N, and contracting is the other choice.
     I - e stays common independent after contracting e, and is largest
     there.  The answer is re-verified on the minor before it is returned.
     """
-    _check_disjoint_sides(m, x, y)
+    base_x, base_y, common, target = _intersection(m, x, y)
     free = m.ground.full_mask & ~x.mask & ~y.mask
-    base_x = m._greedy_basis_mask(x.mask)
-    base_y = m._greedy_basis_mask(y.mask)
-    common = _largest_common_independent(m, free, base_x, base_y)
-    target = (
-        common.bit_count() + base_x.bit_count() + base_y.bit_count() - m.full_rank
-    )
     rank_rest = m.full_rank  # r(E - D)
     undecided = free
     cmask = 0
@@ -290,7 +283,6 @@ def constructive_linking(
     outside, and trims the answer back to the original X, Y.  Each stage
     records a trace entry and every intermediate claim is asserted.
     """
-    _check_disjoint_sides(m, x, y)
     target = kappa_between(m, x, y)
     free = m.ground.full_mask & ~x.mask & ~y.mask
     trace: list[dict] = []

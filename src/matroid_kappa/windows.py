@@ -50,7 +50,9 @@ membership test of the split side U."""
 class InfiniteFamily:
     """A rule that produces nested finite windows of an infinite matroid.
 
-    ``window(n)`` builds (and memoises) the n-th window.
+    ``window(n)`` builds (and memoises) the n-th window and refuses one
+    over ``budgets.WINDOW_ELEMENTS``; the built-in families refuse it from
+    its known size before building it.
     ``exactness_radius(labels)`` gives a window index from which on the
     named elements are all present and their independence verdicts are
     final.  ``embed`` carries a set from one window into a larger one.
@@ -83,11 +85,7 @@ class InfiniteFamily:
         got = self._windows.get(n)
         if got is None:
             got = self._build(n)
-            if len(got.ground) > budgets.WINDOW_ELEMENTS:
-                raise CapacityError(
-                    f"window {n} holds {len(got.ground)} elements, over the "
-                    f"window budget {budgets.WINDOW_ELEMENTS}"
-                )
+            budgets.check_window(n, len(got.ground))
             self._windows[n] = got
         return got
 
@@ -128,6 +126,7 @@ def double_ladder(include_rungs: bool = True) -> InfiniteFamily:
     """
 
     def build(n: int) -> Matroid:
+        budgets.check_window(n, 6 * n + 4 if include_rungs else 4 * n + 2)
         edges = []
         for i in range(-n, n + 2):
             if include_rungs:
@@ -197,6 +196,7 @@ def infinite_uniform(k: int) -> InfiniteFamily:
     """
 
     def build(n: int) -> Matroid:
+        budgets.check_window(n, n)
         return uniform_matroid([f"a{i}" for i in range(1, n + 1)], k)
 
     def radius(labels: Sequence[str]) -> int:
@@ -240,6 +240,10 @@ def omega_tree_truncation(branching: int = 2) -> InfiniteFamily:
     """
 
     def build(n: int) -> Matroid:
+        # b + b^2 + ... + b^n edges, over 10^100 from depth 400 on when b >= 2
+        depth = n if branching < 2 else min(n, 400)
+        size = depth if branching == 1 else (branching ** (depth + 1) - branching) // (branching - 1)
+        budgets.check_window(n, size)
         edges = []
         frontier = [""]
         for _ in range(n):

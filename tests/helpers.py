@@ -71,6 +71,13 @@ def brute_kappa_between(indep, labels, x, y) -> int:
     )
 
 
+def same_independence(m1: Matroid, m2: Matroid) -> bool:
+    """Oracle equality over every subset; grounds must carry equal labels."""
+    if m1.ground != m2.ground:
+        return False
+    return all(m1._indep(mask) == m2._indep(mask) for mask in range(m1.ground.full_mask + 1))
+
+
 def brute_del(indep, left, right) -> int:
     union = frozenset(left) | frozenset(right)
     for size in range(len(union) + 1):

@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_kappa import cli
+from matroid_kappa import cli, windows
 from matroid_kappa.cli import parse_and_run
 
 U24 = "type: uniform\nelements: a b c d\nk: 2\n"
@@ -246,6 +246,63 @@ class TestExitCodes:
         code, _, err = run(capsys, argv)
         assert code == 1
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "elements, kind, argv, message",
+        [
+            (21, "uniform", ["circuits"], "circuit enumeration over 21 elements exceeds budget 20"),
+            (4, "uniform", ["circuits", "--budget=3"], "circuit enumeration over 4 elements exceeds budget 3"),
+            (17, "uniform", ["separation", "--k=2"], "separation scan over 17 elements exceeds budget 16"),
+            (4, "uniform", ["separation", "--k=1", "--budget=3"], "separation scan over 4 elements exceeds budget 3"),
+            (13, "uniform", ["check-axioms"], "axiom check over 13 elements exceeds budget 12"),
+            (4, "uniform", ["check-axioms", "--budget=3"], "axiom check over 4 elements exceeds budget 3"),
+            (13, "explicit", ["rank"], "axiom check over 13 elements exceeds budget 12"),
+        ],
+    )
+    def test_budget_messages(self, capsys, tmp_path, elements, kind, argv, message):
+        labels = [f"x{i}" for i in range(elements)]
+        body = "k: 2\n" if kind == "uniform" else "independent:\n{}\n" + "\n".join(labels) + "\n"
+        path = tmp_path / "m.matroid"
+        path.write_text(f"type: {kind}\nelements: {' '.join(labels)}\n{body}")
+        assert run(capsys, argv + [str(path)]) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "--id=infinite-uniform(2)", "--window=5000", "window-info"],
+            ["family", "--id=infinite-uniform(2500)", "--window=5000", "kappa-between",
+             "--x=a1", "--y=a2"],
+            ["family", "--id=infinite-uniform(2500)", "--window=5000", "link",
+             "--x=a1", "--y=a2", "--certificate=prefix:1"],
+        ],
+    )
+    def test_over_budget_window_is_not_built(self, capsys, monkeypatch, argv):
+        built = []
+        real = windows.uniform_matroid
+        monkeypatch.setattr(
+            windows, "uniform_matroid", lambda labels, k: built.append(len(labels)) or real(labels, k)
+        )
+        message = "error: window 5000 holds 5000 elements, over the window budget 256\n"
+        assert run(capsys, argv) == (2, "", message)
+        assert built == []
+
+    @pytest.mark.parametrize("where", ["top", "base", "set"])
+    def test_non_utf8_input_names_the_file(self, capsys, tmp_path, u24_file, where):
+        bad = tmp_path / "bad.matroid"
+        bad.write_bytes(b"type: uniform\nelements: a b\xff\nk: 1\n")
+        top = tmp_path / "top.matroid"
+        top.write_text("type: file-derived\nbase: bad.matroid\napply: dual\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(b"a\n\xff\n")
+        argv, named = {
+            "top": (["rank", str(bad)], str(bad)),
+            "base": (["rank", str(top)], os.path.join(str(tmp_path), "bad.matroid")),
+            "set": (["kappa", f"--set=@{labels}", u24_file], str(labels)),
+        }[where]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {named!r} is not UTF-8 text: invalid start byte at byte ")
+        assert err.count("\n") == 1
 
     def test_self_referencing_file(self, capsys, tmp_path):
         path = tmp_path / "self.matroid"

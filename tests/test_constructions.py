@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from helpers import generic
+from helpers import generic, same_independence
 from matroid_kappa import (
     DomainError,
     ElementSet,
@@ -25,7 +25,6 @@ from matroid_kappa import (
     lift_circuit,
     matroid_summary,
     restrict,
-    same_independence,
     take_minor,
     uniform_matroid,
 )

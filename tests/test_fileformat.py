@@ -1,13 +1,13 @@
 import pytest
 
 import helpers
+from helpers import same_independence
 from matroid_kappa import (
     ParseError,
     free_matroid,
     parse_label_set,
     parse_matroid_file,
     parse_matroid_text,
-    same_independence,
     set_to_jsonable,
     uniform_matroid,
 )

@@ -6,13 +6,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from matroid_kappa import (
+    MinorSpec,
     PreconditionError,
+    StabilizationPolicy,
     breaking_circuits,
+    certified_separation,
     components,
+    connectivity,
     constructive_linking,
     contract,
+    direct_sum,
+    double_ladder,
     dual,
     extends_to_separation,
+    gf2_matroid,
     graphic_matroid,
     infinite_kappa_chain,
     kappa,
@@ -22,6 +29,7 @@ from matroid_kappa import (
     restrict,
     take_minor,
     uniform_matroid,
+    windowed_linking,
 )
 
 
@@ -130,6 +138,113 @@ class TestGreedyLinkingSolver:
         res = linking_partition(m, x, y)
         assert res.spec == helpers.brute_linking_partition(m, x, y)
         assert sorted(res.spec.contract) == ["e2", "e4"]
+
+
+@st.composite
+def matroid_factories(draw):
+    """A function that builds a new instance of one drawn matroid on every
+    call: a uniform, graphic or binary representation, or its dual, a
+    minor of it, or its direct sum with a small uniform matroid."""
+    n = draw(st.integers(2, 9))
+    labels = [f"x{i}" for i in range(n)]
+    kind = draw(st.sampled_from(["uniform", "graphic", "gf2"]))
+    if kind == "uniform":
+        k = draw(st.integers(0, n))
+        base = lambda: uniform_matroid(labels, k)  # noqa: E731
+    elif kind == "graphic":
+        # loops and parallel edges come up often on so few vertices
+        vertex = st.integers(0, 3).map(str)
+        edges = [(lab, draw(vertex), draw(vertex)) for lab in labels]
+        base = lambda: graphic_matroid(edges)  # noqa: E731
+    else:
+        row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        rows = draw(st.lists(row, min_size=1, max_size=4))
+        base = lambda: gf2_matroid(labels, rows)  # noqa: E731
+    shape = draw(st.sampled_from(["self", "dual", "minor", "sum"]))
+    if shape == "dual":
+        return lambda: dual(base())
+    if shape == "minor":
+        away = draw(st.integers(0, (1 << n) - 1))
+        drop = draw(st.integers(0, (1 << n) - 1)) & ~away
+
+        def minor():
+            m = base()
+            return take_minor(m, MinorSpec(m.ground.from_mask(away), m.ground.from_mask(drop)))
+
+        return minor
+    if shape == "sum":
+        k = draw(st.integers(0, 3))
+        return lambda: direct_sum([base(), uniform_matroid(["s0", "s1", "s2"], k)])
+    return base
+
+
+def record_intersections(monkeypatch) -> list:
+    """Record the arguments (matroid, free, base_x, base_y, start, limit)
+    of every call of the intersection routine."""
+    calls = []
+    real = connectivity._largest_common_independent
+
+    def spy(m, free, base_x, base_y, start=0, limit=None):
+        calls.append((m, free, base_x, base_y, start, limit))
+        return real(m, free, base_x, base_y, start, limit)
+
+    monkeypatch.setattr(connectivity, "_largest_common_independent", spy)
+    monkeypatch.setattr(linking, "_largest_common_independent", spy)
+    return calls
+
+
+def from_scratch(calls) -> list:
+    """The calls that ran a whole intersection: no start set, no limit."""
+    return [c for c in calls if c[4] == 0 and c[5] is None]
+
+
+class TestSharedIntersection:
+    """kappa_between and linking_partition share one intersection per
+    pair of sides, kept on the matroid."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(build=matroid_factories(), data=st.data())
+    def test_spec_does_not_depend_on_an_earlier_kappa_between(self, build, data):
+        fresh = build()
+        labels = list(fresh.ground)
+        assume(len(labels) >= 2)
+        picks = data.draw(st.permutations(labels))
+        size_x = data.draw(st.integers(1, len(labels) - 1))
+        size_y = data.draw(st.integers(1, len(labels) - size_x))
+        x_labels, y_labels = picks[:size_x], picks[size_x : size_x + size_y]
+        cold = linking_partition(fresh, fresh.ground.set_of(x_labels), fresh.ground.set_of(y_labels))
+        m = build()
+        x, y = m.ground.set_of(x_labels), m.ground.set_of(y_labels)
+        value = kappa_between(m, x, y)
+        warm = linking_partition(m, x, y)
+        assert warm.spec == cold.spec
+        assert warm.achieved == warm.target == cold.target == value
+        assert linking_partition(m, x, y).spec == cold.spec
+
+    def test_windowed_linking_runs_each_intersection_once(self, monkeypatch):
+        calls = record_intersections(monkeypatch)
+        fam = double_ladder()
+        windowed_linking(
+            fam, ["rung[0]"], ["rung[3]"], StabilizationPolicy(max_window=5),
+            [certified_separation(fam, "rung:0")],
+        )
+        # one whole intersection per window 2..5; the linking partition of
+        # the stabilising window reuses its window's and adds 10 augmentations
+        assert len(calls) == 14
+        assert len(from_scratch(calls)) == 4
+        assert len({(id(m), *rest) for m, *rest in calls}) == len(calls)
+
+    def test_linking_after_kappa_between_runs_no_intersection(self, monkeypatch):
+        m = helpers.grid_graph(3, 3)
+        labels = list(m.ground)
+        x, y = m.ground.set_of(labels[:2]), m.ground.set_of(labels[-2:])
+        calls = record_intersections(monkeypatch)
+        value = kappa_between(m, x, y)
+        assert len(from_scratch(calls)) == 1
+        res = linking_partition(m, x, y)
+        assert len(from_scratch(calls)) == 1
+        assert res.target == value
+        assert res.spec == helpers.brute_linking_partition(m, x, y)
 
 
 class TestSeparationExtension:

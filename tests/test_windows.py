@@ -1,6 +1,8 @@
 import pytest
 
+from helpers import same_independence
 from matroid_kappa import (
+    CapacityError,
     DomainError,
     PreconditionError,
     StabilizationPolicy,
@@ -15,12 +17,12 @@ from matroid_kappa import (
     omega_tree_truncation,
     restrict,
     rung_partition_counterexample,
-    same_independence,
     stabilized_kappa_between,
     take_minor,
     MinorSpec,
     uniform_matroid,
     windowed_linking,
+    windows,
 )
 
 
@@ -88,6 +90,80 @@ class TestWindows:
         w = fam.window(0)
         assert len(w.circuits()) == 1
         assert fam.exactness_radius(["c3"]) == 1
+
+
+def spy_window_builds(monkeypatch) -> list[int]:
+    """Record the element count of every window that the families build."""
+    sizes = []
+    real_uniform, real_graphic = windows.uniform_matroid, windows.graphic_matroid
+
+    def uniform(labels, k):
+        sizes.append(len(labels))
+        return real_uniform(labels, k)
+
+    def graphic(edges):
+        edges = list(edges)
+        sizes.append(len(edges))
+        return real_graphic(edges)
+
+    monkeypatch.setattr(windows, "uniform_matroid", uniform)
+    monkeypatch.setattr(windows, "graphic_matroid", graphic)
+    return sizes
+
+
+BUILT_IN = {
+    "uniform": lambda: infinite_uniform(2),
+    "ladder": double_ladder,
+    "rungless": lambda: double_ladder(include_rungs=False),
+    "omega-tree": omega_tree_truncation,
+}
+
+
+class TestWindowBudget:
+    """A built-in family refuses a window over the element budget from its
+    known size, before building it; a user rule is refused once built."""
+
+    @pytest.mark.parametrize(
+        "family, n, size",
+        [("uniform", 5000, 5000), ("ladder", 5000, 30004), ("rungless", 5000, 20002),
+         ("omega-tree", 9, 1022)],
+    )
+    def test_over_budget_window_is_not_built(self, monkeypatch, family, n, size):
+        fam = BUILT_IN[family]()
+        sizes = spy_window_builds(monkeypatch)
+        message = f"^window {n} holds {size} elements, over the window budget 256$"
+        with pytest.raises(CapacityError, match=message):
+            fam.window(n)
+        assert sizes == []
+
+    @pytest.mark.parametrize(
+        "family, n, size",
+        [("uniform", 256, 256), ("ladder", 42, 256), ("rungless", 63, 254), ("omega-tree", 7, 254)],
+    )
+    def test_largest_window_within_budget_is_built_once(self, monkeypatch, family, n, size):
+        fam = BUILT_IN[family]()
+        sizes = spy_window_builds(monkeypatch)
+        assert len(fam.window(n).ground) == size
+        assert fam.window(n) is fam.window(n)
+        with pytest.raises(CapacityError):
+            fam.window(n + 1)
+        assert sizes == [size]
+
+    def test_default_window_range_builds_nothing_over_budget(self, monkeypatch):
+        sizes = spy_window_builds(monkeypatch)
+        report = stabilized_kappa_between(omega_tree_truncation(), ["e[0]"], ["e[1]"])
+        assert [n for n, _ in report.values] == [1, 2, 3, 4, 5, 6, 7]
+        assert sorted(sizes) == [2, 6, 14, 30, 62, 126, 254]
+
+    def test_astronomical_window_is_refused_without_writing_its_size(self):
+        with pytest.raises(CapacityError, match=r"^window 20000 holds more than 10\^100 elements"):
+            omega_tree_truncation().window(20000)
+
+    def test_user_rule_is_refused_after_it_is_built(self):
+        fam = graph_rule_family(lambda n: [(f"p{i}", str(i), str(i + 1)) for i in range(n)])
+        assert len(fam.window(256).ground) == 256
+        with pytest.raises(CapacityError, match="^window 257 holds 257 elements"):
+            fam.window(257)
 
 
 def _far_rung_rails(n):
