@@ -68,7 +68,9 @@ class GroundSet:
         return label in self._index
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroundSet) and self.labels == other.labels
+        # the identity test first: universe checks mostly compare a ground
+        # set with itself, and a label-tuple comparison costs O(n)
+        return self is other or (isinstance(other, GroundSet) and self.labels == other.labels)
 
     def __hash__(self) -> int:
         return hash(self.labels)
@@ -487,7 +489,7 @@ class Matroid:
     def restrict(self, keep: ElementSet) -> "Matroid":
         """The matroid on ``keep`` whose independent sets are those of this one."""
         self._check_universe(keep)
-        return self._contracted(GroundSet(keep.labels()), keep.mask, 0)
+        return self._minor(0, self.ground.full_mask & ~keep.mask)
 
     def delete(self, drop: ElementSet) -> "Matroid":
         """Restriction to the complement of ``drop``."""
@@ -502,10 +504,17 @@ class Matroid:
         is used.  When that basis is empty, contracting is deleting.
         """
         self._check_universe(away)
-        keep = away.complement()
-        return self._contracted(
-            GroundSet(keep.labels()), keep.mask, self._greedy_basis_mask(away.mask)
-        )
+        return self._minor(away.mask, 0)
+
+    def _minor(self, away_mask: int, drop_mask: int) -> "Matroid":
+        """Contract ``away_mask`` and delete the disjoint ``drop_mask`` in one
+        step: the elements left keep their canonical order, and the greedy
+        basis of ``away_mask`` is what gets contracted."""
+        keep_mask = self.ground.full_mask & ~(away_mask | drop_mask)
+        labels = self.ground.labels
+        ground = GroundSet(labels[i] for i in _bit_indices(keep_mask))
+        base_mask = self._greedy_basis_mask(away_mask) if away_mask else 0
+        return self._contracted(ground, keep_mask, base_mask)
 
     def _contracted(
         self, ground: GroundSet, keep_mask: int, base_mask: int

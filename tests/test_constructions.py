@@ -493,6 +493,26 @@ def derived_matroids(draw):
     return m
 
 
+class TestOneStepMinor:
+    """take_minor builds M / C \\ D in one step; it must be the minor that
+    contracting C and then deleting D builds, down to the ground order,
+    the representation and the order of the circuits."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=derived_matroids(), data=st.data())
+    def test_matches_contract_then_delete(self, m, data):
+        away = data.draw(st.integers(0, m.ground.full_mask))
+        drop = data.draw(st.integers(0, m.ground.full_mask)) & ~away
+        spec = MinorSpec(m.ground.from_mask(away), m.ground.from_mask(drop))
+        contracted = contract(m, spec.contract)
+        two_steps = delete(contracted, spec.delete.in_universe(contracted.ground))
+        one_step = take_minor(m, spec)
+        assert same_independence(one_step, two_steps)
+        assert one_step.rep == two_steps.rep
+        assert one_step.basis() == two_steps.basis()
+        assert one_step.circuits() == two_steps.circuits()
+
+
 @st.composite
 def binary_matroids(draw):
     """A GF(2) matrix with zero and repeated columns likely, or a minor or
