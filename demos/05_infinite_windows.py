@@ -3,7 +3,8 @@
 A family rule produces nested finite windows of an infinite matroid whose
 circuits are all finite.  Window values of kappa(X, Y) only ever grow, so
 they are lower bounds; an exact verdict needs an upper-bound certificate,
-a symbolic split of the infinite ground set with a proven bound.
+a symbolic split of the infinite ground set with a proven bound.  A finite
+side U is bounded by its rank r(U), since kappa(U) <= r(U).
 
 Run:  python3 demos/05_infinite_windows.py
 """
@@ -19,6 +20,17 @@ from matroid_kappa import (
     windowed_linking,
 )
 
+
+def show_bound(family, cert, labels):
+    """Print a finite-side certificate's bound beside the rank it came from,
+    read in the first window that holds ``labels``, which fix U."""
+    n = family.exactness_radius(labels)
+    w = family.window(n)
+    u = cert.side(w)
+    print(f"certificate {cert.description}: U = {{{','.join(u)}}},",
+          f"bound {cert.kappa_bound} = r(U) = {w.rank(u)} in window {n}")
+
+
 print("== the two-way infinite ladder ==")
 ladder = double_ladder()
 w0 = ladder.window(0)
@@ -28,12 +40,14 @@ print(f"window 2 has {len(w2.ground)} edges and {len(w2.circuits())} circuits")
 
 print()
 print("== stabilised connectivity between two rungs ==")
+rung_cert = certified_separation(ladder, "rung:0")
+show_bound(ladder, rung_cert, ["rung[0]"])
 report = stabilized_kappa_between(
     ladder,
     ["rung[0]"],
     ["rung[3]"],
     StabilizationPolicy(max_window=6),
-    [certified_separation(ladder, "rung:0")],
+    [rung_cert],
 )
 print(f"window lower bounds: {list(report.values)}")
 print(f"plateau from window {report.stable_at};",
@@ -47,7 +61,7 @@ result = windowed_linking(
     ["rung[0]"],
     ["rung[3]"],
     StabilizationPolicy(max_window=6),
-    [certified_separation(ladder, "rung:0")],
+    [rung_cert],
 )
 print(f"window {result.window_index}: contract {sorted(result.spec.contract)},")
 print(f"delete {sorted(result.spec.delete)} plus everything outside the window;")
@@ -56,14 +70,27 @@ print(f"achieved {result.achieved}")
 print()
 print("== a countable uniform family ==")
 uni = infinite_uniform(2)
+prefix_cert = certified_separation(uni, "prefix:2")
+show_bound(uni, prefix_cert, ["a2"])
 rep = stabilized_kappa_between(
     uni,
     ["a1", "a2"],
     ["a3", "a4"],
     StabilizationPolicy(max_window=7),
-    [certified_separation(uni, "prefix:2")],
+    [prefix_cert],
 )
 print(f"rank-2 uniform, pairs vs pairs: {list(rep.values)} certified {rep.certified_value}")
+# three elements of a rank-2 matroid are dependent: their rank, 2, is the bound
+set_cert = certified_separation(uni, "set:a1+a2+a3")
+show_bound(uni, set_cert, ["a1", "a2", "a3"])
+rep = stabilized_kappa_between(
+    uni,
+    ["a1", "a2", "a3"],
+    ["a4", "a5"],
+    StabilizationPolicy(max_window=8),
+    [set_cert],
+)
+print(f"rank-2 uniform, triple vs pair: {list(rep.values)} certified {rep.certified_value}")
 
 print()
 print("== why rung processing cannot keep 2-connectivity ==")

@@ -154,6 +154,8 @@ def _parse_text(text: str, base_dir: str, chain: tuple[_FileId, ...]) -> Matroid
             u, _, v = ends.partition("-")
             if not u or not v:
                 raise ParseError(e_no, f"edge {token!r} has an empty endpoint")
+            if "-" in v:
+                raise ParseError(e_no, f"edge {token!r} has a '-' in a vertex name")
             edges.append((lab, u, v))
             seen.append(lab)
         if seen != labels:

@@ -10,8 +10,8 @@ Connectivity between two finite sets can only be approached from below:
 each window is a minor (a deletion) of the infinite object, so windowed
 values are lower bounds and grow monotonically.  ``stabilized_kappa_between``
 tracks those bounds across windows and certifies an exact value only when
-a family-specific upper-bound certificate meets the plateau; a plateau by
-itself proves nothing and is reported as an uncertified bound.
+an upper-bound certificate (r(U) for a finite side U) meets the plateau; a
+plateau by itself proves nothing and is reported as an uncertified bound.
 
 Every window is a finite matroid, so its exact kappa(X, Y) is one matroid
 intersection (:func:`kappa_between`), and ``windowed_linking`` solves
@@ -42,9 +42,9 @@ from .errors import (
 )
 from .linking import linking_partition
 
-Template = Callable[[str], tuple[int, Callable[[str], bool]]]
-"""A certificate template: from its description, the proven bound and the
-membership test of the split side U."""
+Template = Callable[["InfiniteFamily", str], tuple[int, Callable[[str], bool]]]
+"""A certificate template: from the family and the description, the proven
+bound on kappa(U) and the membership test of the split side U."""
 
 
 class InfiniteFamily:
@@ -57,8 +57,8 @@ class InfiniteFamily:
     named elements are all present and their independence verdicts are
     final.  ``embed`` carries a set from one window into a larger one.
     ``templates`` maps a certificate template name ("rung:", say) to the
-    :data:`Template` that proves its bound for this family; ``family_id``
-    is a display name only.
+    :data:`Template` that proves its bound for this family, ``singleton:``
+    and ``set:`` included; ``family_id`` is a display name only.
     """
 
     def __init__(
@@ -73,7 +73,7 @@ class InfiniteFamily:
         self._build = build
         self._radius = radius
         self.description = description
-        self.templates = dict(templates or {})
+        self.templates = {**(templates or {}), **_FINITE_TEMPLATES}
         self._windows: dict[int, Matroid] = {}
 
     def __repr__(self) -> str:
@@ -95,6 +95,32 @@ class InfiniteFamily:
     def embed(self, s: ElementSet, n: int) -> ElementSet:
         """The same labels inside window ``n``; labels must be present there."""
         return s.in_universe(self.window(n).ground)
+
+
+def _finite_side(family: InfiniteFamily, description: str, reach: Sequence[str], contains=None):
+    """r(U), a bound on kappa(U) for a finite side U, and U's membership test.
+
+    U is ``reach``, or what ``contains`` accepts; it lies in window
+    ``exactness_radius(reach)``, where r(U) is final, as windows are
+    restrictions of the later ones.  kappa(U) <= r(U): deleting a basis of
+    U from B_U + B_(E-U) restores independence.
+    """
+    contains = contains or frozenset(reach).__contains__
+    try:
+        window = family.window(family.exactness_radius(reach))
+        # the grammar may admit a label that no window holds, such as a0
+        window.ground.set_of(reach)
+    except DomainError as exc:
+        raise DomainError(f"certificate {description!r}: {exc}") from None
+    return window.rank(window.ground.set_of(filter(contains, window.ground))), contains
+
+
+_FINITE_TEMPLATES: dict[str, Template] = {
+    # singleton:LABEL, U = {LABEL}
+    "singleton:": lambda fam, d: _finite_side(fam, d, [d.partition(":")[2]]),
+    # set:l1+l2+..., U = the listed labels
+    "set:": lambda fam, d: _finite_side(fam, d, d.partition(":")[2].split("+")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +177,7 @@ def double_ladder(include_rungs: bool = True) -> InfiniteFamily:
                 needed = max(needed, pos, -pos)
         return needed
 
-    def cut(description: str) -> tuple[int, Callable[[str], bool]]:
+    def cut(_: InfiniteFamily, description: str) -> tuple[int, Callable[[str], bool]]:
         """``cut:i``: the rungs at columns <= i and the rails at <= i - 1;
         bound 2, as at most the two rails cross the cut."""
         pos = _template_int(description)
@@ -164,11 +190,11 @@ def double_ladder(include_rungs: bool = True) -> InfiniteFamily:
 
     templates: dict[str, Template] = {"cut:": cut}
     if include_rungs:
-        # rung:i, U = {rung[i]}: one element, bound 1
-        templates["rung:"] = lambda d: (1, f"rung[{_template_int(d)}]".__eq__)
+        # rung:i, U = {rung[i]}
+        templates["rung:"] = lambda fam, d: _finite_side(fam, d, [f"rung[{_template_int(d)}]"])
     else:
         # rails-split, U = the top rail: the rails never meet, bound 0
-        templates["rails-split"] = lambda d: (0, lambda lab: lab.startswith("railT["))
+        templates["rails-split"] = lambda _, d: (0, lambda lab: lab.startswith("railT["))
 
     suffix = "" if include_rungs else " (rungs removed)"
     return InfiniteFamily(
@@ -208,17 +234,16 @@ def infinite_uniform(k: int) -> InfiniteFamily:
             highest = max(highest, int(m.group(1)))
         return max(highest, 2 * k)
 
-    def prefix(description: str) -> tuple[int, Callable[[str], bool]]:
-        """``prefix:m``: U = {a1 .. am}, bound min(m, k)."""
+    def prefix(family: InfiniteFamily, description: str) -> tuple[int, Callable[[str], bool]]:
+        """``prefix:m``: U = {a1 .. am}, in the window of am alone, so that
+        no list of m labels is built."""
         count = _template_int(description)
-        if count < 0:
-            raise DomainError(f"certificate {description!r} needs a non-negative count")
 
         def contains(lab: str) -> bool:
             m = _UNIFORM_LABEL.match(lab)
             return bool(m) and int(m.group(1)) <= count
 
-        return min(count, k), contains
+        return _finite_side(family, description, [f"a{count}"] if count else [], contains)
 
     return InfiniteFamily(
         f"infinite-uniform({k})",
@@ -408,23 +433,18 @@ def stabilized_kappa_between(
         x, y = window.ground.set_of(x_labels), window.ground.set_of(y_labels)
         values.append((n, kappa_between(window, x, y)))
 
-    stable_at = None
-    seq = [v for _, v in values]
-    need = policy.plateau_length
-    for i in range(len(seq) - need + 1):
-        if all(seq[j] == seq[i] for j in range(i, i + need)):
-            stable_at = values[i][0]
-            break
+    # the values never decrease, so a plateau is a window equal to the one
+    # plateau_length - 1 further on
+    later = values[policy.plateau_length - 1 :]
+    stable_at = next((n for (n, v), (_, w) in zip(values, later) if v == w), None)
 
-    certified_value = None
-    certificate_used = None
+    used = None
     if stable_at is not None:
         plateau = dict(values)[stable_at]
         for cert in certificates:
             cert.validate(family, windows, x_labels, y_labels)
             if cert.kappa_bound == plateau:
-                certified_value = plateau
-                certificate_used = cert.description
+                used = cert
                 break
 
     return StabilizationReport(
@@ -434,8 +454,8 @@ def stabilized_kappa_between(
         values=tuple(values),
         settled=tuple((n, "exact") for n, _ in values),
         stable_at=stable_at,
-        certified_value=certified_value,
-        certificate=certificate_used,
+        certified_value=None if used is None else used.kappa_bound,
+        certificate=None if used is None else used.description,
     )
 
 
@@ -449,8 +469,8 @@ class SeparationCertificate:
     """A symbolic split (U, complement) with a proven connectivity bound.
 
     ``contains`` tests a label for membership in U, and ``side(window)``
-    yields U's portion of a window; ``kappa_bound`` is the proven bound on
-    kappa of U, valid for every window and for the infinite object.
+    yields U's portion of a window; ``kappa_bound``, r(U) when U is finite,
+    bounds kappa(U) in every window and in the infinite object.
     ``validate`` checks the bound on the given windows and that U
     separates the query (X inside U, Y outside), raising on any failure.
     """
@@ -459,13 +479,8 @@ class SeparationCertificate:
     kappa_bound: int
     contains: Callable[[str], bool] = field(repr=False)
 
-    @property
-    def order(self) -> int:
-        """This split realises an order-(bound + 1) separation."""
-        return self.kappa_bound + 1
-
     def side(self, window: Matroid) -> ElementSet:
-        return window.ground.set_of(lab for lab in window.ground if self.contains(lab))
+        return window.ground.set_of(filter(self.contains, window.ground))
 
     def validate(
         self,
@@ -474,20 +489,13 @@ class SeparationCertificate:
         x_labels: Sequence[str] = (),
         y_labels: Sequence[str] = (),
     ) -> None:
+        if not all(map(self.contains, x_labels)):
+            raise DomainError(f"certificate {self.description!r} does not contain X")
+        if any(map(self.contains, y_labels)):
+            raise DomainError(f"certificate {self.description!r} intersects Y")
         for n in window_indices:
             window = family.window(n)
-            u = self.side(window)
-            for lab in x_labels:
-                if lab in window.ground and lab not in u:
-                    raise DomainError(
-                        f"certificate {self.description!r} does not contain X"
-                    )
-            for lab in y_labels:
-                if lab in u:
-                    raise DomainError(
-                        f"certificate {self.description!r} intersects Y"
-                    )
-            value = kappa(window, u)
+            value = kappa(window, self.side(window))
             if value > self.kappa_bound:
                 raise InvariantViolation(
                     f"certificate {self.description!r} bound {self.kappa_bound} "
@@ -498,30 +506,21 @@ class SeparationCertificate:
 def certified_separation(
     family: InfiniteFamily, description: str
 ) -> SeparationCertificate:
-    """Build an upper-bound certificate from a template name.
+    """Build an upper-bound certificate from ``family.templates``.
 
-    Every family accepts ``singleton:LABEL`` (U = {label}, bound 1) and
-    ``set:l1+l2+...`` (U as listed, bound the number listed).  Any other
-    template must be one of ``family.templates``, the proofs that the
-    family carries for itself; see FAMILIES.md.
-
-    Raises ``DomainError`` when the template does not apply to the family.
+    The template is named by the description up to its first ':', or by
+    all of it (FAMILIES.md).  Raises ``DomainError`` when the family lacks
+    it or a finite side names a label that the family lacks, and
+    ``CapacityError`` when no window within budget holds a finite side.
     """
-    name, colon, rest = description.partition(":")
-    if colon and name == "singleton":
-        bound, contains = 1, rest.__eq__
-    elif colon and name == "set":
-        labels = rest.split("+")
-        bound, contains = len(labels), frozenset(labels).__contains__
-    else:
-        template = family.templates.get(name + colon)
-        if template is None:
-            raise DomainError(
-                f"certificate {description!r} is not a template of family "
-                f"{family.family_id}"
-            )
-        bound, contains = template(description)
-    return SeparationCertificate(description, bound, contains)
+    name, colon, _ = description.partition(":")
+    template = family.templates.get(name + colon)
+    if template is None:
+        raise DomainError(
+            f"certificate {description!r} is not a template of family "
+            f"{family.family_id}"
+        )
+    return SeparationCertificate(description, *template(family, description))
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,59 @@ class TestExitCodes:
         assert repr(cert) in err
 
 
+class TestFiniteSideCertificates:
+    """A finite certificate side U is bounded by r(U), read in the first
+    window that holds U; a side the family lacks, or that no window within
+    budget holds, is refused before any window is solved."""
+
+    @pytest.mark.parametrize(
+        "fid, x, y, cert, values",
+        [
+            # U = {a1, a2, a3} is dependent in U(2, n): r(U) = 2, not 3
+            ("infinite-uniform(2)", "a1,a2,a3", "a4,a5", "set:a1+a2+a3", "5:2 6:2 7:2 8:2"),
+            # a1 is a loop of U(0, n): r({a1}) = 0, not 1
+            ("infinite-uniform(0)", "a1", "a2", "singleton:a1", "2:0 3:0 4:0 5:0 6:0 7:0 8:0"),
+        ],
+    )
+    def test_rank_bound_certifies_the_plateau(self, capsys, fid, x, y, cert, values):
+        argv = ["family", f"--id={fid}", "--window=8", "kappa-between",
+                f"--x={x}", f"--y={y}", f"--certificate={cert}"]
+        first, plateau = values.split()[0].split(":")
+        out = (f"family {fid}\nwindow values: {values}\nstable_at: {first}\n"
+               f"certified: {plateau} (by {cert})\n")
+        assert run(capsys, argv) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "fid, cert, x, y, message",
+        [
+            ("infinite-uniform(2)", "set:a1+zap", "a1", "a2",
+             "certificate 'set:a1+zap': not a uniform-family element: 'zap'"),
+            ("double-ladder", "singleton:", "rung[0]", "rung[2]",
+             "certificate 'singleton:': not a ladder element: ''"),
+            ("infinite-uniform(2)", "set:a0", "", "a2",
+             "certificate 'set:a0': unknown element label 'a0'"),
+            ("double-ladder-rungless", "singleton:rung[0]", "railT[0]", "railB[0]",
+             "certificate 'singleton:rung[0]': this family has no rungs"),
+        ],
+    )
+    def test_side_the_family_lacks_is_refused(self, capsys, fid, cert, x, y, message):
+        argv = ["family", f"--id={fid}", f"--certificate={cert}",
+                "kappa-between", f"--x={x}", f"--y={y}"]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+    def test_side_beyond_the_window_budget_is_not_built(self, capsys, monkeypatch):
+        built = []
+        real = windows.uniform_matroid
+        monkeypatch.setattr(
+            windows, "uniform_matroid", lambda labels, k: built.append(len(labels)) or real(labels, k)
+        )
+        argv = ["family", "--id=infinite-uniform(2)", "kappa-between",
+                "--x=", "--y=a2", "--certificate=prefix:100000000"]
+        message = "error: window 100000000 holds 100000000 elements, over the window budget 256\n"
+        assert run(capsys, argv) == (2, "", message)
+        assert built == []
+
+
 # -- fuzzing ---------------------------------------------------------------
 #
 # The strategies mostly draw well-formed input, so that the commands reach

@@ -74,6 +74,11 @@ class TestParsing:
             ("type: uniform\nelements: a b\nk: x\n", 3, "integer"),
             ("type: uniform\nelements: a a\nk: 1\n", 2, "duplicate"),
             ("type: graphic\nelements: e1\nedges: e1=uv\n", 3, "u-v"),
+            (
+                "type: graphic\nelements: a b c\nedges: a=u-v-w b=v-w-u c=u-v\n",
+                3,
+                "edge 'a=u-v-w' has a '-' in a vertex name",
+            ),
             ("type: graphic\nelements: e1\nedges: e2=u-v\n", 3, "match"),
             (
                 "type: linear-gf2\nelements: a b\nmatrix:\n1 0 2\n",

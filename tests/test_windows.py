@@ -1,4 +1,8 @@
+import pathlib
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import same_independence
 from matroid_kappa import (
@@ -357,6 +361,22 @@ class TestStabilization:
             stabilized_kappa_between(double_ladder(), ["rung[0]"], ["rung[0]"])
 
 
+@st.composite
+def constant_graph_queries(draw):
+    """One random multigraph, loops and parallel edges included, as every
+    window of a graph rule, with a finite side U, X inside U and Y outside."""
+    vertices = draw(st.integers(1, 5))
+    ends = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    pairs = draw(st.lists(ends, min_size=1, max_size=9))
+    edges = [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(pairs)]
+    labels = [lab for lab, _, _ in edges]
+    side = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    outside = [lab for lab in labels if lab not in side]
+    x = draw(st.lists(st.sampled_from(side), unique=True))
+    y = draw(st.lists(st.sampled_from(outside), unique=True)) if outside else []
+    return edges, side, x, y
+
+
 class TestCertificates:
     def test_bounds_hold_on_windows(self):
         fam = double_ladder()
@@ -431,9 +451,7 @@ class TestCertificates:
             (lambda: infinite_uniform(1), "prefix:9",
              lambda n: {f"a{j}" for j in range(1, 10)}),
             (double_ladder, "singleton:railB[-1]", lambda n: {"railB[-1]"}),
-            (lambda: infinite_uniform(2), "set:a2+a4+zap", lambda n: {"a2", "a4"}),
             (omega_tree_truncation, "set:e[0]+e[1.0]", lambda n: {"e[0]", "e[1.0]"}),
-            (omega_tree_truncation, "singleton:", lambda n: set()),
         ],
     )
     def test_side_matches_the_documented_split(self, family, desc, expected):
@@ -444,17 +462,106 @@ class TestCertificates:
             w = fam.window(n)
             assert set(cert.side(w)) == expected(n) & set(w.ground), (desc, n)
 
+    @pytest.mark.parametrize(
+        "family, desc, message",
+        [
+            (lambda: infinite_uniform(2), "set:a2+a4+zap", "not a uniform-family element: 'zap'"),
+            (omega_tree_truncation, "singleton:", "not a tree edge: ''"),
+            (lambda: infinite_uniform(2), "set:a01", "unknown element label 'a01'"),
+            (lambda: double_ladder(False), "singleton:rung[0]", "this family has no rungs"),
+            (lambda: infinite_uniform(2), "prefix:-1", "not a uniform-family element: 'a-1'"),
+        ],
+        ids=["set-zap", "empty-singleton", "set-a01", "rungless-rung", "negative-prefix"],
+    )
+    def test_side_the_family_lacks_is_refused(self, family, desc, message):
+        """A finite side goes through the family's label grammar, then the
+        window that grammar names."""
+        with pytest.raises(DomainError, match=re.escape(f"certificate {desc!r}")) as err:
+            certified_separation(family(), desc)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "family, desc, n, bound",
+        [
+            (double_ladder, "rung:0", 3, 1),
+            (double_ladder, "rung:-7", 7, 1),
+            (double_ladder, "singleton:railT[1]", 2, 1),
+            (double_ladder, "set:railT[0]+railB[1]", 2, 2),
+            # one square of the ladder: a 4-circuit, rank 3
+            (double_ladder, "set:rung[0]+railT[0]+railB[0]+rung[1]", 1, 3),
+            (lambda: infinite_uniform(2), "set:a1+a2+a3", 5, 2),
+            (lambda: infinite_uniform(2), "prefix:0", 4, 0),
+            (lambda: infinite_uniform(2), "prefix:1", 4, 1),
+            (lambda: infinite_uniform(2), "prefix:200", 201, 2),
+            (lambda: infinite_uniform(0), "singleton:a1", 3, 0),
+            (omega_tree_truncation, "set:e[0]+e[1.0]", 3, 2),
+        ],
+    )
+    def test_finite_side_is_bounded_by_its_rank(self, family, desc, n, bound):
+        """The bound is r(U), the same in every window that holds U."""
+        fam = family()
+        cert = certified_separation(fam, desc)
+        assert cert.kappa_bound == bound
+        for w in (fam.window(n), fam.window(n + 1)):
+            u = cert.side(w)
+            assert w.rank(u) == bound >= kappa(w, u)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(query=constant_graph_queries())
+    def test_rank_bounds_on_constant_windows(self, query):
+        """With every window the same matroid, the infinite values are the
+        window's: the set bound is r(U) >= kappa(U), and a certified value
+        is the exact kappa(X, Y), certified just when r(U) reaches it."""
+        edges, side, x_labels, y_labels = query
+        fam = graph_rule_family(lambda n: edges)
+        w = fam.window(0)
+        u = w.ground.set_of(side)
+        cert = certified_separation(fam, "set:" + "+".join(side))
+        assert cert.kappa_bound == w.rank(u) >= kappa(w, u)
+        rep = stabilized_kappa_between(
+            fam, x_labels, y_labels, StabilizationPolicy(max_window=2, plateau_length=2), [cert]
+        )
+        exact = kappa_between(w, w.ground.set_of(x_labels), w.ground.set_of(y_labels))
+        assert rep.values == ((0, exact), (1, exact), (2, exact))
+        assert rep.certified_value == (exact if cert.kappa_bound == exact else None)
+
+    @pytest.mark.parametrize(
+        "family, desc, bound",
+        [(double_ladder, "cut:0", 2), (lambda: double_ladder(False), "cut:3", 2),
+         (lambda: double_ladder(False), "rails-split", 0)],
+    )
+    def test_infinite_side_keeps_the_family_proof(self, family, desc, bound):
+        assert certified_separation(family(), desc).kappa_bound == bound
+
+    @pytest.mark.parametrize(
+        "family, desc, message",
+        [
+            (lambda: infinite_uniform(2), "prefix:100000000",
+             "window 100000000 holds 100000000 elements"),
+            (double_ladder, "rung:300", "window 299 holds 1798 elements"),
+            (double_ladder, "set:rung[0]+railT[-50]", "window 50 holds 304 elements"),
+        ],
+    )
+    def test_side_beyond_the_window_budget_is_not_built(self, monkeypatch, family, desc, message):
+        fam = family()
+        sizes = spy_window_builds(monkeypatch)
+        with pytest.raises(CapacityError, match=f"^{message}, over the window budget 256$"):
+            certified_separation(fam, desc)
+        assert sizes == []
+
     def test_wrong_side_caught_during_validation(self):
         fam = double_ladder()
         cert = certified_separation(fam, "rung:1")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="does not contain X"):
             cert.validate(fam, range(2, 4), x_labels=["rung[0]"], y_labels=[])
+        with pytest.raises(DomainError, match="intersects Y"):
+            cert.validate(fam, range(2, 4), x_labels=[], y_labels=["rung[1]"])
 
     def test_broken_bound_caught(self):
         fam = infinite_uniform(3)
-        cert = certified_separation(fam, "set:a1+a2")  # bound 2, true value 2
+        cert = certified_separation(fam, "set:a1+a2")  # bound r = 2, true value 2
         cert.validate(fam, range(6, 8))
-        bad = certified_separation(fam, "prefix:4")  # bound min(4,3)=3, ok
+        bad = certified_separation(fam, "prefix:4")  # bound r = 3, ok
         bad.validate(fam, range(8, 9))
 
 
@@ -545,3 +652,31 @@ class TestRungPartitions:
         )
         parts = components(rails_only)
         assert all(len(b) == 1 for b in parts.blocks)
+
+
+FAMILIES_DOC = pathlib.Path(__file__).parent.parent / "FAMILIES.md"
+
+
+def test_families_doc_lists_each_family_templates():
+    """The template table of FAMILIES.md names, for each built-in family,
+    exactly the keys of its ``templates``, the generic ones included."""
+    table = FAMILIES_DOC.read_text().split("## Certificate templates")[1]
+    listed = {}
+    for row in re.findall(r"^\| `([^`]*)` *\|([^|]*)\|", table, flags=re.M):
+        key = re.match(r"[^:]*:?", row[0]).group()
+        listed[key] = row[1].strip()
+    documented = {
+        "double-ladder": double_ladder(),
+        "double-ladder-rungless": double_ladder(include_rungs=False),
+        "infinite-uniform(K)": infinite_uniform(2),
+        "omega-tree": omega_tree_truncation(),
+    }
+    for families in listed.values():
+        named = set(re.findall(r"`([^`]*)`", families))
+        assert families == "every family" or named <= set(documented), families
+    for name, fam in documented.items():
+        keys = {
+            key for key, families in listed.items()
+            if families == "every family" or f"`{name}`" in families
+        }
+        assert keys == set(fam.templates), name
