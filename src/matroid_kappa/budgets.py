@@ -3,19 +3,18 @@
 Only work that is still exponential carries a budget: circuit
 enumeration, axiom checking and the "first in canonical order" scan for
 separations of order 2 and up.  Polynomial queries (rank, kappa,
-kappa(X, Y), components, linking partitions, separation extensions,
-window values) take none.
+kappa(X, Y), components, linking partitions, constructive linking,
+separation extensions, window values) take none.
 Each budgeted scan calls :func:`check_scan`, which raises
 ``CapacityError`` instead of silently running for hours: ``budget=None``
 takes the scan's default from this module, any other value overrides it
 for that call.  :func:`check_window` applies the fixed window limit.
 
 On the command line, ``MATROID_KAPPA_BUDGET`` is read by exactly the
-verbs that accept ``--budget`` (``link`` only with ``--constructive``).
-Those verbs take one number from ``--budget=N`` or, failing that, from
-the environment variable, and pass it to every budgeted scan they run
-(``link --constructive --budget=N`` bounds its circuit enumerations);
-with neither, each scan keeps its own default.
+verbs that accept ``--budget`` (``separation`` only for ``--k`` of 2 or
+more).  Those verbs take one number from ``--budget=N`` or, failing that,
+from the environment variable, and pass it to every budgeted scan they
+run; with neither, each scan keeps its own default.
 """
 
 import os
@@ -33,9 +32,8 @@ AXIOM_C3_TUPLES = 20_000
 for the strong circuit-exchange check."""
 
 SEPARATION_SCAN = 16
-"""Maximum ground-set size for ``find_separation``.  Only k of 2 or more
-scans subsets; k = 1 reads the components, but the check stays in front
-of both, so exit codes and ``--budget`` do not depend on k."""
+"""Maximum ground-set size for ``find_separation`` with k of 2 or more,
+the only k that scans subsets; k = 1 reads the components on any size."""
 
 WINDOW_ELEMENTS = 256
 """Largest window an infinite family will materialise."""

@@ -10,9 +10,9 @@ error, 2 capacity (budget) error, 70 internal invariant violation.
 Verbs that run a budgeted scan accept ``--budget``; they, and only they,
 read ``MATROID_KAPPA_BUDGET`` when the flag is absent, and pass the number
 to every budgeted scan they run.  Without either, each scan keeps its
-library default.  ``link`` runs a budgeted scan only with
-``--constructive`` and ``family`` only for ``window-info``; otherwise
-they reject ``--budget`` and leave the variable unread.
+library default.  ``separation`` runs a budgeted scan only for ``--k`` of
+2 or more and ``family`` only for ``window-info``; otherwise they reject
+``--budget`` and leave the variable unread.  ``link`` runs none.
 """
 
 from __future__ import annotations
@@ -159,7 +159,9 @@ def _kappa_between_verb(args, m: Matroid):
 
 
 def _separation_verb(args, m: Matroid):
-    sep = find_separation(m, args.k, resolve_budget(args.budget))
+    if args.k < 2 and args.budget is not None:
+        raise DomainError("--budget applies only to separation --k of 2 or more")
+    sep = find_separation(m, args.k, resolve_budget(args.budget) if args.k >= 2 else None)
     if sep is None:
         return {"separation": None}, ["no separation found"]
     return {"separation": sep.to_jsonable()}, [
@@ -178,12 +180,8 @@ def _connected_verb(args, m: Matroid):
 
 def _link_verb(args, m: Matroid):
     x, y = _sides(args, m)
-    if args.constructive:
-        result = constructive_linking(m, x, y, resolve_budget(args.budget))
-    elif args.budget is not None:
-        raise DomainError("--budget applies only to link --constructive")
-    else:
-        result = linking_partition(m, x, y)
+    solver = constructive_linking if args.constructive else linking_partition
+    result = solver(m, x, y)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for entry in result.trace:
@@ -289,7 +287,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("--y", required=True)
     verb("separation", _separation_verb).add_argument("--k", type=int, required=True)
     verb("connected", _connected_verb, budget=False)
-    p = verb("link", _link_verb)
+    p = verb("link", _link_verb, budget=False)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--constructive", action="store_true")

@@ -17,7 +17,7 @@ a graphic or binary matroid answers from its union-find or elimination
 kernel and makes no oracle call; other matroids ask their oracle.  This
 module owns that intersection: ``_intersection`` runs it once per pair
 of sides and keeps the bases, the common set and the value on the
-matroid, and ``linking_partition`` starts from the same record.
+matroid; ``linking_partition`` and ``_joining_circuit`` start from it.
 ``find_separation`` promises the first split in canonical order.  For
 k = 1 it reads that split off the components, since kappa(X) = 0 exactly
 when X is a union of components; for larger k it stays an exhaustive,
@@ -104,6 +104,16 @@ def _intersection(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[int, int, i
         value = common.bit_count() + base_x.bit_count() + base_y.bit_count() - m.full_rank
         hit = memo[x.mask, y.mask] = (base_x, base_y, common, value)
     return hit
+
+
+def _joining_circuit(m: Matroid, s: ElementSet, e: int) -> int:
+    """A circuit through ``e`` (one bit outside S) that meets S, or 0 when
+    e shares no component with S, that is when kappa(S, {e}) is 0.  At 1,
+    the record's I + B_S is a basis and I + e is independent, so e's
+    fundamental circuit there meets S, and its part outside S is a
+    circuit of M/S."""
+    base_s, _, common, value = _intersection(m, s, ElementSet(m.ground, e))
+    return m._span(base_s | common).circuit(e) if value else 0
 
 
 def kappa_between(m: Matroid, x: ElementSet, y: ElementSet) -> int:
@@ -218,17 +228,18 @@ def find_separation(
 
     A qualifying split (X, Y) has kappa(X) + 1 at most min(|X|, |Y|, k).
     For k = 1 that is the first nonempty proper union of components (see
-    :func:`_first_separator`); otherwise subsets are scanned in canonical
-    order.  None when nothing qualifies.
+    :func:`_first_separator`), on any size; for larger k subsets are
+    scanned in canonical order under ``budget``.  None when nothing
+    qualifies.
     """
-    n = len(m.ground)
-    budgets.check_scan("separation scan", n, budget, budgets.SEPARATION_SCAN)
     if k < 1:
         return None
-    full = m.ground.full_mask
     if k == 1:
         xmask = _first_separator(m)
         return None if xmask is None else _separation(m, xmask, 0)
+    n = len(m.ground)
+    budgets.check_scan("separation scan", n, budget, budgets.SEPARATION_SCAN)
+    full = m.ground.full_mask
     for xmask in iter_submasks_lex(full):
         if xmask == 0 or xmask == full:
             continue

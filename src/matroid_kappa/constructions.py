@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .core import ElementSet, GroundSet, Matroid, _bit_indices, iter_submasks_lex
+from .core import ElementSet, GroundSet, Matroid, _bit_indices
 from .errors import DomainError, InvariantViolation, PreconditionError
 
 
@@ -197,17 +197,20 @@ def components(m: Matroid) -> ComponentPartition:
 def lift_circuit(m: Matroid, away: ElementSet, circuit: ElementSet) -> ElementSet:
     """Lift a circuit of ``m`` contracted by ``away`` back to a circuit of ``m``.
 
-    Returns C united with the canonically first subset of ``away`` that
-    makes a circuit of ``m``; such a subset always exists.
+    Returns the only circuit inside C plus the greedy basis of ``away``
+    (:func:`_lift`), which is the only lift when ``away`` is independent.
     """
     m._check_universe(away)
     contracted = m.contract(away)
     local = circuit.in_universe(contracted.ground)
     if not contracted.is_circuit(local):
         raise PreconditionError("the given set is not a circuit of the contraction")
-    base = m.ground.set_of(circuit)
-    for extra in iter_submasks_lex(away.mask):
-        candidate = ElementSet(m.ground, base.mask | extra)
-        if m.is_circuit(candidate):
-            return candidate
-    raise InvariantViolation("no lift found although one must exist")
+    return ElementSet(m.ground, _lift(m, away.mask, m.ground.set_of(circuit).mask))
+
+
+def _lift(m: Matroid, away: int, circuit: int) -> int:
+    """The circuit inside D + B_Z, for a circuit D of M/Z (Z = ``away``)
+    and the greedy basis B_Z of Z.  D - d + B_Z is independent for every d
+    in D, so that circuit is unique: the fundamental circuit of any d."""
+    d = circuit & -circuit
+    return m._span(m._greedy_basis_mask(away) | circuit ^ d).circuit(d)

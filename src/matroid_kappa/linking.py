@@ -17,9 +17,12 @@ blocked separation stays blocked in every larger restriction.  It then
 solves inside the restriction with ``linking_partition`` and deletes
 everything outside.
 
-A split (X, Y) with k elements per side extends to a k-separation
-exactly when kappa(X, Y) <= k - 1, so only circuit enumeration here
-takes a budget.
+The construction needs some circuits, not the first in canonical order,
+so it enumerates none: each comes from one intersection
+(``connectivity._joining_circuit``), lifted through a contraction by one
+span (``constructions._lift``).  A split (X, Y) with k elements per side
+extends to a k-separation exactly when kappa(X, Y) <= k - 1, so nothing
+here takes a budget.
 
 Every witness is re-verified on its minor before being returned;
 auditability beats speed throughout this module.
@@ -31,13 +34,14 @@ from dataclasses import dataclass
 
 from .connectivity import (
     _intersection,
+    _joining_circuit,
     _kappa_mask,
     _largest_common_independent,
     _separation,
     grow_pair,
     kappa_between,
 )
-from .constructions import MinorSpec, components, contract, restrict, take_minor
+from .constructions import MinorSpec, _lift, components, contract, restrict, take_minor
 from .core import ElementSet, Matroid, _bit_indices
 from .errors import InvariantViolation, PreconditionError
 
@@ -168,25 +172,21 @@ def _verify_partition(
         raise InvariantViolation(f"{what} achieves {achieved}, expected {target}")
 
 
-def _breaking_core(
-    m: Matroid,
-    x: ElementSet,
-    y: ElementSet,
-    budget: int | None,
-) -> tuple[ElementSet, ElementSet]:
-    """Find the circuit pair of the separation-breaking construction.
+def _breaking_core(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[ElementSet, ElementSet]:
+    """Build the circuit pair of the separation-breaking construction.
 
-    Looks at the components of the contractions by X and by Y, takes the
-    first element e outside both component unions (and outside X and Y),
-    and picks the canonically first circuits through e: one reaching Y
-    whose traces in the contractions by X and by X union Y stay circuits,
-    and symmetrically one reaching X.  When no such e exists, the
-    separation would extend into the host matroid, which the caller has
-    ruled out, so that raises an invariant violation.
+    Looks at the components of the contractions by X and by Y and takes
+    the first element e outside both component unions (and outside X and
+    Y).  C1 is the joining circuit of Y through e in M/X
+    (``connectivity._joining_circuit``), lifted through X: it holds e,
+    meets Y, C1 - X is a circuit of M/X and C1 - X - Y one of
+    M/(X union Y).  C2 is built symmetrically, with the roles of X and Y
+    swapped.  When no such e exists, the separation would extend into the
+    host matroid, which the caller has ruled out, so that raises an
+    invariant violation.
     """
     mx = contract(m, x)
     my = contract(m, y)
-    mxy = contract(m, x | y)
 
     def blocks_avoiding(cmp_partition, avoid: ElementSet) -> int:
         union = 0
@@ -203,37 +203,22 @@ def _breaking_core(
         raise InvariantViolation(
             "component unions cover the ground set although extension was ruled out"
         )
-    e_bit = uncovered & -uncovered
-    e_set = ElementSet(m.ground, e_bit)
+    e_label = m.ground.labels[(uncovered & -uncovered).bit_length() - 1]
 
-    def qualifies(circuit: ElementSet, toward: ElementSet, away: ElementSet, m_away) -> bool:
-        if circuit.isdisjoint(e_set) or circuit.isdisjoint(toward):
-            return False
-        local = (circuit - away).in_universe(m_away.ground)
-        if not m_away.is_circuit(local):
-            return False
-        outside = (circuit - away - toward).in_universe(mxy.ground)
-        return mxy.is_circuit(outside)
+    def lifted(away: ElementSet, toward: ElementSet, m_away: Matroid) -> ElementSet:
+        # e lies in a component of M/away that meets ``toward``
+        e_bit = 1 << m_away.ground.index(e_label)
+        local = _joining_circuit(m_away, toward.in_universe(m_away.ground), e_bit)
+        if not local:
+            raise InvariantViolation("required breaking circuits do not exist")
+        circuit = ElementSet(m_away.ground, local).in_universe(m.ground)
+        return ElementSet(m.ground, _lift(m, away.mask, circuit.mask))
 
-    first = second = None
-    for circuit in m.circuits(budget):
-        if first is None and qualifies(circuit, y, x, mx):
-            first = circuit
-        if second is None and qualifies(circuit, x, y, my):
-            second = circuit
-        if first is not None and second is not None:
-            break
-    if first is None or second is None:
-        raise InvariantViolation("required breaking circuits do not exist")
-    return first, second
+    return lifted(x, y, mx), lifted(y, x, my)
 
 
 def breaking_circuits(
-    m: Matroid,
-    x: ElementSet,
-    y: ElementSet,
-    k: int,
-    budget: int | None = None,
+    m: Matroid, x: ElementSet, y: ElementSet, k: int
 ) -> tuple[ElementSet, ElementSet]:
     """Circuits C1, C2 blocking the extension of an exact separation.
 
@@ -244,7 +229,8 @@ def breaking_circuits(
     does not extend to a k-separation of the restriction to
     X union Y union C1 union C2 either.  Both extension questions are
     answered by :func:`kappa_between` (exact, as both sides have at least
-    k elements); ``budget`` bounds only the circuit enumeration.
+    k elements).  The circuits come from :func:`_breaking_core`, two
+    matroid intersections and two spans, with no circuit enumeration.
     """
     _check_disjoint_sides(m, x, y)
     sub = restrict(m, x | y)
@@ -258,7 +244,7 @@ def breaking_circuits(
     if kappa_between(m, x, y) <= k - 1:
         raise PreconditionError("the separation already extends to the host matroid")
 
-    first, second = _breaking_core(m, x, y, budget)
+    first, second = _breaking_core(m, x, y)
     grown = restrict(m, x | y | first | second)
     gx, gy = x.in_universe(grown.ground), y.in_universe(grown.ground)
     if kappa_between(grown, gx, gy) <= k - 1:
@@ -266,17 +252,16 @@ def breaking_circuits(
     return first, second
 
 
-def constructive_linking(
-    m: Matroid, x: ElementSet, y: ElementSet, budget: int | None = None
-) -> LinkingResult:
+def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingResult:
     """Build a connectivity-preserving partition constructively.
 
     Stage 1 grows cores X', Y' of size k with kappa(X', Y') = k.  Stage 2
-    grows a finite restriction Z, starting from X', Y' and one circuit
-    joining them.  At stage t, while the restricted kappa(X', Y') is below
-    t, the first exact t-separation between the cores
-    (:func:`extends_to_separation`) gets its pair of breaking circuits
-    added.  A blocked separation stays blocked in every larger
+    grows a finite restriction Z, starting from X', Y' and, for each
+    element y of Y' in canonical order, a circuit through y that meets X'
+    (each from one intersection).  At stage t, while the restricted
+    kappa(X', Y') is below t, the first exact t-separation between the
+    cores (:func:`extends_to_separation`) gets its pair of breaking
+    circuits added.  A blocked separation stays blocked in every larger
     restriction, and each step adds at least one element, so after stage
     t = k the restriction carries the full value.  Stage 3 solves inside
     the restriction with :func:`linking_partition`, deletes everything
@@ -310,16 +295,16 @@ def constructive_linking(
         }
     )
 
-    seed = None
-    for circuit in m.circuits(budget):
-        if not circuit.isdisjoint(x_core) and not circuit.isdisjoint(y_core):
-            seed = circuit
-            break
-    if seed is None:
-        raise InvariantViolation("a joining circuit exists whenever the level is positive")
+    # every element of Y' shares a component with X', or a union of
+    # components would separate the cores below the target
+    zone = x_core | y_core
+    for bit in _bit_indices(y_core.mask):
+        joining = _joining_circuit(m, x_core, 1 << bit)
+        if not joining:
+            raise InvariantViolation("no circuit joins a core element to the other core")
+        zone = zone | ElementSet(m.ground, joining)
     # one restriction per zone serves its separation search, its value
     # and stage 3, so they share one independence memo
-    zone = x_core | y_core | seed
     sub = restrict(m, zone)
     reached = _core_value(sub, x_core, y_core)
     trace.append({"stage": "window", "t": 1, "zone": sorted(zone), "kappa": reached})
@@ -334,7 +319,7 @@ def constructive_linking(
                     "a separation below the current level contradicts the last stage"
                 )
             c1, c2 = breaking_circuits(
-                m, m.ground.set_of(sep.left), m.ground.set_of(sep.right), t, budget
+                m, m.ground.set_of(sep.left), m.ground.set_of(sep.right), t
             )
             zone = zone | c1 | c2
             sub = restrict(m, zone)
@@ -396,21 +381,21 @@ class CircuitChain:
 
 
 def infinite_kappa_chain(
-    window: Matroid,
-    x: ElementSet,
-    y: ElementSet,
-    t_max: int,
-    budget: int | None = None,
+    window: Matroid, x: ElementSet, y: ElementSet, t_max: int
 ) -> CircuitChain:
     """Chain of disjoint circuits, each meeting both residual sides.
 
     The first circuit lives in the window itself; circuit i + 1 is a
     circuit of the window contracted by the union of the first i, and
-    must meet what is left of X and of Y.  The chain can stall when the
-    window is too small or the sides separate early, which raises a
-    precondition error.  Alongside the chain, the sets it claims from X
-    and from Y are reported together with their independence in the
-    contraction by the chain's middle part.
+    must meet what is left of X and of Y.  Each step takes the circuit
+    joining the residual X to the first residual y that shares a
+    component with it (``connectivity._joining_circuit``); a circuit
+    meets both residual sides exactly when such a y exists.  When none
+    does, the chain has stalled (the window is too small or the sides
+    separate early), which raises a precondition error.  Alongside the
+    chain, the sets it claims from X and from Y are reported together
+    with their independence in the contraction by the chain's middle
+    part.
     """
     _check_disjoint_sides(window, x, y)
     if t_max < 0:
@@ -425,18 +410,16 @@ def infinite_kappa_chain(
         current = contract(window, taken)
         residual_x = (x - taken).in_universe(current.ground)
         residual_y = (y - taken).in_universe(current.ground)
-        found = None
-        for circuit in current.circuits(budget):
-            if not circuit.isdisjoint(residual_x) and not circuit.isdisjoint(
-                residual_y
-            ):
-                found = circuit
+        found = 0
+        for b in _bit_indices(residual_y.mask):
+            found = _joining_circuit(current, residual_x, 1 << b)
+            if found:
                 break
-        if found is None:
+        if not found:
             raise PreconditionError(
                 "chain stalled: window too small or connectivity too low"
             )
-        lifted = window.ground.set_of(found)
+        lifted = ElementSet(current.ground, found).in_universe(window.ground)
         chain.append(lifted)
         taken = taken | lifted
     union = taken

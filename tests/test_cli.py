@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import tempfile
 
 import pytest
@@ -16,6 +19,21 @@ TWO_TRI = (
     "type: graphic\nelements: a1 a2 a3 b1 b2 b3\n"
     "edges: a1=p-q a2=q-r a3=r-p b1=s-t b2=t-u b3=u-s\n"
 )
+
+
+def grid_file(tmp_path, n: int) -> str:
+    """A description file of the n x n grid graph, edges row by row."""
+    edges = []
+    for r in range(n):
+        for c in range(n):
+            if c + 1 < n:
+                edges.append(f"h{r}_{c}=p{r}q{c}-p{r}q{c + 1}")
+            if r + 1 < n:
+                edges.append(f"v{r}_{c}=p{r}q{c}-p{r + 1}q{c}")
+    labels = " ".join(edge.split("=")[0] for edge in edges)
+    path = tmp_path / f"grid{n}.matroid"
+    path.write_text(f"type: graphic\nelements: {labels}\nedges: {' '.join(edges)}\n")
+    return str(path)
 
 
 @pytest.fixture
@@ -194,29 +212,20 @@ class TestExitCodes:
         labels = " ".join(f"x{i}" for i in range(20))
         path = tmp_path / "big.matroid"
         path.write_text(f"type: uniform\nelements: {labels}\nk: 3\n")
-        # the circuit enumeration of the constructive link covers 20 elements
-        code, _, err = run(
-            capsys,
-            ["link", "--constructive", "--x=x0", "--y=x1", "--budget=16", str(path)],
-        )
+        # the circuit enumeration covers 20 elements
+        code, _, err = run(capsys, ["circuits", "--budget=16", str(path)])
         assert code == 2
         assert "budget" in err
 
-    def test_plain_link_rejects_budget(self, capsys, u24_file):
-        # plain link runs no budgeted scan, so a budget there is not honoured
-        code, _, err = run(capsys, ["link", "--x=a", "--y=b", "--budget=16", u24_file])
-        assert code == 1
-        assert "--constructive" in err
-
-    def test_constructive_link_keeps_library_defaults(self, capsys, tmp_path):
+    def test_budgeted_verb_keeps_library_defaults(self, capsys, tmp_path):
         labels = " ".join("abcdefghijklmnopqr")
         path = tmp_path / "u2_18.matroid"
         path.write_text(f"type: uniform\nelements: {labels}\nk: 2\n")
-        argv = ["link", "--constructive", "--x=a", "--y=b", str(path)]
+        argv = ["circuits", str(path)]
         # 18 elements: the circuit enumeration's own default (20) admits them
         code, out, _ = run(capsys, argv)
         assert code == 0
-        assert "achieved = 1" in out
+        assert "circuits (816):" in out
         # an explicit budget bounds every scan the verb runs
         code, _, err = run(capsys, argv[:-1] + ["--budget=16", argv[-1]])
         assert code == 2
@@ -238,6 +247,9 @@ class TestExitCodes:
              "kappa-between", "--x=rung[0]", "--y=rung[2]", "--certificate=rung:0"],
             ["family", "--id=double-ladder", "--window=4", "--budget=1",
              "link", "--x=rung[0]", "--y=rung[2]", "--certificate=rung:0"],
+            ["link", "--x=a", "--y=b", "--budget=3"],
+            ["link", "--constructive", "--x=a", "--y=b", "--budget=3"],
+            ["separation", "--k=1", "--budget=3"],
         ],
     )
     def test_unread_budget_rejected(self, capsys, u24_file, argv):
@@ -253,7 +265,7 @@ class TestExitCodes:
             (21, "uniform", ["circuits"], "circuit enumeration over 21 elements exceeds budget 20"),
             (4, "uniform", ["circuits", "--budget=3"], "circuit enumeration over 4 elements exceeds budget 3"),
             (17, "uniform", ["separation", "--k=2"], "separation scan over 17 elements exceeds budget 16"),
-            (4, "uniform", ["separation", "--k=1", "--budget=3"], "separation scan over 4 elements exceeds budget 3"),
+            (4, "uniform", ["separation", "--k=2", "--budget=3"], "separation scan over 4 elements exceeds budget 3"),
             (13, "uniform", ["check-axioms"], "axiom check over 13 elements exceeds budget 12"),
             (4, "uniform", ["check-axioms", "--budget=3"], "axiom check over 4 elements exceeds budget 3"),
             (13, "explicit", ["rank"], "axiom check over 13 elements exceeds budget 12"),
@@ -333,8 +345,8 @@ class TestExitCodes:
         path = tmp_path / "big.matroid"
         path.write_text(f"type: uniform\nelements: {labels}\nk: 2\n")
         monkeypatch.setenv("MATROID_KAPPA_BUDGET", "10")
-        # the constructive link enumerates the circuits of all 19 elements
-        argv = ["link", "--constructive", "--x=x0", "--y=x1"]
+        # the circuit enumeration covers all 19 elements
+        argv = ["circuits"]
         code, _, err = run(capsys, argv + [str(path)])
         assert code == 2
         # the flag overrides the environment
@@ -351,14 +363,61 @@ class TestExitCodes:
              "--x=rung[0]", "--y=rung[2]", "--certificate=rung:0"],
         )
         assert code == 0
-        code, _, err = run(
-            capsys, ["link", "--constructive", "--x=a", "--y=b", u24_file]
-        )
+        code, _, err = run(capsys, ["circuits", u24_file])
         assert code == 1
         assert "MATROID_KAPPA_BUDGET" in err
-        # plain link runs no budgeted scan
-        code, out, _ = run(capsys, ["link", "--x=a", "--y=b", u24_file])
-        assert code == 0 and "achieved = 1" in out
+        # link runs no budgeted scan in either mode, nor separation at k = 1
+        for argv in (["link"], ["link", "--constructive"]):
+            code, out, _ = run(capsys, argv + ["--x=a", "--y=b", u24_file])
+            assert code == 0 and "achieved = 1" in out
+        code, out, _ = run(capsys, ["separation", "--k=1", u24_file])
+        assert code == 0 and out == "no separation found\n"
+
+    def test_separation_at_k1_takes_any_size(self, capsys, tmp_path):
+        # k = 1 reads the components, so no separation budget applies
+        labels = " ".join(f"x{i}" for i in range(17))
+        path = tmp_path / "u2_17.matroid"
+        path.write_text(f"type: uniform\nelements: {labels}\nk: 2\n")
+        assert run(capsys, ["separation", "--k=1", str(path)]) == (
+            0, "no separation found\n", ""
+        )
+        grid = grid_file(tmp_path, 6)
+        assert run(capsys, ["separation", "--k=1", grid]) == (
+            0, "no separation found\n", ""
+        )
+
+    @pytest.mark.parametrize(
+        "x, y, value",
+        [("h1_1,v2_3", "h4_2,v3_4", 2), ("h1_1,v2_3,h2_1", "h4_2,v3_4,v4_1", 3)],
+    )
+    def test_constructive_link_on_a_grid(self, capsys, tmp_path, x, y, value):
+        # 60 edges, over the circuit-enumeration budget: the construction
+        # enumerates no circuits
+        grid = grid_file(tmp_path, 6)
+        code, out, _ = run(capsys, ["--output=json", "kappa-between", f"--x={x}", f"--y={y}", grid])
+        assert code == 0 and json.loads(out)["kappa"] == value
+        code, out, err = run(
+            capsys, ["--output=json", "link", "--constructive", f"--x={x}", f"--y={y}", grid]
+        )
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["achieved"] == result["target"] == value
+        spec = result["spec"]
+        assert len(spec["contract"]) + len(spec["delete"]) == 60 - 2 * x.count(",") - 2
+
+    def test_readme_lists_the_verbs_without_budget(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        found = re.search(r"Verbs that run no budgeted scan have no `--budget`:(.*?)\.\s", readme, re.S)
+        listed = {name for name in re.findall(r"`([^`]+)`", found.group(1)) if name[0] != "-"}
+        (verbs,) = [
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        without = {
+            name for name, parser in verbs.choices.items()
+            if "--budget" not in parser._option_string_actions
+        }
+        assert listed == without
 
     @pytest.mark.parametrize("fid", ["infinite-uniform(x)", "infinite-uniform()"])
     def test_malformed_family_id_is_domain_error(self, capsys, fid):

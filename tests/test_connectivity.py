@@ -190,9 +190,12 @@ class TestKappaBetween:
         y = u.ground.set_of([f"x{i}" for i in range(95, n)])
         expected = min(min(s, k) + min(n - s, k) - k for s in (len(x), n - len(y)))
         assert kappa_between(u, x, y) == expected
-        # the separation scan keeps its budget (16 elements)
+        # the separation scan keeps its budget (16 elements) for k >= 2;
+        # k = 1 reads the components and takes none
+        free17 = free_matroid([f"x{i}" for i in range(17)])
         with pytest.raises(CapacityError):
-            find_separation(free_matroid([f"x{i}" for i in range(17)]), 1)
+            find_separation(free17, 2)
+        assert sorted(find_separation(free17, 1).left) == ["x0"]
 
     def test_monotone_under_minors(self, small_corpus):
         rng = random.Random(53)

@@ -346,6 +346,21 @@ class TestCircuitsThroughContractions:
         with pytest.raises(PreconditionError):
             lift_circuit(m, m.ground.set_of("a"), contract(m, m.ground.set_of("a")).ground.set_of("b"))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=helpers.representations(max_n=10), data=st.data())
+    def test_lift_of_a_random_circuit(self, m, data):
+        if data.draw(st.booleans()):
+            m = dual(m)
+        away = m.ground.from_mask(data.draw(st.integers(0, m.ground.full_mask)))
+        inner = contract(m, away)
+        circuits = inner.circuits()
+        if not circuits:
+            return
+        d = data.draw(st.sampled_from(circuits))
+        lifted = lift_circuit(m, away, d)
+        assert m.is_circuit(lifted)
+        assert frozenset(lifted - away) == frozenset(d)
+
     def test_circuit_residues_stay_circuits(self, small_corpus):
         # removing part of a circuit and contracting it leaves a circuit
         for name, m in small_corpus[:25]:
