@@ -12,12 +12,13 @@ between X and the complement of Y.  By Edmonds' matroid-intersection
 theorem it equals nu + r(X) + r(Y) - r(E), where nu is the size of a
 largest common independent set of M/X and M/Y on the free elements, so
 it is computed in polynomial time with Cunningham's shortest augmenting
-paths.  The exchange graph is read off two spans (``Matroid._span``), so
-a graphic or binary matroid answers from its union-find or elimination
-kernel and makes no oracle call; other matroids ask their oracle.  This
-module owns that intersection: ``_intersection`` runs it once per pair
-of sides and keeps the bases, the common set and the value on the
-matroid; ``linking_partition`` and ``_joining_circuit`` start from it.
+paths.  The exchange graph is read off two spans (``Matroid._span``): a
+graphic or binary matroid reads its arcs off fundamental circuits in its
+union-find or elimination kernel and makes no oracle call; other
+matroids test one swap per arc with their oracle.  This module owns
+that intersection: ``_intersection`` runs it once per pair of sides and
+keeps the bases, the common set and the value on the matroid;
+``linking_partition`` and ``_joining_circuit`` start from it.
 ``find_separation`` promises the first split in canonical order.  For
 k = 1 it reads that split off the components, since kappa(X) = 0 exactly
 when X is a union of components; for larger k it stays an exhaustive,
@@ -140,49 +141,50 @@ def _largest_common_independent(
 
     S is independent in M/X when S + base_x is independent in ``m``, and
     likewise for Y, so the spans of I + base_x and I + base_y answer every
-    question about I.  A greedy pass in canonical order grows ``start``
-    (which must be common independent) to a first set I; then each round
-    searches the exchange graph breadth-first: arcs from an element b of
-    I to an outside element e when I - b + e is independent in M/X, arcs
-    from e to b when it is independent in M/Y, sources the outside
-    elements addable in M/X and sinks those addable in M/Y.  Flipping a
-    shortest source-to-sink path grows I by one, and the two spans are
-    built again; when no path exists, I is largest (Cunningham).  A
-    caller that knows the largest size can pass it as ``limit`` to stop
-    as soon as I reaches it.
+    question about I.  A greedy pass in canonical order, one span
+    operation (``grow_common``), grows ``start`` (which must be common
+    independent) to a first set I; then each round searches the exchange
+    graph breadth-first: sources are the outside elements addable in M/X
+    and sinks those addable in M/Y, arcs run from an element b of I to an
+    outside e when I - b + e is independent in M/X (``entering``) and
+    from e to b when it is independent in M/Y (``leaving``).  A kernel
+    span reads both off fundamental circuits: b -> e when b lies on e's
+    circuit in I + base_x, e -> b when b lies on e's circuit in
+    I + base_y.  Neighbours come in canonical order, so the search, and
+    with it I, does not depend on the representation.  A round ends at
+    the first sink it reaches, and flipping that shortest path grows I by
+    one; a round with no source, or no path, ends the search, and I is
+    largest (Cunningham).  A caller that knows the largest size can pass
+    it as ``limit`` to stop as soon as I reaches it.
     """
     span_x = m._span(base_x | start)
     span_y = m._span(base_y | start)
-    common = start
-    for e in _bit_indices(free & ~start):
-        if common.bit_count() == limit:
-            break
-        bit = 1 << e
-        if span_x.adds(bit) and span_y.adds(bit):
-            span_x.add(bit)
-            span_y.add(bit)
-            common |= bit
+    common = span_x.grow_common(span_y, free & ~start, start, limit)
     while common.bit_count() != limit:
-        outside = [1 << e for e in _bit_indices(free & ~common)]
-        inside = [1 << b for b in _bit_indices(common)]
-        parent = {bit: 0 for bit in outside if span_x.adds(bit)}
+        parent: dict[int, int] = {}
+        blocked = 0
+        for e in _bit_indices(free & ~common):
+            bit = 1 << e
+            if span_x.adds(bit):
+                parent[bit] = 0
+            else:
+                blocked |= bit
+        if not parent:
+            return common
         queue = deque(parent)
         end = 0
         while queue:
             at = queue.popleft()
             if common & at:
-                for bit in outside:
-                    if bit not in parent and span_x.swaps(at, bit):
-                        parent[bit] = at
-                        queue.append(bit)
+                reached = span_x.entering(at, blocked, parent)
             elif span_y.adds(at):
                 end = at
                 break
             else:
-                for bit in inside:
-                    if bit not in parent and span_y.swaps(bit, at):
-                        parent[bit] = at
-                        queue.append(bit)
+                reached = span_y.leaving(at, common, parent)
+            for bit in reached:
+                parent[bit] = at
+            queue.extend(reached)
         if not end:
             return common
         while end:

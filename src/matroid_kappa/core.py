@@ -19,19 +19,20 @@ Greedy bases, and with them rank, come from one pass of a representation's
 own kernel where it has one: a graphic matroid runs one union-find over
 its vertices and a binary one one GF(2) elimination over its columns.
 The same kernels, kept open, are the span of an independent set
-(:meth:`Matroid._span`): it answers whether an element can be added or
-swapped in and gives fundamental circuits, from a union-find with tree
-paths or from an elimination that records which columns sum to each
-pivot.  Binary circuits are the minimal supports of the cycle space,
-found with 2^(n - r) rank checks; graphic circuits are the graph's simple
-cycles.  Uniform, explicit and derived matroids ask their oracle for all
-of these.
+(:meth:`Matroid._span`): it answers whether an element can be added and
+gives fundamental circuits, from a union-find with tree paths or from an
+elimination that records which columns sum to each pivot, and it reads
+the exchange-graph arcs of matroid intersection off those circuits.
+Binary circuits are the minimal supports of the cycle space, found with
+2^(n - r) rank checks; graphic circuits are the graph's simple cycles.
+Uniform, explicit and derived matroids ask their oracle for all of
+these.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 
 from . import budgets
 from .errors import DomainError, PreconditionError, UniverseMismatchError
@@ -530,12 +531,25 @@ class Matroid:
 class _Span:
     """An independent set I that can grow, answered by the oracle.
 
-    Elements are one-bit masks.  ``adds(e)`` tells whether I + e is
-    independent and ``add(e)`` puts e into I; ``circuit(e)`` is the
-    fundamental circuit of e in I + e, or 0 when I + e is independent;
-    ``swaps(b, e)``, for b in I, tells whether I - b + e is independent.
-    A representation's kernel answers the same questions from its own
-    data, with no oracle call.
+    Elements are one-bit masks and sets are masks.  ``adds(e)`` tells
+    whether I + e is independent and ``add(e)`` puts e into I;
+    ``circuit(e)`` is the fundamental circuit of e in I + e, or 0 when
+    I + e is independent.  Matroid intersection asks three more questions
+    of a pair of spans, on I + base_x and I + base_y:
+
+    - ``grow_common(other, candidates, common, limit)`` adds to both spans
+      each candidate, in canonical order, that both can add, until the
+      common set reaches ``limit`` elements, and returns it grown;
+    - ``entering(b, candidates, seen)``, for b in I, lists the candidates
+      e outside ``seen`` for which I - b + e is independent;
+    - ``leaving(e, candidates, seen)``, for candidates inside I, lists
+      those b outside ``seen`` for which I - b + e is independent.
+
+    The two arc lists are in canonical order and take only elements e
+    with I + e dependent.  This span answers them with ``swaps(b, e)``,
+    one oracle call per element not yet seen.  A representation's kernel
+    (:class:`_KernelSpan`) answers every question from its own data, with
+    no oracle call, and reads both arc lists off circuits.
     """
 
     __slots__ = ("mask", "_indep")
@@ -562,6 +576,71 @@ class _Span:
 
     def swaps(self, b: int, e: int) -> bool:
         return self._indep(self.mask ^ b | e)
+
+    def grow_common(
+        self, other: "_Span", candidates: int, common: int, limit: int | None
+    ) -> int:
+        size = common.bit_count()
+        for i in _bit_indices(candidates):
+            if size == limit:
+                break
+            bit = 1 << i
+            if self.adds(bit) and other.adds(bit):
+                self.add(bit)
+                other.add(bit)
+                common |= bit
+                size += 1
+        return common
+
+    def entering(self, b: int, candidates: int, seen: Container[int]) -> list[int]:
+        found = []
+        for i in _bit_indices(candidates):
+            e = 1 << i
+            if e not in seen and self.swaps(b, e):
+                found.append(e)
+        return found
+
+    def leaving(self, e: int, candidates: int, seen: Container[int]) -> list[int]:
+        found = []
+        for i in _bit_indices(candidates):
+            b = 1 << i
+            if b not in seen and self.swaps(b, e):
+                found.append(b)
+        return found
+
+
+class _KernelSpan:
+    """What the kernel spans share: both arc lists read off circuits.
+
+    b lies on the fundamental circuit of e exactly when I - b + e is
+    independent, so ``leaving(e)`` is the circuit of e, and ``entering``
+    inverts the circuits of all candidates once, into per-b lists in the
+    candidates' canonical order, kept until the next ``add``.  The greedy
+    pass is the oracle span's loop unless a kernel fuses it.
+    """
+
+    __slots__ = ("_entering",)
+
+    grow_common = _Span.grow_common
+
+    def entering(self, b: int, candidates: int, seen: Container[int]) -> list[int]:
+        arcs = self._entering
+        if arcs is None or arcs[0] != candidates:
+            lists: dict[int, list[int]] = {}
+            for i in _bit_indices(candidates):
+                e = 1 << i
+                for j in _bit_indices(self.circuit(e) & ~e):
+                    lists.setdefault(j, []).append(e)
+            arcs = self._entering = (candidates, lists)
+        return [e for e in arcs[1].get(b.bit_length() - 1, ()) if e not in seen]
+
+    def leaving(self, e: int, candidates: int, seen: Container[int]) -> list[int]:
+        found = []
+        for i in _bit_indices(self.circuit(e) & candidates):
+            b = 1 << i
+            if b not in seen:
+                found.append(b)
+        return found
 
 
 def _spread(mask: int, positions: tuple[int, ...]) -> int:
@@ -745,13 +824,14 @@ def _grow_forest(
     return start
 
 
-class _ForestSpan:
+class _ForestSpan(_KernelSpan):
     """The span of a forest, as :class:`_Span` describes it.
 
     A union-find over the vertices, grown by :func:`_grow_forest`, answers
-    ``adds`` and ``add``.  The first ``circuit`` after an ``add`` roots
-    the forest; the circuit of an edge is then the edge with the tree path
-    between its ends, kept per edge until the next ``add``.
+    ``adds`` and ``add``; ``grow_common`` runs the union-finds of both
+    spans in one loop.  The first ``circuit`` after the forest grows roots
+    it; the circuit of an edge is then the edge with the tree path between
+    its ends, kept per edge until the forest grows again.
     """
 
     __slots__ = ("mask", "_ends", "_parent", "_up", "_circuits")
@@ -764,6 +844,7 @@ class _ForestSpan:
         # per vertex: (depth, parent vertex, edge to it), built on demand
         self._up: list[tuple[int, int, int]] | None = None
         self._circuits: dict[int, int] = {}
+        self._entering = None
 
     def adds(self, e: int) -> bool:
         u, v = self._ends[e.bit_length() - 1]
@@ -776,19 +857,51 @@ class _ForestSpan:
 
     def add(self, e: int) -> None:
         _grow_forest(self._ends, self._parent, e, 0)
-        self.mask |= e
+        self._grown(e)
+
+    def _grown(self, edges: int) -> None:
+        self.mask |= edges
         self._up = None
         self._circuits = {}
+        self._entering = None
+
+    def grow_common(
+        self, other: "_ForestSpan", candidates: int, common: int, limit: int | None
+    ) -> int:
+        ends = self._ends
+        mine, theirs = self._parent, other._parent
+        size = common.bit_count()
+        grown = 0
+        while candidates and size != limit:
+            low = candidates & -candidates
+            candidates ^= low
+            a, b = u, v = ends[low.bit_length() - 1]
+            while mine[u] != u:
+                mine[u] = u = mine[mine[u]]
+            while mine[v] != v:
+                mine[v] = v = mine[mine[v]]
+            if u == v:
+                continue
+            while theirs[a] != a:
+                theirs[a] = a = theirs[theirs[a]]
+            while theirs[b] != b:
+                theirs[b] = b = theirs[theirs[b]]
+            if a == b:
+                continue
+            mine[u] = v
+            theirs[a] = b
+            grown |= low
+            size += 1
+        if grown:
+            self._grown(grown)
+            other._grown(grown)
+        return common | grown
 
     def circuit(self, e: int) -> int:
         found = self._circuits.get(e)
         if found is None:
             found = self._circuits[e] = 0 if self.adds(e) else self._tree_path(e)
         return found
-
-    def swaps(self, b: int, e: int) -> bool:
-        found = self.circuit(e)
-        return found == 0 or found & b != 0
 
     def _tree_path(self, e: int) -> int:
         up = self._up
@@ -929,7 +1042,7 @@ def _grow_span(columns: tuple[int, ...], start: int, rest: int) -> int | None:
     return start
 
 
-class _EliminationSpan:
+class _EliminationSpan(_KernelSpan):
     """The span of independent columns, as :class:`_Span` describes it.
 
     ``pivots`` maps a leading bit to a vector of the span together with
@@ -945,6 +1058,7 @@ class _EliminationSpan:
         self._columns = columns
         self.pivots: dict[int, tuple[int, int]] = {}
         self._reduced: dict[int, tuple[int, int]] = {}
+        self._entering = None
         for i in _bit_indices(independent):
             self.add(1 << i)
 
@@ -955,14 +1069,11 @@ class _EliminationSpan:
         v, combo = self._reduce(e)
         self.pivots[v.bit_length()] = (v, combo)
         self._reduced.clear()
+        self._entering = None
 
     def circuit(self, e: int) -> int:
         v, combo = self._reduce(e)
         return 0 if v else combo
-
-    def swaps(self, b: int, e: int) -> bool:
-        v, combo = self._reduce(e)
-        return v != 0 or combo & b != 0
 
     def _reduce(self, e: int) -> tuple[int, int]:
         """Column ``e`` reduced against the pivots, and the mask of the

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from functools import lru_cache
 
 import networkx as nx
@@ -342,6 +343,64 @@ def brute_linking_partition(m: Matroid, x, y):
         if kappa(minor, x.in_universe(minor.ground)) == target:
             return spec
     raise AssertionError("no partition preserves kappa(X, Y)")
+
+
+def scan_common_independent(m: Matroid, free, base_x, base_y, start=0, limit=None):
+    """The reference for ``connectivity._largest_common_independent``: the
+    same greedy pass and breadth-first rounds, with every arc found by a
+    swap test on every inside b and outside e, r(n - r) tests a round.
+
+    I - b + e is independent exactly when I + e is, or b lies on e's
+    fundamental circuit; the spans' circuits, which the suite checks
+    against the oracle, answer the test on every representation.
+    """
+
+    def swaps(span, b, e):
+        found = span.circuit(e)
+        return found == 0 or found & b != 0
+
+    def bits(mask):
+        return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    span_x = m._span(base_x | start)
+    span_y = m._span(base_y | start)
+    common = start
+    for bit in bits(free & ~start):
+        if common.bit_count() == limit:
+            break
+        if span_x.adds(bit) and span_y.adds(bit):
+            span_x.add(bit)
+            span_y.add(bit)
+            common |= bit
+    while common.bit_count() != limit:
+        outside = bits(free & ~common)
+        inside = bits(common)
+        parent = {bit: 0 for bit in outside if span_x.adds(bit)}
+        queue = deque(parent)
+        end = 0
+        while queue:
+            at = queue.popleft()
+            if common & at:
+                for bit in outside:
+                    if bit not in parent and swaps(span_x, at, bit):
+                        parent[bit] = at
+                        queue.append(bit)
+            elif span_y.adds(at):
+                end = at
+                break
+            else:
+                for bit in inside:
+                    if bit not in parent and swaps(span_y, bit, at):
+                        parent[bit] = at
+                        queue.append(bit)
+        if not end:
+            return common
+        while end:
+            common ^= end
+            end = parent[end]
+        span_x = m._span(base_x | common)
+        span_y = m._span(base_y | common)
+    return common
 
 
 def brute_extends_to_separation(m: Matroid, x, y, k: int):

@@ -11,6 +11,7 @@ from matroid_kappa import (
     del_count,
     direct_sum,
     dual,
+    explicit_matroid,
     find_separation,
     free_matroid,
     gf2_matroid,
@@ -26,6 +27,8 @@ from matroid_kappa import (
     uniform_matroid,
 )
 from matroid_kappa.connectivity import _largest_common_independent
+from matroid_kappa.core import _ForestSpan
+from matroid_kappa.windows import double_ladder
 
 
 def u24():
@@ -463,6 +466,66 @@ class TestPolynomialEngine:
         assert is_k_connected(m, 2)
 
 
+def large_instance(seed):
+    """A matroid of 50-300 elements with sides, a start and a limit, all
+    drawn from one seed: a grid of up to 12x12, a double-ladder window of
+    up to 40 squares or a random gf2 matrix, perhaps dualised, perhaps
+    with about a tenth of the elements contracted and a tenth deleted.
+    Sides, start and limit are drawn as in
+    ``test_common_independent_matches_generic``, except that half of the
+    starts are empty, so that the search has more to augment."""
+    rng = random.Random(seed)
+    kind = rng.choice(["grid", "ladder", "gf2"])
+    if kind == "grid":
+        m = helpers.grid_graph(rng.randint(5, 12), rng.randint(6, 12))
+    elif kind == "ladder":
+        m = double_ladder().window(rng.randint(8, 40))
+    else:
+        n = rng.randint(50, 300)
+        density = rng.choice([0.05, 0.1, 0.3])
+        rows = [[int(rng.random() < density) for _ in range(n)] for _ in range(rng.randint(5, 40))]
+        m = gf2_matroid([f"c{i}" for i in range(n)], rows)
+    if rng.random() < 0.5:
+        m = dual(m)
+    if rng.random() < 0.5:
+        marks = [rng.random() for _ in m.ground]
+        away = sum(1 << i for i, r in enumerate(marks) if r < 0.1)
+        drop = sum(1 << i for i, r in enumerate(marks) if 0.1 <= r < 0.2)
+        m = take_minor(m, MinorSpec(m.ground.from_mask(away), m.ground.from_mask(drop)))
+    sides = [rng.choice("xyff") for _ in m.ground]
+    x = m.ground.set_of(lab for lab, side in zip(m.ground, sides) if side == "x")
+    y = m.ground.set_of(lab for lab, side in zip(m.ground, sides) if side == "y")
+    free = m.ground.full_mask & ~x.mask & ~y.mask
+    base_x = m._greedy_basis_mask(x.mask)
+    base_y = m._greedy_basis_mask(y.mask)
+    start = 0
+    keep = rng.choice([0, 0.5])
+    for i in range(len(m.ground)):
+        bit = (rng.random() < keep) << i & free
+        if m._indep(start | bit | base_x) and m._indep(start | bit | base_y):
+            start |= bit
+    limit = rng.choice([None, 0, 1, 2])
+    if limit is not None:
+        limit += start.bit_count()
+    return m, x, y, start, limit
+
+
+class TestIntersectionAtScale:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_kernel_search_matches_the_swap_scan(self, seed):
+        m, x, y, start, limit = large_instance(seed)
+        free = m.ground.full_mask & ~x.mask & ~y.mask
+        base_x = m._greedy_basis_mask(x.mask)
+        base_y = m._greedy_basis_mask(y.mask)
+        got = _largest_common_independent(m, free, base_x, base_y, start, limit)
+        assert got == helpers.scan_common_independent(m, free, base_x, base_y, start, limit)
+        if len(m.ground) <= 100:
+            ref = helpers.generic(m)
+            assert kappa_between(m, x, y) == kappa_between(ref, x, y)
+            assert linking_partition(m, x, y).spec == linking_partition(ref, x, y).spec
+
+
 def grid_and_dual():
     grid = helpers.grid_graph(8, 8)
     return [("grid", grid), ("dual", dual(grid))]
@@ -536,3 +599,79 @@ class TestPolynomialGuard:
                 circuit = m.fundamental_circuit(base, label)
                 assert label in circuit and len(circuit - base) == 1
         assert len(m._memo) == 0
+
+    def test_forest_search_reads_arcs_off_circuits(self, monkeypatch):
+        # every arc of a round comes from one circuit per outside element
+        # and span: at most one circuit call each, and no swap test at all
+        spans, circuits, swaps = [], [], []
+        init, circuit = _ForestSpan.__init__, _ForestSpan.circuit
+
+        def spy_init(span, *args):
+            init(span, *args)
+            spans.append(span)  # kept alive, so that no two share an id
+
+        def spy_circuit(span, e):
+            circuits.append((id(span), e, span.mask & e))
+            return circuit(span, e)
+
+        monkeypatch.setattr(_ForestSpan, "__init__", spy_init)
+        monkeypatch.setattr(_ForestSpan, "circuit", spy_circuit)
+        monkeypatch.setattr(_ForestSpan, "swaps", lambda *args: swaps.append(args), raising=False)
+        m = helpers.grid_graph(20, 20)
+        labels = list(m.ground)
+        x, y = m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:])
+        assert kappa_between(m, x, y) == 2
+        free = m.ground.full_mask & ~x.mask & ~y.mask
+        assert swaps == []
+        assert circuits and len({(span, e) for span, e, _ in circuits}) == len(circuits)
+        assert all(e & free and not inside for _, e, inside in circuits)
+
+    def test_oracle_span_calls_stay_pinned(self):
+        # the oracle span tests one swap per arc it may still use, as the
+        # swap scan always did; reading arcs off circuits would call more
+        sizes = []
+        for m, x, y in oracle_wrapped_corpus():
+            kappa_between(m, x, y)
+            linking_partition(m, x, y)
+            sizes.append(len(m._memo))
+        assert sizes == PINNED_MEMO_SIZES
+
+
+def oracle_wrapped_corpus():
+    """Random graphs, gf2 matrices, uniform and explicit matroids of 8-14
+    elements behind bare oracles, each with random disjoint sides."""
+    rng = random.Random(19)
+    out = []
+    for i in range(24):
+        n = rng.randint(8, 14)
+        labels = [f"e{j}" for j in range(n)]
+        kind = i % 4
+        if kind == 0:
+            m = graphic_matroid(
+                (lab, str(rng.randrange(6)), str(rng.randrange(6))) for lab in labels
+            )
+        elif kind == 2:
+            m = uniform_matroid(labels, rng.randint(2, n - 2))
+        else:
+            if kind == 3:
+                n = min(n, 9)
+                labels = labels[:n]
+            rows = [[rng.randint(0, 1) for _ in labels] for _ in range(rng.randint(3, 6))]
+            m = gf2_matroid(labels, rows)
+            if kind == 3:
+                family = [m.ground.from_mask(s) for s in range(1 << n) if m._indep(s)]
+                m = explicit_matroid(labels, family, check=False)
+        sides = [rng.choice("xyff") for _ in labels]
+        x = [lab for lab, side in zip(labels, sides) if side == "x"]
+        y = [lab for lab, side in zip(labels, sides) if side == "y"]
+        m = helpers.generic(m)
+        out.append((m, m.ground.set_of(x), m.ground.set_of(y)))
+    return out
+
+
+# len(m._memo) per instance of oracle_wrapped_corpus after kappa_between
+# and linking_partition, as the swap-scan search left it
+PINNED_MEMO_SIZES = [
+    29, 45, 25, 33, 44, 15, 48, 27, 55, 37, 39, 21,
+    31, 33, 27, 30, 20, 54, 36, 29, 32, 45, 21, 21,
+]

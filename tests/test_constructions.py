@@ -602,7 +602,10 @@ class TestRepresentationKernels:
         taken = ref._greedy_basis_mask(data.draw(st.integers(0, full)))
         span, scan = m._span(taken), ref._span(taken)
         bits = [1 << i for i in range(len(m.ground))]
+        seen_mask = data.draw(st.integers(0, full))
+        seen = {bit for bit in bits if bit & seen_mask}
         for e in data.draw(st.permutations(bits)) + [0]:
+            dependent = 0
             for f in bits:
                 if taken & f:
                     continue
@@ -611,10 +614,37 @@ class TestRepresentationKernels:
                 assert circuit == scan.circuit(f)
                 if circuit:
                     assert ref.find_circuit_in(m.ground.from_mask(taken | f)).mask == circuit
-                for b in bits:
-                    if taken & b:
-                        assert span.swaps(b, f) == scan.swaps(b, f)
+                    dependent |= f
+                    assert span.leaving(f, taken, seen) == scan.leaving(f, taken, seen)
+            for b in bits:
+                if taken & b:
+                    assert span.entering(b, dependent, seen) == scan.entering(b, dependent, seen)
             if e and not taken & e and scan.adds(e):
                 span.add(e)
                 scan.add(e)
                 taken |= e
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=st.one_of(binary_matroids(), multigraph_matroids()), data=st.data())
+    def test_grow_common_matches_generic(self, m, data):
+        ref = generic(m)
+        full = m.ground.full_mask
+        bases = [ref._greedy_basis_mask(data.draw(st.integers(0, full))) for _ in "xy"]
+        candidates = data.draw(st.integers(0, full)) & ~bases[0] & ~bases[1]
+        limit = data.draw(st.sampled_from([None, 0, 1, 2]))
+        spans = [m._span(base) for base in bases]
+        scans = [ref._span(base) for base in bases]
+        bits = [1 << i for i in range(len(m.ground))]
+        expected = scans[0].grow_common(scans[1], candidates, 0, limit)
+        dependents = [sum(f for f in bits if not (f & scan.mask or scan.adds(f))) for scan in scans]
+        # arcs and circuits read before the spans grow must not outlive the growth
+        for span, dependent in zip(spans, dependents):
+            for f in bits:
+                span.entering(f, dependent, ())
+        assert spans[0].grow_common(spans[1], candidates, 0, limit) == expected
+        for span, scan, dependent in zip(spans, scans, dependents):
+            for f in bits:
+                if f & scan.mask:
+                    assert span.entering(f, dependent, ()) == scan.entering(f, dependent, ())
+                else:
+                    assert span.circuit(f) == scan.circuit(f)
