@@ -2,8 +2,9 @@
 
 For disjoint X and Y there is always a way to contract part of the other
 elements and delete the rest without changing kappa(X, Y).  The direct
-solver decides one element at a time, deleting whenever the value
-survives; the constructive one grows a small restriction by breaking
+solver reads one off the matroid intersection behind kappa(X, Y): it
+contracts the largest common independent set of M/X and M/Y found there
+and deletes the rest; the constructive one grows a small restriction by breaking
 low-order separations with circuit pairs until it carries the full
 value, then solves inside it.  Each circuit it adds comes from one
 matroid intersection, with no circuit enumeration, so it also answers on

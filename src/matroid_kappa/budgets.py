@@ -61,13 +61,19 @@ def check_window(index: int, size: int) -> None:
 
 def resolve_budget(flag_value: int | None) -> int | None:
     """The budget a command line asks for: the flag, else the environment,
-    else None, which leaves every scan its own default."""
+    else None, which leaves every scan its own default.  A negative
+    number is refused as a domain error."""
     if flag_value is not None:
+        if flag_value < 0:
+            raise DomainError(f"--budget must be non-negative, got {flag_value}")
         return flag_value
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise DomainError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise DomainError(f"{ENV_VAR} must be non-negative, got {raw!r}")
+    return value

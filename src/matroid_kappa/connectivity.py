@@ -18,7 +18,7 @@ union-find or elimination kernel and makes no oracle call; other
 matroids test one swap per arc with their oracle.  This module owns
 that intersection: ``_intersection`` runs it once per pair of sides and
 keeps the bases, the common set and the value on the matroid;
-``linking_partition`` and ``_joining_circuit`` start from it.
+``linking_partition`` and ``_joining_circuit`` read their answers off it.
 ``find_separation`` promises the first split in canonical order.  For
 k = 1 it reads that split off the components, since kappa(X) = 0 exactly
 when X is a union of components; for larger k it stays an exhaustive,
@@ -89,7 +89,7 @@ def _intersection(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[int, int, i
     and Y: their canonical bases, a largest common independent set of M/X
     and M/Y on the free elements, and kappa(X, Y).  Memoised on ``m`` per
     pair of sides; :func:`kappa_between` reads the value and
-    ``linking.linking_partition`` starts from the whole record."""
+    ``linking.linking_partition`` the common set."""
     # checked here, not by a helper call: every memo hit runs these lines
     m._check_universe(x)
     m._check_universe(y)
@@ -129,38 +129,30 @@ def kappa_between(m: Matroid, x: ElementSet, y: ElementSet) -> int:
     return _intersection(m, x, y)[3]
 
 
-def _largest_common_independent(
-    m: Matroid,
-    free: int,
-    base_x: int,
-    base_y: int,
-    start: int = 0,
-    limit: int | None = None,
-) -> int:
+def _largest_common_independent(m: Matroid, free: int, base_x: int, base_y: int) -> int:
     """A largest subset of ``free`` independent in both M/X and M/Y.
 
     S is independent in M/X when S + base_x is independent in ``m``, and
     likewise for Y, so the spans of I + base_x and I + base_y answer every
     question about I.  A greedy pass in canonical order, one span
-    operation (``grow_common``), grows ``start`` (which must be common
-    independent) to a first set I; then each round searches the exchange
-    graph breadth-first: sources are the outside elements addable in M/X
-    and sinks those addable in M/Y, arcs run from an element b of I to an
-    outside e when I - b + e is independent in M/X (``entering``) and
-    from e to b when it is independent in M/Y (``leaving``).  A kernel
-    span reads both off fundamental circuits: b -> e when b lies on e's
-    circuit in I + base_x, e -> b when b lies on e's circuit in
-    I + base_y.  Neighbours come in canonical order, so the search, and
-    with it I, does not depend on the representation.  A round ends at
-    the first sink it reaches, and flipping that shortest path grows I by
-    one; a round with no source, or no path, ends the search, and I is
-    largest (Cunningham).  A caller that knows the largest size can pass
-    it as ``limit`` to stop as soon as I reaches it.
+    operation (``grow_common``), finds a first common independent set I;
+    then each round searches the exchange graph breadth-first: sources
+    are the outside elements addable in M/X and sinks those addable in
+    M/Y, arcs run from an element b of I to an outside e when I - b + e
+    is independent in M/X (``entering``) and from e to b when it is
+    independent in M/Y (``leaving``).  A kernel span reads both off
+    fundamental circuits: b -> e when b lies on e's circuit in
+    I + base_x, e -> b when b lies on e's circuit in I + base_y.
+    Neighbours come in canonical order, so the search, and with it I,
+    does not depend on the representation.  A round ends at the first
+    sink it reaches, and flipping that shortest path grows I by one; a
+    round with no source, or no path, ends the search, and I is largest
+    (Cunningham).
     """
-    span_x = m._span(base_x | start)
-    span_y = m._span(base_y | start)
-    common = span_x.grow_common(span_y, free & ~start, start, limit)
-    while common.bit_count() != limit:
+    span_x = m._span(base_x)
+    span_y = m._span(base_y)
+    common = span_x.grow_common(span_y, free)
+    while True:
         parent: dict[int, int] = {}
         blocked = 0
         for e in _bit_indices(free & ~common):
@@ -192,7 +184,6 @@ def _largest_common_independent(
             end = parent[end]
         span_x = m._span(base_x | common)
         span_y = m._span(base_y | common)
-    return common
 
 
 @dataclass(frozen=True)

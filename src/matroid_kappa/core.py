@@ -537,9 +537,9 @@ class _Span:
     I + e is independent.  Matroid intersection asks three more questions
     of a pair of spans, on I + base_x and I + base_y:
 
-    - ``grow_common(other, candidates, common, limit)`` adds to both spans
-      each candidate, in canonical order, that both can add, until the
-      common set reaches ``limit`` elements, and returns it grown;
+    - ``grow_common(other, candidates)`` adds to both spans each
+      candidate, in canonical order, that both can add, and returns the
+      set of those added;
     - ``entering(b, candidates, seen)``, for b in I, lists the candidates
       e outside ``seen`` for which I - b + e is independent;
     - ``leaving(e, candidates, seen)``, for candidates inside I, lists
@@ -577,19 +577,14 @@ class _Span:
     def swaps(self, b: int, e: int) -> bool:
         return self._indep(self.mask ^ b | e)
 
-    def grow_common(
-        self, other: "_Span", candidates: int, common: int, limit: int | None
-    ) -> int:
-        size = common.bit_count()
+    def grow_common(self, other: "_Span", candidates: int) -> int:
+        common = 0
         for i in _bit_indices(candidates):
-            if size == limit:
-                break
             bit = 1 << i
             if self.adds(bit) and other.adds(bit):
                 self.add(bit)
                 other.add(bit)
                 common |= bit
-                size += 1
         return common
 
     def entering(self, b: int, candidates: int, seen: Container[int]) -> list[int]:
@@ -865,14 +860,11 @@ class _ForestSpan(_KernelSpan):
         self._circuits = {}
         self._entering = None
 
-    def grow_common(
-        self, other: "_ForestSpan", candidates: int, common: int, limit: int | None
-    ) -> int:
+    def grow_common(self, other: "_ForestSpan", candidates: int) -> int:
         ends = self._ends
         mine, theirs = self._parent, other._parent
-        size = common.bit_count()
         grown = 0
-        while candidates and size != limit:
+        while candidates:
             low = candidates & -candidates
             candidates ^= low
             a, b = u, v = ends[low.bit_length() - 1]
@@ -891,11 +883,10 @@ class _ForestSpan(_KernelSpan):
             mine[u] = v
             theirs[a] = b
             grown |= low
-            size += 1
         if grown:
             self._grown(grown)
             other._grown(grown)
-        return common | grown
+        return grown
 
     def circuit(self, e: int) -> int:
         found = self._circuits.get(e)

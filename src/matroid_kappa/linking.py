@@ -3,11 +3,10 @@
 For disjoint X and Y in a finite matroid there is always a partition
 (C, D) of the remaining elements with kappa(X, Y) unchanged after
 contracting C and deleting D (Tutte's linking theorem).
-``linking_partition`` returns the first such partition in binary
-counting order, found greedily with one matroid-intersection
-augmentation per element instead of a scan over all partitions.  It
-starts from the intersection record that :mod:`connectivity` keeps for
-kappa(X, Y) and computes none of its bases, set or value again.
+``linking_partition`` reads one off the intersection record that
+:mod:`connectivity` keeps for kappa(X, Y): it contracts the record's
+largest common independent set of M/X and M/Y and deletes the other
+free elements, with no search of its own.
 ``constructive_linking`` follows the paper's construction instead: it
 shrinks X and Y to cores of size k and grows a small restriction until
 its inner connectivity reaches k.  Each step takes the first exact
@@ -36,7 +35,6 @@ from .connectivity import (
     _intersection,
     _joining_circuit,
     _kappa_mask,
-    _largest_common_independent,
     _separation,
     grow_pair,
     kappa_between,
@@ -105,55 +103,20 @@ def extends_to_separation(m: Matroid, x: ElementSet, y: ElementSet, k: int):
 def linking_partition(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingResult:
     """A partition (C, D) of the free elements preserving kappa(X, Y).
 
-    The answer is the first partition in binary counting order (bit i of
-    the counter set means the i-th free element is contracted), that is
-    the one with the smallest contract mask.  A partial minor N, with C
-    contracted and D deleted so far, can be completed exactly when
-    kappa_N(X, Y) still equals the target (Tutte's linking theorem
-    applied to N; minors never raise kappa), so deciding the free
-    elements from the highest index down, deleting whenever that stays
-    feasible and contracting otherwise, finds that partition with one
-    feasibility test per element.
-
-    The test reads kappa_N(X, Y) = nu + r(X + C) + r(Y + C) - r(C) -
-    r(E - D), with ranks in M and nu the size of a largest common
-    independent set I of N/X and N/Y on the undecided elements; the
-    bases, the first I and the target come from the record that
-    :func:`kappa_between` keeps for (X, Y).  Deleting an element outside
-    I keeps nu, and keeps r(E - D) because coloops lie in every maximal
-    I.  An element of I costs one augmentation from I - e:
-    when it restores |I|, deleting keeps the value; otherwise deleting
-    keeps it only for a coloop of N, and contracting is the other choice.
-    I - e stays common independent after contracting e, and is largest
-    there.  The answer is re-verified on the minor before it is returned.
+    C is the common set I of the record that :func:`kappa_between` keeps
+    for (X, Y), a largest common independent set of M/X and M/Y on the
+    free elements, and D is the rest.  X + Y + I spans E: an element
+    outside its closure could join I in both contractions.  So in
+    N = M/I minus D, r_N(X) = r(X) and r_N(Y) = r(Y), as I is independent
+    in M/X and in M/Y, and r(N) = r(E) - |I|, which makes
+    kappa_N(X) = |I| + r(X) + r(Y) - r(E) = kappa(X, Y).  The intersection
+    visits neighbours in canonical order, so the answer does not depend
+    on the representation.  It is re-verified on the minor before it is
+    returned.
     """
-    base_x, base_y, common, target = _intersection(m, x, y)
+    _, _, common, target = _intersection(m, x, y)
     free = m.ground.full_mask & ~x.mask & ~y.mask
-    rank_rest = m.full_rank  # r(E - D)
-    undecided = free
-    cmask = 0
-    for e in reversed(list(_bit_indices(free))):
-        bit = 1 << e
-        undecided ^= bit
-        if not common & bit:
-            continue
-        rest = common ^ bit
-        grown = _largest_common_independent(
-            m, undecided, base_x, base_y, rest, common.bit_count()
-        )
-        if grown != rest:
-            common = grown
-            continue
-        common = rest
-        # base_x and base_y span X + C and Y + C, so this union spans E - D - e
-        spanned = m._greedy_basis_mask(base_x | base_y | undecided, base_x | rest)
-        if spanned.bit_count() < rank_rest:
-            rank_rest -= 1
-        else:
-            cmask |= bit
-            base_x |= bit
-            base_y |= bit
-    spec = MinorSpec(ElementSet(m.ground, cmask), ElementSet(m.ground, free & ~cmask))
+    spec = MinorSpec(ElementSet(m.ground, common), ElementSet(m.ground, free & ~common))
     _verify_partition(m, x, spec, target, "linking partition")
     return LinkingResult(spec, target, target)
 

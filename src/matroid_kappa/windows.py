@@ -533,7 +533,9 @@ class WindowedLinkingResult:
     """A linking partition solved inside a window of an infinite family.
 
     ``spec`` partitions the free elements of the stabilising window
-    ``window_index``, as :func:`linking_partition` chooses it there.  The
+    ``window_index`` as :func:`linking_partition` does there: it contracts
+    the common set of that window's kappa(X, Y) intersection, which
+    stabilisation has already run, and deletes the rest.  The
     partition's delete side implicitly extends over the entire unexplored
     remainder of the infinite object: everything outside the window is
     deleted as well (``deletes_outside_window``).  ``trace`` is empty:

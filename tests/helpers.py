@@ -21,6 +21,8 @@ from matroid_kappa import (
     Matroid,
     MinorSpec,
     Separation,
+    direct_sum,
+    dual,
     explicit_matroid,
     gf2_matroid,
     graphic_matroid,
@@ -160,6 +162,22 @@ def representations(draw, prefix: str = "x", max_n: int = 7):
     return explicit_matroid(labels, family, check=False)
 
 
+@st.composite
+def derived_matroids(draw):
+    """A representation, or one of its duals, minors or direct sums."""
+    m = draw(representations(max_n=6))
+    kind = draw(st.sampled_from(["self", "dual", "minor", "dual-minor", "sum", "dual-sum"]))
+    if kind.startswith("dual"):
+        m = dual(m)
+    if kind.endswith("minor"):
+        away = draw(st.integers(0, m.ground.full_mask))
+        drop = draw(st.integers(0, m.ground.full_mask)) & ~away
+        m = take_minor(m, MinorSpec(m.ground.from_mask(away), m.ground.from_mask(drop)))
+    if kind.endswith("sum"):
+        m = direct_sum([m, draw(representations("s", max_n=4))])
+    return m
+
+
 def uniform_corpus(max_n: int = 8):
     out = []
     for n in range(1, max_n + 1):
@@ -277,8 +295,6 @@ def triangle():
 
 
 def two_triangles():
-    from matroid_kappa import direct_sum
-
     t1 = graphic_matroid([("a1", "p", "q"), ("a2", "q", "r"), ("a3", "r", "p")])
     t2 = graphic_matroid([("b1", "s", "t"), ("b2", "t", "u"), ("b3", "u", "s")])
     return direct_sum([t1, t2])
@@ -310,8 +326,6 @@ def grid_graph(rows: int, cols: int, prefix: str = ""):
 
 
 def triangle_sum(count: int = 3):
-    from matroid_kappa import direct_sum
-
     parts = [
         graphic_matroid(
             [
@@ -345,7 +359,7 @@ def brute_linking_partition(m: Matroid, x, y):
     raise AssertionError("no partition preserves kappa(X, Y)")
 
 
-def scan_common_independent(m: Matroid, free, base_x, base_y, start=0, limit=None):
+def scan_common_independent(m: Matroid, free, base_x, base_y):
     """The reference for ``connectivity._largest_common_independent``: the
     same greedy pass and breadth-first rounds, with every arc found by a
     swap test on every inside b and outside e, r(n - r) tests a round.
@@ -362,17 +376,15 @@ def scan_common_independent(m: Matroid, free, base_x, base_y, start=0, limit=Non
     def bits(mask):
         return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
-    span_x = m._span(base_x | start)
-    span_y = m._span(base_y | start)
-    common = start
-    for bit in bits(free & ~start):
-        if common.bit_count() == limit:
-            break
+    span_x = m._span(base_x)
+    span_y = m._span(base_y)
+    common = 0
+    for bit in bits(free):
         if span_x.adds(bit) and span_y.adds(bit):
             span_x.add(bit)
             span_y.add(bit)
             common |= bit
-    while common.bit_count() != limit:
+    while True:
         outside = bits(free & ~common)
         inside = bits(common)
         parent = {bit: 0 for bit in outside if span_x.adds(bit)}
@@ -400,7 +412,6 @@ def scan_common_independent(m: Matroid, free, base_x, base_y, start=0, limit=Non
             end = parent[end]
         span_x = m._span(base_x | common)
         span_y = m._span(base_y | common)
-    return common
 
 
 def brute_extends_to_separation(m: Matroid, x, y, k: int):

@@ -279,6 +279,22 @@ class TestExitCodes:
         assert run(capsys, argv + [str(path)]) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "flag, env, message",
+        [
+            ("--budget=-1", None, "--budget must be non-negative, got -1"),
+            (None, "-1", "MATROID_KAPPA_BUDGET must be non-negative, got '-1'"),
+        ],
+    )
+    @pytest.mark.parametrize("verb", [["separation", "--k=2"], ["circuits"], ["dual"]])
+    def test_negative_budget_is_a_domain_error(
+        self, capsys, u24_file, monkeypatch, verb, flag, env, message
+    ):
+        if env is not None:
+            monkeypatch.setenv("MATROID_KAPPA_BUDGET", env)
+        argv = verb + ([flag] if flag else []) + [u24_file]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["family", "--id=infinite-uniform(2)", "--window=5000", "window-info"],

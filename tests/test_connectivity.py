@@ -26,6 +26,7 @@ from matroid_kappa import (
     MinorSpec,
     uniform_matroid,
 )
+from matroid_kappa import budgets, connectivity
 from matroid_kappa.connectivity import _largest_common_independent
 from matroid_kappa.core import _ForestSpan
 from matroid_kappa.windows import double_ladder
@@ -407,23 +408,14 @@ class TestPolynomialEngine:
         free = m.ground.full_mask & ~x.mask & ~y.mask
         base_x = ref._greedy_basis_mask(x.mask)
         base_y = ref._greedy_basis_mask(y.mask)
-        start = 0
-        for i in range(len(m.ground)):
-            bit = data.draw(st.sampled_from([0, 1 << i])) & free
-            if ref._indep(start | bit | base_x) and ref._indep(start | bit | base_y):
-                start |= bit
-        limit = data.draw(st.sampled_from([None, 0, 1, 2]))
-        if limit is not None:
-            limit += start.bit_count()
-        got = _largest_common_independent(m, free, base_x, base_y, start, limit)
-        assert got == _largest_common_independent(ref, free, base_x, base_y, start, limit)
-        assert got & start == start and got & ~free == 0
+        got = _largest_common_independent(m, free, base_x, base_y)
+        assert got == _largest_common_independent(ref, free, base_x, base_y)
+        assert got & ~free == 0
         assert ref._indep(got | base_x) and ref._indep(got | base_y)
-        if limit is None:
-            labels = list(m.ground)
-            value = helpers.brute_kappa_between(helpers.oracle_of(m), labels, list(x), list(y))
-            largest = value + m.full_rank - base_x.bit_count() - base_y.bit_count()
-            assert got.bit_count() == largest
+        labels = list(m.ground)
+        value = helpers.brute_kappa_between(helpers.oracle_of(m), labels, list(x), list(y))
+        largest = value + m.full_rank - base_x.bit_count() - base_y.bit_count()
+        assert got.bit_count() == largest
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(m=small_matroids())
@@ -467,13 +459,11 @@ class TestPolynomialEngine:
 
 
 def large_instance(seed):
-    """A matroid of 50-300 elements with sides, a start and a limit, all
-    drawn from one seed: a grid of up to 12x12, a double-ladder window of
-    up to 40 squares or a random gf2 matrix, perhaps dualised, perhaps
-    with about a tenth of the elements contracted and a tenth deleted.
-    Sides, start and limit are drawn as in
-    ``test_common_independent_matches_generic``, except that half of the
-    starts are empty, so that the search has more to augment."""
+    """A matroid of 50-300 elements with sides, both drawn from one seed:
+    a grid of up to 12x12, a double-ladder window of up to 40 squares or
+    a random gf2 matrix, perhaps dualised, perhaps with about a tenth of
+    the elements contracted and a tenth deleted.  Each element is a free
+    element with probability 1/2, and on X or on Y otherwise."""
     rng = random.Random(seed)
     kind = rng.choice(["grid", "ladder", "gf2"])
     if kind == "grid":
@@ -495,31 +485,19 @@ def large_instance(seed):
     sides = [rng.choice("xyff") for _ in m.ground]
     x = m.ground.set_of(lab for lab, side in zip(m.ground, sides) if side == "x")
     y = m.ground.set_of(lab for lab, side in zip(m.ground, sides) if side == "y")
-    free = m.ground.full_mask & ~x.mask & ~y.mask
-    base_x = m._greedy_basis_mask(x.mask)
-    base_y = m._greedy_basis_mask(y.mask)
-    start = 0
-    keep = rng.choice([0, 0.5])
-    for i in range(len(m.ground)):
-        bit = (rng.random() < keep) << i & free
-        if m._indep(start | bit | base_x) and m._indep(start | bit | base_y):
-            start |= bit
-    limit = rng.choice([None, 0, 1, 2])
-    if limit is not None:
-        limit += start.bit_count()
-    return m, x, y, start, limit
+    return m, x, y
 
 
 class TestIntersectionAtScale:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_kernel_search_matches_the_swap_scan(self, seed):
-        m, x, y, start, limit = large_instance(seed)
+        m, x, y = large_instance(seed)
         free = m.ground.full_mask & ~x.mask & ~y.mask
         base_x = m._greedy_basis_mask(x.mask)
         base_y = m._greedy_basis_mask(y.mask)
-        got = _largest_common_independent(m, free, base_x, base_y, start, limit)
-        assert got == helpers.scan_common_independent(m, free, base_x, base_y, start, limit)
+        got = _largest_common_independent(m, free, base_x, base_y)
+        assert got == helpers.scan_common_independent(m, free, base_x, base_y)
         if len(m.ground) <= 100:
             ref = helpers.generic(m)
             assert kappa_between(m, x, y) == kappa_between(ref, x, y)
@@ -626,6 +604,35 @@ class TestPolynomialGuard:
         assert circuits and len({(span, e) for span, e, _ in circuits}) == len(circuits)
         assert all(e & free and not inside for _, e, inside in circuits)
 
+    def test_linking_partition_is_one_intersection(self, monkeypatch):
+        # the partition is read off the kappa(X, Y) record: one
+        # intersection when cold, none after a kappa_between on the sides
+        monkeypatch.setattr(budgets, "WINDOW_ELEMENTS", 1000)
+        calls = []
+        real = connectivity._largest_common_independent
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(connectivity, "_largest_common_independent", spy)
+
+        def ladder():
+            m = double_ladder().window(100)
+            x = m.ground.set_of(f"railT[{i}]" for i in range(-40, 0))
+            y = m.ground.set_of(f"railB[{i}]" for i in range(40))
+            return m, x, y
+
+        m, x, y = ladder()
+        assert len(m.ground) == 604
+        assert linking_partition(m, x, y).target == 1
+        assert len(calls) == 1
+        m, x, y = ladder()
+        assert kappa_between(m, x, y) == 1
+        assert len(calls) == 2
+        assert linking_partition(m, x, y).target == 1
+        assert len(calls) == 2
+
     def test_oracle_span_calls_stay_pinned(self):
         # the oracle span tests one swap per arc it may still use, as the
         # swap scan always did; reading arcs off circuits would call more
@@ -670,8 +677,8 @@ def oracle_wrapped_corpus():
 
 
 # len(m._memo) per instance of oracle_wrapped_corpus after kappa_between
-# and linking_partition, as the swap-scan search left it
+# and linking_partition, as the swap-scan search left it (753 in all)
 PINNED_MEMO_SIZES = [
-    29, 45, 25, 33, 44, 15, 48, 27, 55, 37, 39, 21,
-    31, 33, 27, 30, 20, 54, 36, 29, 32, 45, 21, 21,
+    29, 42, 25, 34, 44, 15, 38, 25, 52, 26, 39, 20,
+    31, 32, 27, 28, 19, 46, 29, 30, 36, 43, 21, 22,
 ]

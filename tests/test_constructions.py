@@ -492,29 +492,13 @@ class TestRepresentationRoutes:
             assert matroid_summary(m)["representation"] == want, m
 
 
-@st.composite
-def derived_matroids(draw):
-    """A representation, or one of its duals, minors or direct sums."""
-    m = draw(helpers.representations(max_n=6))
-    kind = draw(st.sampled_from(["self", "dual", "minor", "dual-minor", "sum", "dual-sum"]))
-    if kind.startswith("dual"):
-        m = dual(m)
-    if kind.endswith("minor"):
-        away = draw(st.integers(0, m.ground.full_mask))
-        drop = draw(st.integers(0, m.ground.full_mask)) & ~away
-        m = take_minor(m, MinorSpec(m.ground.from_mask(away), m.ground.from_mask(drop)))
-    if kind.endswith("sum"):
-        m = direct_sum([m, draw(helpers.representations("s", max_n=4))])
-    return m
-
-
 class TestOneStepMinor:
     """take_minor builds M / C \\ D in one step; it must be the minor that
     contracting C and then deleting D builds, down to the ground order,
     the representation and the order of the circuits."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(m=derived_matroids(), data=st.data())
+    @given(m=helpers.derived_matroids(), data=st.data())
     def test_matches_contract_then_delete(self, m, data):
         away = data.draw(st.integers(0, m.ground.full_mask))
         drop = data.draw(st.integers(0, m.ground.full_mask)) & ~away
@@ -567,7 +551,7 @@ class TestRepresentationKernels:
     against the generic oracle scans."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(m=derived_matroids(), data=st.data())
+    @given(m=helpers.derived_matroids(), data=st.data())
     def test_greedy_basis_matches_generic(self, m, data):
         ref = generic(m)
         full = m.ground.full_mask
@@ -631,17 +615,16 @@ class TestRepresentationKernels:
         full = m.ground.full_mask
         bases = [ref._greedy_basis_mask(data.draw(st.integers(0, full))) for _ in "xy"]
         candidates = data.draw(st.integers(0, full)) & ~bases[0] & ~bases[1]
-        limit = data.draw(st.sampled_from([None, 0, 1, 2]))
         spans = [m._span(base) for base in bases]
         scans = [ref._span(base) for base in bases]
         bits = [1 << i for i in range(len(m.ground))]
-        expected = scans[0].grow_common(scans[1], candidates, 0, limit)
+        expected = scans[0].grow_common(scans[1], candidates)
         dependents = [sum(f for f in bits if not (f & scan.mask or scan.adds(f))) for scan in scans]
         # arcs and circuits read before the spans grow must not outlive the growth
         for span, dependent in zip(spans, dependents):
             for f in bits:
                 span.entering(f, dependent, ())
-        assert spans[0].grow_common(spans[1], candidates, 0, limit) == expected
+        assert spans[0].grow_common(spans[1], candidates) == expected
         for span, scan, dependent in zip(spans, scans, dependents):
             for f in bits:
                 if f & scan.mask:

@@ -66,9 +66,15 @@ class TestLinkingPartition:
         x = m.ground.set_of(["a1"])
         y = m.ground.set_of(["b1"])
         res = linking_partition(m, x, y)
-        assert res.achieved == 0
-        # binary scan order puts the all-delete partition first
-        assert res.spec.contract.is_empty
+        assert res.achieved == res.target == 0
+        # the intersection visits the free elements in canonical order, so
+        # its common set takes the first of each triangle's free pair; the
+        # all-delete partition, the scan's first answer, keeps value 0 too
+        assert res.spec.contract.mask == connectivity._intersection(m, x, y)[2]
+        assert sorted(res.spec.contract) == ["a2", "b2"]
+        assert sorted(res.spec.delete) == ["a3", "b3"]
+        assert helpers.brute_linking_partition(m, x, y).contract.is_empty
+        assert minor_value(m, res.spec, x, y) == 0
 
     def test_achieves_target_on_sampled_corpus(self, small_corpus):
         rng = random.Random(61)
@@ -96,8 +102,40 @@ class TestLinkingPartition:
             assert union == (x | y).complement(), name
 
 
+class TestRecordPartition:
+    """The partition contracts the common set of the kappa(X, Y) record,
+    and that minor keeps kappa(X, Y), by the naive oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=helpers.derived_matroids(), data=st.data())
+    def test_contracts_the_common_set_and_keeps_kappa(self, m, data):
+        if data.draw(st.booleans()):
+            m = helpers.generic(m)
+        labels = list(m.ground)
+        assume(len(labels) >= 2)
+        picks = data.draw(st.permutations(labels))
+        size_x = data.draw(st.integers(1, len(labels) - 1))
+        size_y = data.draw(st.integers(1, len(labels) - size_x))
+        x = m.ground.set_of(picks[:size_x])
+        y = m.ground.set_of(picks[size_x : size_x + size_y])
+        res = linking_partition(m, x, y)
+        common = connectivity._intersection(m, x, y)[2]
+        free = m.ground.full_mask & ~x.mask & ~y.mask
+        assert res.spec.contract.mask == common
+        assert res.spec.delete.mask == free & ~common
+        indep = helpers.oracle_of(m)
+        spanning = (x | y | res.spec.contract).labels()
+        assert helpers.brute_rank(indep, spanning) == helpers.brute_rank(indep, labels)
+        target = helpers.brute_kappa_between(indep, labels, list(x), list(y))
+        minor = take_minor(m, res.spec)
+        got = helpers.brute_kappa(helpers.oracle_of(minor), list(minor.ground), list(x))
+        assert got == res.achieved == res.target == target
+
+
 class TestGreedyLinkingSolver:
-    """The greedy solver against the exhaustive scan in binary counting order."""
+    """The record's partition against the exhaustive scan in binary
+    counting order: both keep kappa(X, Y), and the record contracts a
+    common independent set of M/X and M/Y of the size the value fixes."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(m=helpers.representations(max_n=14), data=st.data())
@@ -110,12 +148,19 @@ class TestGreedyLinkingSolver:
         x = m.ground.set_of(picks[:size_x])
         y = m.ground.set_of(picks[size_x : size_x + size_y])
         res = linking_partition(m, x, y)
-        assert res.spec == helpers.brute_linking_partition(m, x, y)
         assert res.achieved == res.target == kappa_between(m, x, y)
+        scan = helpers.brute_linking_partition(m, x, y)
+        assert minor_value(m, scan, x, y) == minor_value(m, res.spec, x, y)
+        common = res.spec.contract
+        size = len(list(common))
+        assert m.rank(x | common) == m.rank(x) + size
+        assert m.rank(y | common) == m.rank(y) + size
+        assert size == res.target + m.full_rank - m.rank(x) - m.rank(y)
 
     def test_forced_contraction(self):
         # deleting both free elements of U(2, 4) leaves {a, b} free, so
-        # one must be contracted: the scan's first answer contracts c
+        # one must be contracted: the record's common set is {c}, which
+        # is also the scan's first answer
         m = u24()
         x = m.ground.set_of("a")
         y = m.ground.set_of("b")
@@ -127,8 +172,9 @@ class TestGreedyLinkingSolver:
 
     def test_deletion_after_an_augmenting_path(self):
         # K4 with e6 parallel to e1: e5 lies in the largest common
-        # independent set, and only an augmenting path that swaps it out
-        # shows that deleting it keeps the value
+        # independent set; the scan's first answer deletes it, which only
+        # an augmenting path that swaps it out would show, while the
+        # record contracts it, and both minors keep the value
         m = graphic_matroid(
             [("e0", "0", "2"), ("e1", "2", "3"), ("e2", "0", "1"), ("e3", "1", "2"),
              ("e4", "3", "0"), ("e5", "3", "1"), ("e6", "3", "2")]
@@ -136,8 +182,11 @@ class TestGreedyLinkingSolver:
         x = m.ground.set_of(["e6"])
         y = m.ground.set_of(["e3"])
         res = linking_partition(m, x, y)
-        assert res.spec == helpers.brute_linking_partition(m, x, y)
-        assert sorted(res.spec.contract) == ["e2", "e4"]
+        scan = helpers.brute_linking_partition(m, x, y)
+        assert sorted(scan.contract) == ["e2", "e4"]
+        assert sorted(res.spec.contract) == ["e0", "e5"]
+        assert res.achieved == res.target == 1
+        assert minor_value(m, scan, x, y) == minor_value(m, res.spec, x, y) == 1
 
 
 @st.composite
@@ -179,23 +228,17 @@ def matroid_factories(draw):
 
 
 def record_intersections(monkeypatch) -> list:
-    """Record the arguments (matroid, free, base_x, base_y, start, limit)
-    of every call of the intersection routine."""
+    """Record the arguments (matroid, free, base_x, base_y) of every call
+    of the intersection routine."""
     calls = []
     real = connectivity._largest_common_independent
 
-    def spy(m, free, base_x, base_y, start=0, limit=None):
-        calls.append((m, free, base_x, base_y, start, limit))
-        return real(m, free, base_x, base_y, start, limit)
+    def spy(m, free, base_x, base_y):
+        calls.append((m, free, base_x, base_y))
+        return real(m, free, base_x, base_y)
 
     monkeypatch.setattr(connectivity, "_largest_common_independent", spy)
-    monkeypatch.setattr(linking, "_largest_common_independent", spy)
     return calls
-
-
-def from_scratch(calls) -> list:
-    """The calls that ran a whole intersection: no start set, no limit."""
-    return [c for c in calls if c[4] == 0 and c[5] is None]
 
 
 class TestSharedIntersection:
@@ -228,23 +271,10 @@ class TestSharedIntersection:
             fam, ["rung[0]"], ["rung[3]"], StabilizationPolicy(max_window=5),
             [certified_separation(fam, "rung:0")],
         )
-        # one whole intersection per window 2..5; the linking partition of
-        # the stabilising window reuses its window's and adds 10 augmentations
-        assert len(calls) == 14
-        assert len(from_scratch(calls)) == 4
+        # one intersection per window 2..5; the linking partition of the
+        # stabilising window reads its window's record
+        assert len(calls) == 4
         assert len({(id(m), *rest) for m, *rest in calls}) == len(calls)
-
-    def test_linking_after_kappa_between_runs_no_intersection(self, monkeypatch):
-        m = helpers.grid_graph(3, 3)
-        labels = list(m.ground)
-        x, y = m.ground.set_of(labels[:2]), m.ground.set_of(labels[-2:])
-        calls = record_intersections(monkeypatch)
-        value = kappa_between(m, x, y)
-        assert len(from_scratch(calls)) == 1
-        res = linking_partition(m, x, y)
-        assert len(from_scratch(calls)) == 1
-        assert res.target == value
-        assert res.spec == helpers.brute_linking_partition(m, x, y)
 
 
 class TestSeparationExtension:
