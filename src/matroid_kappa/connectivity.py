@@ -17,8 +17,9 @@ graphic or binary matroid reads its arcs off fundamental circuits in its
 union-find or elimination kernel and makes no oracle call; other
 matroids test one swap per arc with their oracle.  This module owns
 that intersection: ``_intersection`` runs it once per pair of sides and
-keeps the bases, the common set and the value on the matroid;
-``linking_partition`` and ``_joining_circuit`` read their answers off it.
+keeps the bases, the common set, the value and the last round's reach on
+the matroid; ``linking_partition``, ``_joining_circuit`` and
+``constructive_linking`` read their answers off it.
 ``find_separation`` promises the first split in canonical order.  For
 k = 1 it reads that split off the components, since kappa(X) = 0 exactly
 when X is a union of components; for larger k it stays an exhaustive,
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import budgets
 from .constructions import components
@@ -84,12 +86,25 @@ def kappa_rank_formula(m: Matroid, x: ElementSet) -> int:
     return m.rank(x) + m.rank(x.complement()) - m.full_rank
 
 
-def _intersection(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[int, int, int, int]:
-    """The record (base_x, base_y, common, value) of the disjoint sides X
-    and Y: their canonical bases, a largest common independent set of M/X
-    and M/Y on the free elements, and kappa(X, Y).  Memoised on ``m`` per
-    pair of sides; :func:`kappa_between` reads the value and
-    ``linking.linking_partition`` the common set."""
+class _Record(NamedTuple):
+    """What one intersection keeps for the disjoint sides (X, Y): the
+    canonical bases of X and of Y, a largest common independent set of
+    M/X and M/Y on the free elements, kappa(X, Y), and the free elements
+    that the search's last round reaches from its sources (see
+    :func:`_largest_common_independent` for what the reach proves)."""
+
+    base_x: int
+    base_y: int
+    common: int
+    value: int
+    reach: int
+
+
+def _intersection(m: Matroid, x: ElementSet, y: ElementSet) -> _Record:
+    """The record of the disjoint sides X and Y, memoised on ``m`` per
+    pair of sides: :func:`kappa_between` reads its value,
+    ``linking.linking_partition`` its common set and
+    ``linking.constructive_linking`` its reach."""
     # checked here, not by a helper call: every memo hit runs these lines
     m._check_universe(x)
     m._check_universe(y)
@@ -101,9 +116,9 @@ def _intersection(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[int, int, i
         free = m.ground.full_mask & ~x.mask & ~y.mask
         base_x = m._greedy_basis_mask(x.mask)
         base_y = m._greedy_basis_mask(y.mask)
-        common = _largest_common_independent(m, free, base_x, base_y)
+        common, reach = _largest_common_independent(m, free, base_x, base_y)
         value = common.bit_count() + base_x.bit_count() + base_y.bit_count() - m.full_rank
-        hit = memo[x.mask, y.mask] = (base_x, base_y, common, value)
+        hit = memo[x.mask, y.mask] = _Record(base_x, base_y, common, value, reach)
     return hit
 
 
@@ -113,8 +128,8 @@ def _joining_circuit(m: Matroid, s: ElementSet, e: int) -> int:
     the record's I + B_S is a basis and I + e is independent, so e's
     fundamental circuit there meets S, and its part outside S is a
     circuit of M/S."""
-    base_s, _, common, value = _intersection(m, s, ElementSet(m.ground, e))
-    return m._span(base_s | common).circuit(e) if value else 0
+    record = _intersection(m, s, ElementSet(m.ground, e))
+    return m._span(record.base_x | record.common).circuit(e) if record.value else 0
 
 
 def kappa_between(m: Matroid, x: ElementSet, y: ElementSet) -> int:
@@ -126,11 +141,14 @@ def kappa_between(m: Matroid, x: ElementSet, y: ElementSet) -> int:
     M/Y on Z (Edmonds).  Polynomial in the number of elements; memoised
     on ``m`` per pair of sides.
     """
-    return _intersection(m, x, y)[3]
+    return _intersection(m, x, y).value
 
 
-def _largest_common_independent(m: Matroid, free: int, base_x: int, base_y: int) -> int:
-    """A largest subset of ``free`` independent in both M/X and M/Y.
+def _largest_common_independent(
+    m: Matroid, free: int, base_x: int, base_y: int
+) -> tuple[int, int]:
+    """A largest subset I of ``free`` independent in both M/X and M/Y, and
+    the reach R of the search's last round.
 
     S is independent in M/X when S + base_x is independent in ``m``, and
     likewise for Y, so the spans of I + base_x and I + base_y answer every
@@ -148,6 +166,19 @@ def _largest_common_independent(m: Matroid, free: int, base_x: int, base_y: int)
     sink it reaches, and flipping that shortest path grows I by one; a
     round with no source, or no path, ends the search, and I is largest
     (Cunningham).
+
+    R is the set of elements that last round reaches from its sources
+    (the keys of ``parent``), empty when it has no source.  With Z the
+    free elements, X + (Z - R) is the greatest minimiser of kappa(U)
+    over X inside U inside E - Y: it attains kappa(X, Y) (Edmonds'
+    min-max; Schrijver, *Combinatorial Optimization*, ch. 41) and holds
+    every minimiser.  Sketch: for a minimiser X + A, the bound
+    |I| <= r_{M/X}(A) + r_{M/Y}(Z - A) is tight, so I & A spans A in M/X
+    and I - A spans Z - A in M/Y.  Then no source lies in A, no
+    ``entering`` arc runs from I - A into A, and no ``leaving`` arc from
+    Z - A - I into A, so R avoids A.  As kappa(U) = kappa(E - U), the
+    least minimiser is E minus the greatest one of the swapped sides
+    (Y, X), that is X + R' with R' the reach of the (Y, X) record.
     """
     span_x = m._span(base_x)
     span_y = m._span(base_y)
@@ -162,7 +193,7 @@ def _largest_common_independent(m: Matroid, free: int, base_x: int, base_y: int)
             else:
                 blocked |= bit
         if not parent:
-            return common
+            return common, 0
         queue = deque(parent)
         end = 0
         while queue:
@@ -178,7 +209,8 @@ def _largest_common_independent(m: Matroid, free: int, base_x: int, base_y: int)
                 parent[bit] = at
             queue.extend(reached)
         if not end:
-            return common
+            # the keys are distinct bits, so their sum is their union
+            return common, sum(parent)
         while end:
             common ^= end
             end = parent[end]

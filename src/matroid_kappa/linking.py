@@ -9,12 +9,16 @@ largest common independent set of M/X and M/Y and deletes the other
 free elements, with no search of its own.
 ``constructive_linking`` follows the paper's construction instead: it
 shrinks X and Y to cores of size k and grows a small restriction until
-its inner connectivity reaches k.  Each step takes the first exact
-low-order separation between the cores (``extends_to_separation``) and
-adds the pair of circuits that blocks it (``breaking_circuits``); a
+its inner connectivity reaches k.  Each step blocks one exact low-order
+separation between the cores, read off the intersection record of the
+restriction with no search: the least minimiser of kappa between the
+cores (see ``connectivity._largest_common_independent``).  It adds the
+pair of circuits that blocks that separation (``_breaking_core``); a
 blocked separation stays blocked in every larger restriction.  It then
 solves inside the restriction with ``linking_partition`` and deletes
-everything outside.
+everything outside.  ``extends_to_separation`` and ``breaking_circuits``
+stay public with all their checks: the first answers the canonical-first
+question, the second builds the circuit pair for any caller.
 
 The construction needs some circuits, not the first in canonical order,
 so it enumerates none: each comes from one intersection
@@ -32,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connectivity import (
+    _Record,
     _intersection,
     _joining_circuit,
     _kappa_mask,
@@ -78,6 +83,11 @@ def extends_to_separation(m: Matroid, x: ElementSet, y: ElementSet, k: int):
     until U qualifies, each free element in index order joins U if a
     qualifying set still lies between U plus it and Y plus the elements
     passed over (one :func:`kappa_between`), and is passed over if not.
+
+    A public query for the canonical-first separation, and the checker
+    of criterion 8; the library itself calls it nowhere.
+    ``constructive_linking`` needs some exact separation, not the first,
+    and reads one off its intersection record.
     """
     _check_disjoint_sides(m, x, y)
     if len(x) < k or len(y) < k:
@@ -114,11 +124,12 @@ def linking_partition(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingResult
     on the representation.  It is re-verified on the minor before it is
     returned.
     """
-    _, _, common, target = _intersection(m, x, y)
+    record = _intersection(m, x, y)
     free = m.ground.full_mask & ~x.mask & ~y.mask
+    common = record.common
     spec = MinorSpec(ElementSet(m.ground, common), ElementSet(m.ground, free & ~common))
-    _verify_partition(m, x, spec, target, "linking partition")
-    return LinkingResult(spec, target, target)
+    _verify_partition(m, x, spec, record.value, "linking partition")
+    return LinkingResult(spec, record.value, record.value)
 
 
 def _verify_partition(
@@ -146,7 +157,9 @@ def _breaking_core(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[ElementSet
     M/(X union Y).  C2 is built symmetrically, with the roles of X and Y
     swapped.  When no such e exists, the separation would extend into the
     host matroid, which the caller has ruled out, so that raises an
-    invariant violation.
+    invariant violation: :func:`breaking_circuits` checks
+    kappa_between(M, X, Y) >= k, and in :func:`constructive_linking` it
+    holds because X and Y contain the cores, whose value is the target.
     """
     mx = contract(m, x)
     my = contract(m, y)
@@ -222,12 +235,20 @@ def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingRes
     grows a finite restriction Z, starting from X', Y' and, for each
     element y of Y' in canonical order, a circuit through y that meets X'
     (each from one intersection).  At stage t, while the restricted
-    kappa(X', Y') is below t, the first exact t-separation between the
-    cores (:func:`extends_to_separation`) gets its pair of breaking
-    circuits added.  A blocked separation stays blocked in every larger
-    restriction, and each step adds at least one element, so after stage
-    t = k the restriction carries the full value.  Stage 3 solves inside
-    the restriction with :func:`linking_partition`, deletes everything
+    kappa(X', Y') is below t, one exact t-separation (U, Z - U) between
+    the cores gets its pair of breaking circuits (``_breaking_core``).
+    Both come off one record of the restriction, keyed (Y', X'): its
+    value is the restricted kappa(X', Y'), as kappa is symmetric, and
+    U = X' + R, with R its reach, is the least minimiser, so kappa(U) is
+    t - 1 and each side holds a core of k >= t elements.  The host
+    precondition of :func:`breaking_circuits` needs no check here:
+    kappa_between never falls as its sides grow, so
+    kappa_between(M, U, Z - U) >= kappa(X', Y') = k >= t.  The grown
+    restriction is checked to block (U, Z - U), a blocked separation
+    stays blocked in every larger restriction, and each step adds at
+    least one element, so after stage t = k the restriction carries the
+    full value.  Stage 3 solves inside the restriction with
+    :func:`linking_partition` on the same record, deletes everything
     outside, and trims the answer back to the original X, Y.  Each stage
     records a trace entry and every intermediate claim is asserted.
     """
@@ -266,38 +287,37 @@ def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingRes
         if not joining:
             raise InvariantViolation("no circuit joins a core element to the other core")
         zone = zone | ElementSet(m.ground, joining)
-    # one restriction per zone serves its separation search, its value
-    # and stage 3, so they share one independence memo
     sub = restrict(m, zone)
-    reached = _core_value(sub, x_core, y_core)
-    trace.append({"stage": "window", "t": 1, "zone": sorted(zone), "kappa": reached})
+    record = _zone_record(sub, x_core, y_core)
+    trace.append({"stage": "window", "t": 1, "zone": sorted(zone), "kappa": record.value})
 
     for t in range(2, target + 1):
-        while reached < t:
-            sep = extends_to_separation(
-                sub, x_core.in_universe(sub.ground), y_core.in_universe(sub.ground), t
-            )
-            if sep is None or sep.kappa != t - 1:
+        while record.value < t:
+            if record.value != t - 1:
                 raise InvariantViolation(
                     "a separation below the current level contradicts the last stage"
                 )
-            c1, c2 = breaking_circuits(
-                m, m.ground.set_of(sep.left), m.ground.set_of(sep.right), t
-            )
+            left = x_core | m.ground.set_of(sub.ground.from_mask(record.reach))
+            right = zone - left
+            c1, c2 = _breaking_core(m, left, right)
             zone = zone | c1 | c2
             sub = restrict(m, zone)
-            reached = _core_value(sub, x_core, y_core)
+            if kappa_between(
+                sub, left.in_universe(sub.ground), right.in_universe(sub.ground)
+            ) < t:
+                raise InvariantViolation("breaking circuits failed to block the separation")
+            record = _zone_record(sub, x_core, y_core)
         trace.append(
-            {"stage": "window", "t": t, "zone": sorted(zone), "kappa": reached}
+            {"stage": "window", "t": t, "zone": sorted(zone), "kappa": record.value}
         )
 
-    if reached != target:
+    if record.value != target:
         raise InvariantViolation(
-            f"restriction reached {reached} instead of the target {target}"
+            f"restriction reached {record.value} instead of the target {target}"
         )
 
     inner = linking_partition(
-        sub, x_core.in_universe(sub.ground), y_core.in_universe(sub.ground)
+        sub, y_core.in_universe(sub.ground), x_core.in_universe(sub.ground)
     )
     contract_host = m.ground.set_of(inner.spec.contract)
     delete_host = m.ground.set_of(inner.spec.delete) | zone.complement()
@@ -315,9 +335,12 @@ def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingRes
     return LinkingResult(spec, target, target, tuple(trace))
 
 
-def _core_value(sub: Matroid, x_core: ElementSet, y_core: ElementSet) -> int:
-    return kappa_between(
-        sub, x_core.in_universe(sub.ground), y_core.in_universe(sub.ground)
+def _zone_record(sub: Matroid, x_core: ElementSet, y_core: ElementSet) -> _Record:
+    """The intersection record of the restriction ``sub`` keyed (Y', X'),
+    whose reach gives the least minimiser on the X' side; its value, its
+    separation and the final solve all read this one record."""
+    return _intersection(
+        sub, y_core.in_universe(sub.ground), x_core.in_universe(sub.ground)
     )
 
 

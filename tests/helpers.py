@@ -363,6 +363,8 @@ def scan_common_independent(m: Matroid, free, base_x, base_y):
     """The reference for ``connectivity._largest_common_independent``: the
     same greedy pass and breadth-first rounds, with every arc found by a
     swap test on every inside b and outside e, r(n - r) tests a round.
+    Returns the common set and the set the last round reaches from its
+    sources.
 
     I - b + e is independent exactly when I + e is, or b lies on e's
     fundamental circuit; the spans' circuits, which the suite checks
@@ -406,7 +408,10 @@ def scan_common_independent(m: Matroid, free, base_x, base_y):
                         parent[bit] = at
                         queue.append(bit)
         if not end:
-            return common
+            reach = 0
+            for bit in parent:
+                reach |= bit
+            return common, reach
         while end:
             common ^= end
             end = parent[end]

@@ -408,14 +408,40 @@ class TestPolynomialEngine:
         free = m.ground.full_mask & ~x.mask & ~y.mask
         base_x = ref._greedy_basis_mask(x.mask)
         base_y = ref._greedy_basis_mask(y.mask)
-        got = _largest_common_independent(m, free, base_x, base_y)
-        assert got == _largest_common_independent(ref, free, base_x, base_y)
-        assert got & ~free == 0
+        got, reach = _largest_common_independent(m, free, base_x, base_y)
+        assert (got, reach) == _largest_common_independent(ref, free, base_x, base_y)
+        assert got & ~free == 0 and reach & ~free == 0
         assert ref._indep(got | base_x) and ref._indep(got | base_y)
         labels = list(m.ground)
         value = helpers.brute_kappa_between(helpers.oracle_of(m), labels, list(x), list(y))
         largest = value + m.full_rank - base_x.bit_count() - base_y.bit_count()
         assert got.bit_count() == largest
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        m=st.one_of(helpers.representations(max_n=10), helpers.derived_matroids()),
+        flip=st.booleans(),
+        data=st.data(),
+    )
+    def test_reach_gives_the_greatest_and_least_minimisers(self, m, flip, data):
+        if flip:
+            m = dual(m)
+        x, y = disjoint_sides(data.draw, m)
+        free = m.ground.full_mask & ~x.mask & ~y.mask
+        values = {}
+        extra = free
+        while True:
+            values[extra] = kappa(m, m.ground.set_of(m.ground.from_mask(x.mask | extra)))
+            if not extra:
+                break
+            extra = (extra - 1) & free
+        least_value = min(values.values())
+        minimisers = [x.mask | a for a, v in values.items() if v == least_value]
+        greatest = x.mask | free & ~connectivity._intersection(m, x, y).reach
+        least = x.mask | connectivity._intersection(m, y, x).reach
+        assert kappa_between(m, x, y) == least_value
+        assert greatest in minimisers and least in minimisers
+        assert all(u & ~greatest == 0 and least & ~u == 0 for u in minimisers)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(m=small_matroids())

@@ -70,7 +70,7 @@ class TestLinkingPartition:
         # the intersection visits the free elements in canonical order, so
         # its common set takes the first of each triangle's free pair; the
         # all-delete partition, the scan's first answer, keeps value 0 too
-        assert res.spec.contract.mask == connectivity._intersection(m, x, y)[2]
+        assert res.spec.contract.mask == connectivity._intersection(m, x, y).common
         assert sorted(res.spec.contract) == ["a2", "b2"]
         assert sorted(res.spec.delete) == ["a3", "b3"]
         assert helpers.brute_linking_partition(m, x, y).contract.is_empty
@@ -119,7 +119,7 @@ class TestRecordPartition:
         x = m.ground.set_of(picks[:size_x])
         y = m.ground.set_of(picks[size_x : size_x + size_y])
         res = linking_partition(m, x, y)
-        common = connectivity._intersection(m, x, y)[2]
+        common = connectivity._intersection(m, x, y).common
         free = m.ground.full_mask & ~x.mask & ~y.mask
         assert res.spec.contract.mask == common
         assert res.spec.delete.mask == free & ~common
@@ -613,8 +613,8 @@ class TestConstructiveLinking:
         assert all(a <= b for a, b in zip(zones, zones[1:]))
 
     def test_one_breaking_pair_per_blocked_separation(self, monkeypatch):
-        # the parent construction added a pair for every exact
-        # 2-separation of the first zone at once: 32 calls here
+        # adding a pair for every exact 2-separation of the first zone at
+        # once would take 32 pairs here
         edges = (
             "e0=v8-v5 e1=v7-v0 e2=v3-v2 e3=v8-v2 e4=v1-v4 e5=v0-v1 e6=v1-v0 "
             "e7=v7-v0 e8=v4-v3 e9=v4-v1 e10=v2-v5 e11=v4-v1 e12=v2-v8 "
@@ -626,19 +626,71 @@ class TestConstructiveLinking:
             for lab, ends in (edge.split("=") for edge in edges.split())
         )
         calls = []
-        original = linking.breaking_circuits
+        original = linking._breaking_core
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return original(*args, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(linking, "breaking_circuits", counting)
+        monkeypatch.setattr(linking, "_breaking_core", counting)
         x = m.ground.set_of(["e6", "e8"])
         y = m.ground.set_of(["e3", "e18"])
         res = constructive_linking(m, x, y)
         assert res.achieved == 2
         first_zone = next(t["zone"] for t in res.trace if t["stage"] == "window")
         assert 0 < len(calls) <= len(m.ground) - len(first_zone)
+        assert minor_value(m, res.spec, x, y) == 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(3, 6), cols=st.integers(3, 6), flip=st.booleans(), data=st.data()
+    )
+    def test_breaking_steps_meet_the_host_precondition(self, rows, cols, flip, data):
+        # the construction skips breaking_circuits' host check: every
+        # blocked (U, W) is exact in its zone, at value t - 1 with t-element
+        # sides, while kappa_between(M, U, W) >= t in the host
+        m = helpers.grid_graph(rows, cols)
+        if flip:
+            m = dual(m)
+        picks = data.draw(st.permutations(list(m.ground)))
+        size_x = data.draw(st.integers(2, 4))
+        size_y = data.draw(st.integers(2, 4))
+        x = m.ground.set_of(picks[:size_x])
+        y = m.ground.set_of(picks[size_x : size_x + size_y])
+        calls = []
+        original = linking._breaking_core
+
+        def spy(host, u, w):
+            calls.append((u, w))
+            return original(host, u, w)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linking, "_breaking_core", spy)
+            res = constructive_linking(m, x, y)
+        assert res.achieved == kappa_between(m, x, y)
+        cores = res.trace[0]
+        x_core, y_core = m.ground.set_of(cores["x_core"]), m.ground.set_of(cores["y_core"])
+        for u, w in calls:
+            assert x_core <= u and y_core <= w and u.isdisjoint(w)
+            zone = restrict(m, u | w)
+            t = kappa(zone, u.in_universe(zone.ground)) + 1
+            assert t - 1 == kappa_between(
+                zone, x_core.in_universe(zone.ground), y_core.in_universe(zone.ground)
+            )
+            assert 2 <= t <= res.target and min(len(u), len(w)) >= t
+            assert kappa_between(m, u, w) >= t
+
+    def test_needs_no_separation_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("constructive linking searched for a separation")
+
+        monkeypatch.setattr(linking, "extends_to_separation", refuse)
+        monkeypatch.setattr(linking, "breaking_circuits", refuse)
+        m = helpers.grid_graph(6, 6)
+        labels = list(m.ground)
+        x, y = m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:])
+        res = constructive_linking(m, x, y)
+        assert res.achieved == kappa_between(m, x, y) == 2
         assert minor_value(m, res.spec, x, y) == 2
 
     def test_agrees_with_search_on_corpus_sample(self, small_corpus):
