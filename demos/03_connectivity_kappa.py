@@ -10,11 +10,11 @@ Run:  python3 demos/03_connectivity_kappa.py
 """
 
 from matroid_kappa import (
+    constructive_linking,
     del_count,
     dual,
     find_separation,
     graphic_matroid,
-    grow_pair,
     is_k_connected,
     kappa,
     kappa_between,
@@ -59,11 +59,14 @@ print(f"U(2,4) 3-connected? {is_k_connected(u24, 3)}")
 print(f"K4 has an order-2 separation: {find_separation(k4, 2)}")
 
 print()
-print("== kappa between two sets, and growing witnesses ==")
+print("== kappa between two sets, and the cores that witness it ==")
 x = k4.ground.set_of(["e01"])
 y = k4.ground.set_of(["e23"])
 print(f"kappa(K4, e01 vs e23) = {kappa_between(k4, x, y)}")
-pair = grow_pair(
-    u24, g.set_of("ab"), g.set_of("cd"), g.set_of("a"), g.set_of("c"), 2
+star = k4.ground.set_of(["e01", "e02", "e03"])
+triangle = k4.ground.set_of(["e12", "e13", "e23"])
+cores = constructive_linking(k4, star, triangle).trace[0]
+print(
+    f"kappa(K4, star at 0 vs triangle 123) = {cores['kappa']}, "
+    f"witnessed by the cores {cores['x_core']} and {cores['y_core']}"
 )
-print(f"growing ({{a}},{{c}}) one level in U(2,4) picks {pair}")

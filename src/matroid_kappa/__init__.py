@@ -67,7 +67,6 @@ _EXPORTS_BY_MODULE = {
         "Separation",
         "del_count",
         "find_separation",
-        "grow_pair",
         "is_k_connected",
         "kappa",
         "kappa_between",

@@ -35,7 +35,7 @@ from typing import NamedTuple
 from . import budgets
 from .constructions import components
 from .core import ElementSet, Matroid, _bit_indices, iter_submasks_lex
-from .errors import InvariantViolation, PreconditionError
+from .errors import PreconditionError
 
 
 def del_count(m: Matroid, left: ElementSet, right: ElementSet) -> int:
@@ -104,7 +104,7 @@ def _intersection(m: Matroid, x: ElementSet, y: ElementSet) -> _Record:
     """The record of the disjoint sides X and Y, memoised on ``m`` per
     pair of sides: :func:`kappa_between` reads its value,
     ``linking.linking_partition`` its common set and
-    ``linking.constructive_linking`` its reach."""
+    ``linking.constructive_linking`` its bases, common set and reach."""
     # checked here, not by a helper call: every memo hit runs these lines
     m._check_universe(x)
     m._check_universe(y)
@@ -315,36 +315,3 @@ def is_k_connected(m: Matroid, k: int, budget: int | None = None) -> bool:
         return False
     return k == 2 or find_separation(m, k - 1, budget) is None
 
-
-def grow_pair(
-    m: Matroid,
-    x: ElementSet,
-    y: ElementSet,
-    x_part: ElementSet,
-    y_part: ElementSet,
-    k: int,
-) -> tuple[str, str] | None:
-    """One growth step towards witnessing kappa(X, Y) at level ``k``.
-
-    Requires kappa(x_part, y_part) == k - 1 with the parts inside X and Y.
-    When kappa(X, Y) is at least k, some elements x of X and y of Y give
-    kappa(x_part + x, y_part + y) == k; the first such pair in canonical
-    order is returned.  When kappa(X, Y) is below k, returns None.
-    """
-    for small, big in ((x_part, x), (y_part, y)):
-        m._check_universe(small)
-        if not small <= big:
-            raise PreconditionError("partial side is not inside its full side")
-    if kappa_between(m, x_part, y_part) != k - 1:
-        raise PreconditionError("the partial sides are not at level k - 1")
-    if kappa_between(m, x, y) < k:
-        return None
-    for xe in x - x_part:
-        grown_x = x_part.with_element(xe)
-        for ye in y - y_part:
-            grown_y = y_part.with_element(ye)
-            if kappa_between(m, grown_x, grown_y) == k:
-                return (xe, ye)
-    raise InvariantViolation(
-        "no growth pair found although the connectivity level guarantees one"
-    )

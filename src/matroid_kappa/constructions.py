@@ -172,9 +172,9 @@ def components(m: Matroid) -> ComponentPartition:
         return a
 
     for circuit in m._fundamental_circuits():
-        head = (circuit & -circuit).bit_length() - 1
+        root = find((circuit & -circuit).bit_length() - 1)
         for b in _bit_indices(circuit):
-            parent[find(b)] = find(head)
+            parent[find(b)] = root
 
     by_root: dict[int, int] = {}
     for i in range(n):

@@ -95,9 +95,6 @@ class GroundSet:
     def full(self) -> "ElementSet":
         return ElementSet(self, self.full_mask)
 
-    def singleton(self, label: str) -> "ElementSet":
-        return ElementSet(self, 1 << self.index(label))
-
     def set_of(self, labels: Iterable[str]) -> "ElementSet":
         mask = 0
         for lab in labels:

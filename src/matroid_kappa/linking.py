@@ -8,17 +8,19 @@ contracting C and deleting D (Tutte's linking theorem).
 largest common independent set of M/X and M/Y and deletes the other
 free elements, with no search of its own.
 ``constructive_linking`` follows the paper's construction instead: it
-shrinks X and Y to cores of size k and grows a small restriction until
-its inner connectivity reaches k.  Each step blocks one exact low-order
+shrinks X and Y to cores of size k, read off the kappa(X, Y) record by
+two greedy passes (``_cores``), and grows a small restriction until its
+inner connectivity reaches k.  Each step blocks one exact low-order
 separation between the cores, read off the intersection record of the
 restriction with no search: the least minimiser of kappa between the
 cores (see ``connectivity._largest_common_independent``).  It adds the
 pair of circuits that blocks that separation (``_breaking_core``); a
 blocked separation stays blocked in every larger restriction.  It then
 solves inside the restriction with ``linking_partition`` and deletes
-everything outside.  ``extends_to_separation`` and ``breaking_circuits``
-stay public with all their checks: the first answers the canonical-first
-question, the second builds the circuit pair for any caller.
+everything outside, so no stage of the construction searches.
+``extends_to_separation`` and ``breaking_circuits`` stay public with all
+their checks: the first answers the canonical-first question, the second
+builds the circuit pair for any caller.
 
 The construction needs some circuits, not the first in canonical order,
 so it enumerates none: each comes from one intersection
@@ -41,7 +43,6 @@ from .connectivity import (
     _joining_circuit,
     _kappa_mask,
     _separation,
-    grow_pair,
     kappa_between,
 )
 from .constructions import MinorSpec, _lift, components, contract, restrict, take_minor
@@ -231,7 +232,8 @@ def breaking_circuits(
 def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingResult:
     """Build a connectivity-preserving partition constructively.
 
-    Stage 1 grows cores X', Y' of size k with kappa(X', Y') = k.  Stage 2
+    Stage 1 reads cores X', Y' of size k with kappa(X', Y') = k off the
+    record that the target query has built (:func:`_cores`).  Stage 2
     grows a finite restriction Z, starting from X', Y' and, for each
     element y of Y' in canonical order, a circuit through y that meets X'
     (each from one intersection).  At stage t, while the restricted
@@ -262,14 +264,7 @@ def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingRes
         trace.append({"stage": "solve", "contract": [], "delete": sorted(spec.delete)})
         return LinkingResult(spec, 0, 0, tuple(trace))
 
-    x_core = m.ground.empty()
-    y_core = m.ground.empty()
-    for level in range(1, target + 1):
-        pair = grow_pair(m, x, y, x_core, y_core, level)
-        if pair is None:
-            raise InvariantViolation("growth must succeed below the target level")
-        x_core = x_core.with_element(pair[0])
-        y_core = y_core.with_element(pair[1])
+    x_core, y_core = _cores(m, x, y)
     trace.append(
         {
             "stage": "cores",
@@ -333,6 +328,32 @@ def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingRes
         }
     )
     return LinkingResult(spec, target, target, tuple(trace))
+
+
+def _cores(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[ElementSet, ElementSet]:
+    """Cores X' inside X and Y' inside Y, of k = kappa(X, Y) elements each
+    and with kappa(X', Y') = k, read off the (X, Y) record.
+
+    Let B_X, B_Y and I be the record's bases and common set.  X + Y + I
+    spans E (see :func:`linking_partition`), so the greedy pass over
+    I + B_X + B_Y from I + B_Y ends in a basis: it adds some K inside
+    B_X with |K| = r(E) - |I| - |B_Y| = |B_X| - k.  The pass from I + B_X
+    likewise adds J inside B_Y with |J| = |B_Y| - k.  The cores are
+    X' = B_X - K and Y' = B_Y - J.  I + K + J avoids both cores, and it
+    is independent in M/X' and in M/Y', since I + B_X + J and I + K + B_Y
+    are independent.  So kappa(X', Y') >= |I| + |K| + |J| + 2k - r(E)
+    = |I| + |B_X| + |B_Y| - r(E) = k, and kappa(X', Y') <= kappa(X, Y) = k,
+    as kappa_between never rises when its sides shrink.  Two greedy
+    passes and no intersection beyond the record's.
+    """
+    record = _intersection(m, x, y)
+    common, base_x, base_y = record.common, record.base_x, record.base_y
+    within = common | base_x | base_y
+    x_core = ElementSet(m.ground, base_x & ~m._greedy_basis_mask(within, common | base_y))
+    y_core = ElementSet(m.ground, base_y & ~m._greedy_basis_mask(within, common | base_x))
+    if not len(x_core) == len(y_core) == record.value:
+        raise InvariantViolation("the cores do not have kappa(X, Y) elements each")
+    return x_core, y_core
 
 
 def _zone_record(sub: Matroid, x_core: ElementSet, y_core: ElementSet) -> _Record:

@@ -68,9 +68,11 @@ def brute_kappa(indep, labels, x) -> int:
 
 def brute_kappa_between(indep, labels, x, y) -> int:
     x, y = frozenset(x), frozenset(y)
-    free = frozenset(labels) - x - y
+    ground = frozenset(labels)
+    full = brute_rank(indep, ground)  # brute_kappa's r(E), scanned once
     return min(
-        brute_kappa(indep, labels, x | frozenset(s)) for s in powerset(free)
+        brute_rank(indep, x | frozenset(s)) + brute_rank(indep, ground - x - frozenset(s)) - full
+        for s in powerset(ground - x - y)
     )
 
 

@@ -16,7 +16,6 @@ from matroid_kappa import (
     free_matroid,
     gf2_matroid,
     graphic_matroid,
-    grow_pair,
     is_k_connected,
     kappa,
     kappa_between,
@@ -26,7 +25,7 @@ from matroid_kappa import (
     MinorSpec,
     uniform_matroid,
 )
-from matroid_kappa import budgets, connectivity
+from matroid_kappa import budgets, connectivity, linking
 from matroid_kappa.connectivity import _largest_common_independent
 from matroid_kappa.core import _ForestSpan
 from matroid_kappa.windows import double_ladder
@@ -257,57 +256,6 @@ class TestSeparations:
         m = helpers.two_triangles()
         sep = find_separation(m, 1)
         assert sorted(sep.left) == ["a1", "a2", "a3"]
-
-
-class TestGrowPair:
-    def test_no_room_returns_none(self):
-        m = u24()
-        x = m.ground.set_of("a")
-        y = m.ground.set_of("b")
-        assert grow_pair(m, x, y, x, y, 2) is None
-
-    def test_u24_grows_to_full_pair(self):
-        m = u24()
-        got = grow_pair(
-            m,
-            m.ground.set_of("ab"),
-            m.ground.set_of("cd"),
-            m.ground.set_of("a"),
-            m.ground.set_of("c"),
-            2,
-        )
-        assert got == ("b", "d")
-
-    def test_blocks_tell_level_zero(self):
-        m = helpers.two_triangles()
-        x = m.ground.set_of(["a1", "a2"])
-        y = m.ground.set_of(["b1", "b2"])
-        got = grow_pair(m, x, y, m.ground.empty(), m.ground.empty(), 1)
-        assert got is None
-
-    def test_wrong_level_rejected(self):
-        m = u24()
-        with pytest.raises(PreconditionError):
-            grow_pair(m, m.ground.set_of("ab"), m.ground.set_of("cd"),
-                      m.ground.set_of("a"), m.ground.set_of("c"), 3)
-
-    def test_growth_reaches_target_on_corpus(self, small_corpus):
-        for name, m in small_corpus[:20]:
-            labels = list(m.ground)
-            if len(labels) < 4:
-                continue
-            x = m.ground.set_of(labels[: len(labels) // 2])
-            y = x.complement()
-            k = kappa_between(m, x, y)
-            xp = m.ground.empty()
-            yp = m.ground.empty()
-            for level in range(1, k + 1):
-                pair = grow_pair(m, x, y, xp, yp, level)
-                assert pair is not None, name
-                xp = xp.with_element(pair[0])
-                yp = yp.with_element(pair[1])
-            assert kappa_between(m, xp, yp) == k, name
-            assert len(xp) == k and len(yp) == k
 
 
 @st.composite
@@ -658,6 +606,27 @@ class TestPolynomialGuard:
         assert len(calls) == 2
         assert linking_partition(m, x, y).target == 1
         assert len(calls) == 2
+
+    def test_cores_run_no_intersection(self, monkeypatch):
+        # stage 1 of the construction reads its cores off the kappa(X, Y)
+        # record that the target query has already built
+        calls = []
+        real = connectivity._largest_common_independent
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(connectivity, "_largest_common_independent", spy)
+        for side, m in grid_and_dual():
+            labels = list(m.ground)
+            x, y = m.ground.set_of(labels[:4]), m.ground.set_of(labels[-4:])
+            k = kappa_between(m, x, y)
+            before = len(calls)
+            x_core, y_core = linking._cores(m, x, y)
+            assert len(calls) == before, side
+            assert len(x_core) == len(y_core) == k >= 2, side
+            assert len(m._memo) == 0, side
 
     def test_oracle_span_calls_stay_pinned(self):
         # the oracle span tests one swap per arc it may still use, as the

@@ -544,6 +544,33 @@ class TestJoiningCircuit:
             assert ms.is_circuit((c - s).in_universe(ms.ground))
 
 
+class TestCores:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(
+        m=st.one_of(helpers.representations(max_n=10), helpers.derived_matroids()),
+        flip=st.booleans(),
+        data=st.data(),
+    )
+    def test_cores_keep_the_value(self, m, flip, data):
+        # the cores come off the kappa(X, Y) record with no search; the
+        # exhaustive scan confirms that they keep the value
+        if flip:
+            m = dual(m)
+        labels = list(m.ground)
+        size_x = data.draw(st.integers(1, 4))
+        size_y = data.draw(st.integers(1, 4))
+        assume(size_x + size_y <= len(labels))
+        picks = data.draw(st.permutations(labels))
+        x = m.ground.set_of(picks[:size_x])
+        y = m.ground.set_of(picks[size_x : size_x + size_y])
+        indep = helpers.oracle_of(m)
+        k = helpers.brute_kappa_between(indep, labels, list(x), list(y))
+        x_core, y_core = linking._cores(m, x, y)
+        assert len(x_core) == len(y_core) == k
+        assert x_core <= x and y_core <= y
+        assert helpers.brute_kappa_between(indep, labels, list(x_core), list(y_core)) == k
+
+
 class TestConstructiveLinking:
     def test_level_zero_deletes_everything(self):
         m = helpers.two_triangles()
