@@ -9,28 +9,47 @@ Each check works from tables of the 2^n subsets, not from pairs of sets.
 A table is one int with bit s set for each chosen subset s, so a pass over
 all 2^n subsets is one shift per element:
 
-* I2 and I3 walk the family once in canonical order (one shared sort).
+* I2 fails exactly when some member lies one element above a non-member:
+  one upward pass over the non-members, ANDed with the members.
 * I3 finds the maximal members from one downward pass ("s lies inside a
-  member") and marks, in one upward pass, every s that contains a maximal
-  member.  A non-maximal I fails against a maximal I' exactly when I' lies
-  inside I united with the elements e for which I + e is not a member,
-  which is one table lookup per I; the first such I' in canonical order is
-  the witness.
+  member").  A non-maximal I fails against a maximal I' exactly when no
+  e in I' gives a member I + e.  The sets s without e for which s + e is a
+  member form one shifted table per element, so a maximal I' leaves a
+  failing I exactly when I lies outside the union of the tables of the
+  elements of I': one OR per element of each maximal member.
+* I2 and I3 sort the family and walk it in canonical order only when a
+  table says they fail, to name the first witness.
 * The candidate circuits of an independence family, its minimal
   non-members, come from one upward pass: s is one exactly when s is not
   a member and every s - e is a member whose subsets all are.  Given
   circuits, the induced family is every set outside one upward pass, and
   C2 scans pairs of circuits only when one pass finds a nested pair.
-* C3 takes the options for each C_x from a per-element circuit index and
-  memoises, for each set it searches, the union of the circuits inside it
-  (at most 2^n entries), so "a circuit through z" is one bit test.
+* C3 holds whenever the candidates are the circuits of a matroid, that
+  is, whenever I1-I3, C1 and C2 pass.  Take C, X, the C_x and z in C
+  outside every C_x, and let A = (C united with the C_x) - X.  Each
+  C_x - x lies inside A - z, so X lies in cl(A - z), and z lies in
+  cl(C - z), which is inside cl(A - z); so z lies on a circuit inside A.
+  For such a family the scan could find no witness, so it is not run: only
+  whether it would run to completion is computed, by counting its tuples.
+  With has[e] the set of circuits through e, the tuples number
+
+      sum over S with |S| >= 2 of N(S) * sum over z in S of
+          product over x in S - z of k_x(S),
+
+  where N(S) counts the circuits containing S and k_x(S) the circuits
+  that meet S in x alone; S is X + z, and the C_x are independent choices
+  once S is fixed.  The sum walks the sets S inside some circuit and stops
+  as soon as it passes the cap.  Any other family is scanned: C3 takes the
+  options for each C_x from a per-element circuit index and memoises, for
+  each set it searches, the union of the circuits inside it (at most 2^n
+  entries), so "a circuit through z" is one bit test.
 
 The strong circuit-exchange check (C3) quantifies over tuples
 (C, X, (C_x for x in X), z); the number of such tuples can explode, so the
 scan is capped and the report records whether it ran to completion.  The
 cap counts every (C, X, family, z) tuple visited in the same order as a
 one-at-a-time scan would, so the truncation point and ``exhaustive`` do
-not depend on how the tuples are tested.
+not depend on how the tuples are tested, or whether they are only counted.
 """
 
 from __future__ import annotations
@@ -131,10 +150,13 @@ def check_axioms(
     inclusion-minimal non-members.  The ground set is checked against
     ``budget`` before any family is read, so a lazily generated family
     over too many elements is never enumerated.  A mask in
-    ``independent_masks`` outside the ground set raises ``DomainError``.
+    ``independent_masks`` outside the ground set, or a negative
+    ``c3_budget``, raises ``DomainError``.
     """
     if c3_budget is None:
         c3_budget = budgets.AXIOM_C3_TUPLES
+    if c3_budget < 0:
+        raise DomainError(f"c3_budget must be non-negative, got {c3_budget}")
     if not isinstance(ground, GroundSet):
         ground = GroundSet(ground)
     budgets.check_scan("axiom check", len(ground), budget, budgets.AXIOM_GROUND)
@@ -144,15 +166,13 @@ def check_axioms(
         raise DomainError("give exactly one of independent sets or circuits")
 
     if circuits is not None:
-        circuit_masks = sorted(
-            {ground.set_of(c).mask for c in circuits}, key=_canonical_key
-        )
+        circuit_masks = list({ground.set_of(c).mask for c in circuits})
         family = frozenset(sets_without(ground, circuit_masks))
         circuits_given = True
     else:
         if independent_masks is not None:
             family = frozenset(independent_masks)
-            if any(not 0 <= m <= ground.full_mask for m in family):
+            if family and (min(family) < 0 or max(family) > ground.full_mask):
                 raise DomainError("a mask in the family lies outside the ground set")
         else:
             family = frozenset(ground.set_of(s).mask for s in independent)  # type: ignore[union-attr]
@@ -168,8 +188,14 @@ def check_axioms(
         ),
         _check_c1(ground, circuit_masks),
         _check_c2(ground, circuit_masks),
-        _check_c3(ground, circuit_masks, c3_budget),
     ]
+    if all(c.passed for c in checks):
+        # the circuits of a matroid, so C3 holds (see the module docstring)
+        within = _c3_tuples_within(circuit_masks, len(ground), c3_budget)
+        checks.append(AxiomCheck("C3", True, exhaustive=within))
+    else:
+        ordered = sorted(circuit_masks, key=_canonical_key)
+        checks.append(_check_c3(ground, ordered, c3_budget))
     if circuits_given:
         note = "independence family induced from the candidate circuits"
         checks = [
@@ -197,12 +223,35 @@ def _independence_checks(
     ground: GroundSet, family: frozenset[int]
 ) -> tuple[AxiomCheck, AxiomCheck, AxiomCheck]:
     """I1, I2 and I3 for a family of masks inside the ground set."""
-    ordered = sorted(family, key=_canonical_key)
+    lanes = _lanes(len(ground))
+    members = _table(family)
+    outside = _every_subset(ground) & ~members
+    i2_holds = not members & _step_up(outside, lanes)
+    i3_holds = _augmentable(members, lanes)
+    ordered = [] if i2_holds and i3_holds else sorted(family, key=_canonical_key)
     return (
         _check_i1(ground, family),
-        _check_i2(ground, family, ordered),
-        _check_i3(ground, family, ordered),
+        AxiomCheck("I2", True) if i2_holds else _check_i2(ground, family, ordered),
+        AxiomCheck("I3", True) if i3_holds else _check_i3(ground, family, ordered),
     )
+
+
+def _augmentable(members: int, lanes: list[int]) -> bool:
+    """Whether every non-maximal member I has, for each maximal member I',
+    some e in I' with I + e a member (I3 on the table ``members``)."""
+    maximal = members & ~_step_down(_shrink(members, lanes), lanes)
+    nonmaximal = members & ~maximal
+    if not nonmaximal:
+        return True
+    # adds[i]: the sets s without i for which s + i is a member
+    adds = [(members >> (1 << i)) & lane for i, lane in enumerate(lanes)]
+    for big in _bit_indices(maximal):
+        augmented = 0
+        for i in _bit_indices(big):
+            augmented |= adds[i]
+        if nonmaximal & ~augmented:
+            return False
+    return True
 
 
 def _lanes(n: int) -> list[int]:
@@ -263,7 +312,7 @@ def _minimal_nonmembers(ground: GroundSet, family: frozenset[int]) -> list[int]:
     lanes = _lanes(len(ground))
     outside = _every_subset(ground) & ~_table(family)
     properly_above = _step_up(_grow(outside, lanes), lanes)
-    return sorted(_bit_indices(outside & ~properly_above), key=_canonical_key)
+    return list(_bit_indices(outside & ~properly_above))
 
 
 def _check_i1(ground: GroundSet, family: frozenset[int]) -> AxiomCheck:
@@ -332,7 +381,8 @@ def _check_c2(ground: GroundSet, circuit_masks: list[int]) -> AxiomCheck:
     table = _table(circuit_masks)
     if not table & _step_up(_grow(table, lanes), lanes):
         return AxiomCheck("C2", True)
-    for a, b in itertools.combinations(circuit_masks, 2):
+    ordered = sorted(circuit_masks, key=_canonical_key)
+    for a, b in itertools.combinations(ordered, 2):
         if a & b == a or a & b == b:
             small, big = (a, b) if a & b == a else (b, a)
             return AxiomCheck(
@@ -344,6 +394,47 @@ def _check_c2(ground: GroundSet, circuit_masks: list[int]) -> AxiomCheck:
                 ),
             )
     return AxiomCheck("C2", True)
+
+
+def _c3_tuples_within(circuit_masks: list[int], n: int, tuple_budget: int) -> bool:
+    """Whether the C3 scan of the circuits of a matroid visits at most
+    ``tuple_budget`` tuples, counted by the identity in the module
+    docstring over the sets S that lie inside some circuit.
+
+    A set S with some k_x(S) = 0 adds no tuple, and nor does any superset:
+    k_x only shrinks as S grows, and a tuple with z = x would give, by C3,
+    a circuit through x that avoids S - x.  So the walk stops there.
+    """
+    has = [0] * n
+    for j, cmask in enumerate(circuit_masks):
+        for e in _bit_indices(cmask):
+            has[e] |= 1 << j
+    total = 0
+    # (next element, k-sets of S, circuits containing S, circuits meeting S);
+    # the k-set of x is the set of circuits that meet S in x alone
+    stack = [(e + 1, [h], h, h) for e, h in enumerate(has) if h]
+    while stack:
+        start, ksets, common, met = stack.pop()
+        for e in range(start, n):
+            h = has[e]
+            inside = common & h
+            if not inside:
+                continue
+            grown = [d & ~h for d in ksets]
+            grown.append(h & ~met)
+            ks = [d.bit_count() for d in grown]
+            if not all(ks):
+                continue
+            # the sum over z in S of the product of the other k_x(S)
+            leave_one_out, product = 0, 1
+            for k in ks:
+                leave_one_out = leave_one_out * k + product
+                product *= k
+            total += inside.bit_count() * leave_one_out
+            if total > tuple_budget:
+                return False
+            stack.append((e + 1, grown, inside, met | h))
+    return True
 
 
 def _check_c3(

@@ -29,7 +29,9 @@ AXIOM_GROUND = 12
 
 AXIOM_C3_TUPLES = 20_000
 """Cap on the number of (circuit, subset, family, element) tuples scanned
-for the strong circuit-exchange check."""
+for the strong circuit-exchange check.  The cap still counts scan tuples,
+but the circuits of a matroid are counted, not scanned: C3 holds for them,
+and only whether the scan would stay within the cap is computed."""
 
 SEPARATION_SCAN = 16
 """Maximum ground-set size for ``find_separation`` with k of 2 or more,

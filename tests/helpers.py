@@ -479,6 +479,27 @@ def _canon(mask: int) -> tuple:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def brute_c3_tuples(circuit_masks) -> int:
+    """Every (C, X, (C_x), z) tuple the C3 scan of ``brute_check_axioms``
+    visits, counted by its own product loop with no cap."""
+    total = 0
+    for cmask in circuit_masks:
+        for xmask in iter_submasks_lex(cmask):
+            xs = _canon(xmask)
+            per_x = [
+                [d for d in circuit_masks if d >> x & 1 and not d & (xmask & ~(1 << x))]
+                for x in xs
+            ]
+            if not xs or not all(per_x):
+                continue
+            for combo in itertools.product(*per_x):
+                union = 0
+                for d in combo:
+                    union |= d
+                total += len(_canon(cmask & ~union))
+    return total
+
+
 def brute_check_axioms(ground, independent=None, *, circuits=None, independent_masks=None, c3_budget=20_000):
     """The axiom report by direct scans: quadratic I3, minimal non-members
     from ``itertools.combinations``, and C3 with a linear scan for a circuit

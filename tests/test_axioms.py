@@ -10,6 +10,7 @@ from matroid_kappa import (
     dual,
     explicit_matroid,
 )
+from matroid_kappa import axioms
 from matroid_kappa.axioms import sets_without
 
 
@@ -90,6 +91,13 @@ class TestChecker:
             assert not report[axiom].passed, (name, report.first_failure())
             assert report[axiom].witness, name
 
+    def test_augmenting_element_must_lie_in_the_maximal_set(self):
+        # {} + a is a member, but a lies outside I'={b,c}
+        report = check_axioms("abc", independent=[(), ("a",), ("b", "c")])
+        assert report["I3"].witness == (
+            "I={} cannot be augmented from the maximal set I'={b,c}"
+        )
+
     def test_witness_names_the_sets(self):
         report = check_axioms("abc", independent=[(), ("a",), ("a", "b")])
         assert "{a,b}" in report["I2"].witness
@@ -106,6 +114,10 @@ class TestChecker:
         report = check_axioms(m.ground, independent=materialized(m), c3_budget=5)
         assert report.ok
         assert not report["C3"].exhaustive
+
+    def test_negative_c3_budget_rejected(self):
+        with pytest.raises(DomainError, match="c3_budget must be non-negative, got -1"):
+            check_axioms("a", independent=[()], c3_budget=-1)
 
     def test_requires_exactly_one_family(self):
         with pytest.raises(DomainError):
@@ -203,6 +215,64 @@ class TestAgainstBruteChecker:
         family = [mask for mask in range(m.ground.full_mask + 1) if m._indep(mask)]
         assert list(sets_without(m.ground, circuits)) == family
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        m=st.one_of(
+            helpers.representations(max_n=8),
+            helpers.representations(max_n=8).map(dual),
+            helpers.derived_matroids(),
+        ),
+        as_circuits=st.booleans(),
+    )
+    def test_c3_budget_at_the_exact_tuple_count(self, m, as_circuits):
+        # a matroid's C3 tuples are counted, not scanned: the count must be
+        # the scan's, so the report flips to truncated one below it
+        circuits = [c.mask for c in m.circuits()]
+        tuples = helpers.brute_c3_tuples(circuits)
+        if as_circuits:
+            family = {"circuits": [m.ground.from_mask(c) for c in circuits]}
+        else:
+            family = {"independent": materialized(m)}
+        for c3_budget in (tuples, tuples - 1) if tuples else (0,):
+            expected = helpers.brute_check_axioms(m.ground, c3_budget=c3_budget, **family)
+            got = check_axioms(m.ground, c3_budget=c3_budget, **family)
+            assert got.to_jsonable() == expected.to_jsonable(), c3_budget
+            assert got["C3"].exhaustive == (c3_budget == tuples)
+
     def test_mask_outside_ground_rejected(self):
         with pytest.raises(DomainError):
             check_axioms("ab", independent_masks=[0, 4])
+
+
+class TestScansOnlyOnFailure:
+    """I2, I3 and C3 are decided from tables and counts; the canonical-order
+    scans run only to name the witness of a failure."""
+
+    def test_matroids_need_no_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scan run on a matroid")
+
+        for name in ("_check_c3", "_check_i2", "_check_i3"):
+            monkeypatch.setattr(axioms, name, refuse)
+        for name, m in helpers.full_corpus():
+            family = materialized(m)
+            assert check_axioms(m.ground, family).ok, name
+            explicit_matroid(m.ground, family)
+
+    def test_failures_name_their_witness(self, monkeypatch):
+        scanned = []
+        for name in ("_check_i2", "_check_i3"):
+            original = getattr(axioms, name)
+
+            def recording(*args, original=original):
+                check = original(*args)
+                scanned.append(check.name)
+                return check
+
+            monkeypatch.setattr(axioms, name, recording)
+        for name, kwargs, axiom in NON_MATROIDS:
+            scanned.clear()
+            report = check_axioms(**kwargs)
+            assert report[axiom].witness, name
+            failed = {c.name for c in report.checks if not c.passed}
+            assert set(scanned) == failed & {"I2", "I3"}, name
