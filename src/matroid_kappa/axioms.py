@@ -17,8 +17,8 @@ all 2^n subsets is one shift per element:
   member form one shifted table per element, so a maximal I' leaves a
   failing I exactly when I lies outside the union of the tables of the
   elements of I': one OR per element of each maximal member.
-* I2 and I3 sort the family and walk it in canonical order only when a
-  table says they fail, to name the first witness.
+* I1 is bit 0, and the I2 and I3 witnesses are read off the same tables:
+  the first failing set in canonical order names each.
 * The candidate circuits of an independence family, its minimal
   non-members, come from one upward pass: s is one exactly when s is not
   a member and every s - e is a member whose subsets all are.  Given
@@ -165,22 +165,25 @@ def check_axioms(
     if given != 1:
         raise DomainError("give exactly one of independent sets or circuits")
 
+    # the family as one subset table: bit s is set when s is a member
     if circuits is not None:
         circuit_masks = list({ground.set_of(c).mask for c in circuits})
-        family = frozenset(sets_without(ground, circuit_masks))
+        members = _without(ground, circuit_masks)
         circuits_given = True
     else:
         if independent_masks is not None:
-            family = frozenset(independent_masks)
-            if family and (min(family) < 0 or max(family) > ground.full_mask):
-                raise DomainError("a mask in the family lies outside the ground set")
+            members, full = 0, ground.full_mask
+            for mask in independent_masks:
+                if not 0 <= mask <= full:
+                    raise DomainError("a mask in the family lies outside the ground set")
+                members |= 1 << mask
         else:
-            family = frozenset(ground.set_of(s).mask for s in independent)  # type: ignore[union-attr]
-        circuit_masks = _minimal_nonmembers(ground, family)
+            members = _table(ground.set_of(s).mask for s in independent)  # type: ignore[union-attr]
+        circuit_masks = _minimal_nonmembers(ground, members)
         circuits_given = False
 
     checks = [
-        *_independence_checks(ground, family),
+        *_independence_checks(ground, members),
         AxiomCheck(
             "IM",
             True,
@@ -211,8 +214,12 @@ def sets_without(ground: GroundSet, masks: Iterable[int]) -> Iterator[int]:
     """The subsets of the ground set that contain no set of ``masks``, in
     increasing mask order; for the circuits of a matroid, its independent
     sets."""
-    dependent = _grow(_table(masks), _lanes(len(ground)))
-    return _bit_indices(_every_subset(ground) & ~dependent)
+    return _bit_indices(_without(ground, masks))
+
+
+def _without(ground: GroundSet, masks: Iterable[int]) -> int:
+    """The subset table of the sets that contain no set of ``masks``."""
+    return _every_subset(ground) & ~_grow(_table(masks), _lanes(len(ground)))
 
 
 def _canonical_key(mask: int) -> tuple[int, ...]:
@@ -220,38 +227,31 @@ def _canonical_key(mask: int) -> tuple[int, ...]:
 
 
 def _independence_checks(
-    ground: GroundSet, family: frozenset[int]
+    ground: GroundSet, members: int
 ) -> tuple[AxiomCheck, AxiomCheck, AxiomCheck]:
-    """I1, I2 and I3 for a family of masks inside the ground set."""
+    """I1, I2 and I3 for the subset table ``members`` of a family of masks
+    inside the ground set."""
     lanes = _lanes(len(ground))
-    members = _table(family)
-    outside = _every_subset(ground) & ~members
-    i2_holds = not members & _step_up(outside, lanes)
-    i3_holds = _augmentable(members, lanes)
-    ordered = [] if i2_holds and i3_holds else sorted(family, key=_canonical_key)
     return (
-        _check_i1(ground, family),
-        AxiomCheck("I2", True) if i2_holds else _check_i2(ground, family, ordered),
-        AxiomCheck("I3", True) if i3_holds else _check_i3(ground, family, ordered),
+        _check_i1(members),
+        _check_i2(ground, members, lanes),
+        _check_i3(ground, members, lanes),
     )
 
 
-def _augmentable(members: int, lanes: list[int]) -> bool:
-    """Whether every non-maximal member I has, for each maximal member I',
-    some e in I' with I + e a member (I3 on the table ``members``)."""
-    maximal = members & ~_step_down(_shrink(members, lanes), lanes)
+def _stuck(members: int, maximal: int, lanes: list[int]) -> int:
+    """The non-maximal members I for which some maximal member I' has no e
+    in I' - I with I + e a member: I3 holds exactly when there is none."""
     nonmaximal = members & ~maximal
-    if not nonmaximal:
-        return True
     # adds[i]: the sets s without i for which s + i is a member
     adds = [(members >> (1 << i)) & lane for i, lane in enumerate(lanes)]
+    stuck = 0
     for big in _bit_indices(maximal):
         augmented = 0
         for i in _bit_indices(big):
             augmented |= adds[i]
-        if nonmaximal & ~augmented:
-            return False
-    return True
+        stuck |= nonmaximal & ~augmented
+    return stuck
 
 
 def _lanes(n: int) -> list[int]:
@@ -308,66 +308,58 @@ def _every_subset(ground: GroundSet) -> int:
     return (1 << (ground.full_mask + 1)) - 1
 
 
-def _minimal_nonmembers(ground: GroundSet, family: frozenset[int]) -> list[int]:
+def _minimal_nonmembers(ground: GroundSet, members: int) -> list[int]:
     lanes = _lanes(len(ground))
-    outside = _every_subset(ground) & ~_table(family)
+    outside = _every_subset(ground) & ~members
     properly_above = _step_up(_grow(outside, lanes), lanes)
     return list(_bit_indices(outside & ~properly_above))
 
 
-def _check_i1(ground: GroundSet, family: frozenset[int]) -> AxiomCheck:
-    if 0 in family:
+def _check_i1(members: int) -> AxiomCheck:
+    if members & 1:
         return AxiomCheck("I1", True)
     return AxiomCheck("I1", False, witness="the empty set is not in the family")
 
 
-def _check_i2(
-    ground: GroundSet, family: frozenset[int], ordered: list[int]
-) -> AxiomCheck:
-    for mask in ordered:
-        for i in _bit_indices(mask):
-            sub = mask & ~(1 << i)
-            if sub not in family:
-                return AxiomCheck(
-                    "I2",
-                    False,
-                    witness=(
-                        f"{_fmt(ground, mask)} is in the family but its subset "
-                        f"{_fmt(ground, sub)} is not"
-                    ),
-                )
-    return AxiomCheck("I2", True)
+def _check_i2(ground: GroundSet, members: int, lanes: list[int]) -> AxiomCheck:
+    broken = members & _step_up(_every_subset(ground) & ~members, lanes)
+    if not broken:
+        return AxiomCheck("I2", True)
+    mask = min(_bit_indices(broken), key=_canonical_key)
+    subs = (mask & ~(1 << i) for i in _bit_indices(mask))
+    sub = next(s for s in subs if not members >> s & 1)
+    return AxiomCheck(
+        "I2",
+        False,
+        witness=(
+            f"{_fmt(ground, mask)} is in the family but its subset "
+            f"{_fmt(ground, sub)} is not"
+        ),
+    )
 
 
-def _check_i3(
-    ground: GroundSet, family: frozenset[int], ordered: list[int]
-) -> AxiomCheck:
-    full = ground.full_mask
-    lanes = _lanes(len(ground))
-    members = _table(family)
-    maximal_table = members & ~_step_down(_shrink(members, lanes), lanes)
-    maximal = set(_bit_indices(maximal_table))
-    holds_maximal = _grow(maximal_table, lanes)
-    for small in ordered:
-        if small in maximal:
-            continue
-        # ext: the elements e with I + e in the family.  I fails against a
-        # maximal I' exactly when I' lies inside I united with E - ext.
-        ext = 0
-        for i in _bit_indices(full & ~small):
-            if small | (1 << i) in family:
-                ext |= 1 << i
-        if holds_maximal >> (small | (full & ~ext)) & 1:
-            big = next(m for m in ordered if m in maximal and not m & ~small & ext)
-            return AxiomCheck(
-                "I3",
-                False,
-                witness=(
-                    f"I={_fmt(ground, small)} cannot be augmented from the "
-                    f"maximal set I'={_fmt(ground, big)}"
-                ),
-            )
-    return AxiomCheck("I3", True)
+def _check_i3(ground: GroundSet, members: int, lanes: list[int]) -> AxiomCheck:
+    maximal = members & ~_step_down(_shrink(members, lanes), lanes)
+    stuck = _stuck(members, maximal, lanes)
+    if not stuck:
+        return AxiomCheck("I3", True)
+    small = min(_bit_indices(stuck), key=_canonical_key)
+    # ext: the elements e outside I with I + e a member; I' leaves I stuck
+    # exactly when it has none of them
+    ext = 0
+    for i in _bit_indices(ground.full_mask & ~small):
+        ext |= (members >> (small | 1 << i) & 1) << i
+    big = min(
+        (m for m in _bit_indices(maximal) if not m & ext), key=_canonical_key
+    )
+    return AxiomCheck(
+        "I3",
+        False,
+        witness=(
+            f"I={_fmt(ground, small)} cannot be augmented from the "
+            f"maximal set I'={_fmt(ground, big)}"
+        ),
+    )
 
 
 def _check_c1(ground: GroundSet, circuit_masks: list[int]) -> AxiomCheck:

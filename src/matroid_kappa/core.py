@@ -96,6 +96,8 @@ class GroundSet:
         return ElementSet(self, self.full_mask)
 
     def set_of(self, labels: Iterable[str]) -> "ElementSet":
+        if isinstance(labels, ElementSet) and labels.ground == self:
+            return labels
         mask = 0
         for lab in labels:
             mask |= 1 << self.index(lab)
@@ -224,7 +226,8 @@ def iter_submasks_binary(mask: int) -> Iterator[int]:
     """All submasks of ``mask`` in binary counting order.
 
     Bit i of the counter toggles the i-th lowest set bit of ``mask``; the
-    empty set comes first.  This is the scan order of partition searches.
+    empty set comes first.  ``windows.rung_partition_counterexample``
+    scans its rung splits in this order.
     """
     bits = [1 << i for i in _bit_indices(mask)]
     for counter in range(1 << len(bits)):
@@ -1146,10 +1149,10 @@ def explicit_matroid(
     ground = _as_ground(labels)
     family = frozenset(ground.set_of(s).mask for s in independent)
     if check:
-        from .axioms import AxiomReport, _independence_checks
+        from .axioms import AxiomReport, _independence_checks, _table
 
         budgets.check_scan("axiom check", len(ground), None, budgets.AXIOM_GROUND)
-        report = AxiomReport(ground, _independence_checks(ground, family))
+        report = AxiomReport(ground, _independence_checks(ground, _table(family)))
         if not report.ok:
             raise DomainError(f"family is not a matroid: {report.first_failure()}")
     return ExplicitMatroid(ground, family)

@@ -189,7 +189,7 @@ def _parse_text(text: str, base_dir: str, chain: tuple[_FileId, ...]) -> Matroid
         family = []
         for no, line in tail:
             try:
-                family.append(tuple(parse_label_set(ground, line)))
+                family.append(parse_label_set(ground, line))
             except DomainError as exc:
                 raise ParseError(no, str(exc)) from None
         if not family:

@@ -143,9 +143,9 @@ def random_greedy_basis(m: Matroid, within, rng: random.Random):
 
 
 @st.composite
-def representations(draw, prefix: str = "x", max_n: int = 7):
+def representations(draw, prefix: str = "x", max_n: int = 7, min_n: int = 0):
     """A uniform, graphic, binary or explicit matroid on ``prefix``-labels."""
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(min_n, max_n))
     labels = [f"{prefix}{i}" for i in range(n)]
     kind = draw(st.sampled_from(["uniform", "graphic", "gf2", "explicit"]))
     if kind == "uniform":

@@ -72,6 +72,15 @@ class TestElementSets:
         with pytest.raises(DomainError):
             GroundSet("abc").set_of("ax")
 
+    def test_set_of_an_element_set(self):
+        s = GroundSet("abc").set_of("ac")
+        assert GroundSet("abc").set_of(s) == s  # an equal ground passes it through
+        moved = GroundSet("cba").set_of(s)  # another ground maps it label by label
+        assert moved.ground == GroundSet("cba") and moved.mask == 0b101
+        assert GroundSet("cab").set_of(s).mask == 0b011
+        with pytest.raises(DomainError):
+            GroundSet("ab").set_of(s)
+
 
 class TestIndependenceOracles:
     def test_uniform_small_sets_independent(self):
