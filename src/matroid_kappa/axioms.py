@@ -55,7 +55,7 @@ not depend on how the tuples are tested, or whether they are only counted.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import budgets
@@ -168,20 +168,26 @@ def check_axioms(
     # the family as one subset table: bit s is set when s is a member
     if circuits is not None:
         circuit_masks = list({ground.set_of(c).mask for c in circuits})
-        members = _without(ground, circuit_masks)
-        circuits_given = True
+        return _report(ground, _without(ground, circuit_masks), c3_budget, circuit_masks)
+    if independent_masks is not None:
+        members, full = 0, ground.full_mask
+        for mask in independent_masks:
+            if not 0 <= mask <= full:
+                raise DomainError("a mask in the family lies outside the ground set")
+            members |= 1 << mask
     else:
-        if independent_masks is not None:
-            members, full = 0, ground.full_mask
-            for mask in independent_masks:
-                if not 0 <= mask <= full:
-                    raise DomainError("a mask in the family lies outside the ground set")
-                members |= 1 << mask
-        else:
-            members = _table(ground.set_of(s).mask for s in independent)  # type: ignore[union-attr]
-        circuit_masks = _minimal_nonmembers(ground, members)
-        circuits_given = False
+        members = _table(ground.set_of(s).mask for s in independent)  # type: ignore[union-attr]
+    return _report(ground, members, c3_budget)
 
+
+def _report(
+    ground: GroundSet, members: int, c3_budget: int, circuit_masks: list[int] | None = None
+) -> AxiomReport:
+    """:func:`check_axioms` on the packed table ``members``, against the
+    given circuits ``circuit_masks`` or else its minimal non-members."""
+    circuits_given = circuit_masks is not None
+    if circuit_masks is None:
+        circuit_masks = _minimal_nonmembers(ground, members)
     checks = [
         *_independence_checks(ground, members),
         AxiomCheck(
@@ -208,13 +214,6 @@ def check_axioms(
             for c in checks
         ]
     return AxiomReport(ground, tuple(checks))
-
-
-def sets_without(ground: GroundSet, masks: Iterable[int]) -> Iterator[int]:
-    """The subsets of the ground set that contain no set of ``masks``, in
-    increasing mask order; for the circuits of a matroid, its independent
-    sets."""
-    return _bit_indices(_without(ground, masks))
 
 
 def _without(ground: GroundSet, masks: Iterable[int]) -> int:

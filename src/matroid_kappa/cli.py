@@ -22,7 +22,7 @@ import functools
 import json
 import sys
 
-from .axioms import check_axioms, sets_without
+from . import axioms, budgets
 from .budgets import resolve_budget
 from .connectivity import find_separation, kappa, kappa_between
 from .constructions import MinorSpec, components, direct_sum, dual, take_minor
@@ -95,15 +95,15 @@ def _summary(m: Matroid, budget_flag: int | None) -> tuple[dict, list[str]]:
 
 
 def _check_axioms_verb(args, m: Matroid):
-    def family():
-        # read only after check_axioms has checked the ground size: the
-        # sets containing no circuit, with no oracle call per subset
-        circuits = m.circuits(budget=len(m.ground))
-        yield from sets_without(m.ground, (c.mask for c in circuits))
-
-    report = check_axioms(
-        m.ground, independent_masks=family(), budget=resolve_budget(args.budget)
+    # the ground size first; then the table of the sets containing no
+    # circuit, with no oracle call per subset
+    ground = m.ground
+    budgets.check_scan(
+        "axiom check", len(ground), resolve_budget(args.budget), budgets.AXIOM_GROUND
     )
+    circuits = m.circuits(budget=len(ground))
+    members = axioms._without(ground, (c.mask for c in circuits))
+    report = axioms._report(ground, members, budgets.AXIOM_C3_TUPLES)
     ok = "true" if report.ok else "false"
     return {"report": report.to_jsonable()}, [str(report), f"ok: {ok}"]
 

@@ -23,7 +23,7 @@ the matroid; ``linking_partition``, ``_joining_circuit`` and
 ``find_separation`` promises the first split in canonical order.  For
 k = 1 it reads that split off the components, since kappa(X) = 0 exactly
 when X is a union of components; for larger k it stays an exhaustive,
-budget-guarded scan.
+budget-guarded scan over the sets that hold the first element.
 """
 
 from __future__ import annotations
@@ -255,7 +255,8 @@ def find_separation(
     For k = 1 that is the first nonempty proper union of components (see
     :func:`_first_separator`), on any size; for larger k subsets are
     scanned in canonical order under ``budget``.  None when nothing
-    qualifies.
+    qualifies.  U qualifies exactly when E - U does, so the scan ends at
+    the first set without element 0, once every set with it is tried.
     """
     if k < 1:
         return None
@@ -266,11 +267,10 @@ def find_separation(
     budgets.check_scan("separation scan", n, budget, budgets.SEPARATION_SCAN)
     full = m.ground.full_mask
     for xmask in iter_submasks_lex(full):
-        if xmask == 0 or xmask == full:
-            continue
+        if xmask and not xmask & 1:
+            break
         size_x = xmask.bit_count()
-        size_y = n - size_x
-        cap = min(size_x, size_y, k)
+        cap = min(size_x, n - size_x, k)
         if cap < 1:
             continue
         value = _kappa_mask(m, xmask)

@@ -9,19 +9,20 @@ A :class:`Matroid` is an independence oracle, a pure function from element
 sets to booleans.  Each concrete representation (uniform, graphic, binary
 linear, explicit family) is a subclass that owns its data and oracle and
 builds its dual and minors from that data: uniform duals and minors stay
-uniform, graphic minors and circuits come from the graph, graphic and
-binary duals and binary minors are binary matrices again, and explicit
-minors filter the family.  Only a matroid given by a bare oracle, and the
-dual of an explicit one, wrap the source oracle.  Every matroid keeps its
-dual once built, and the dual of the dual is the matroid itself.
+uniform, graphic minors and circuits come from the graph's vertex numbers,
+graphic and binary duals and binary minors are binary matrices again, and
+explicit minors filter the family.  Only a matroid given by a bare oracle,
+and the dual of an explicit one, wrap the source oracle.  Every matroid
+keeps its dual and its canonical basis once built; the dual of the dual is
+the matroid itself, and the rank is the size of that basis.
 
-Greedy bases, and with them rank, come from one pass of a representation's
-own kernel where it has one: a graphic matroid runs one union-find over
-its vertices and a binary one one GF(2) elimination over its columns.
-The same kernels, kept open, are the span of an independent set
-(:meth:`Matroid._span`): it answers whether an element can be added and
-gives fundamental circuits, from a union-find with tree paths or from an
-elimination that records which columns sum to each pivot, and it reads
+Greedy bases come from one pass of a representation's own kernel where it
+has one: a graphic matroid runs one union-find over its vertices, which
+also merges them for a minor, and a binary one one GF(2) elimination over
+its columns.  The same kernels, kept open, are the span of an independent
+set (:meth:`Matroid._span`): it answers whether an element can be added
+and gives fundamental circuits, from a union-find with tree paths or from
+an elimination that records which columns sum to each pivot, and it reads
 the exchange-graph arcs of matroid intersection off those circuits.
 Binary circuits are the minimal supports of the cycle space, found with
 2^(n - r) rank checks; graphic circuits are the graph's simple cycles.
@@ -32,7 +33,7 @@ these.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Container, Iterable, Iterator
+from collections.abc import Callable, Container, Hashable, Iterable, Iterator
 
 from . import budgets
 from .errors import DomainError, PreconditionError, UniverseMismatchError
@@ -229,27 +230,16 @@ def iter_submasks_binary(mask: int) -> Iterator[int]:
     empty set comes first.  ``windows.rung_partition_counterexample``
     scans its rung splits in this order.
     """
-    bits = [1 << i for i in _bit_indices(mask)]
-    for counter in range(1 << len(bits)):
-        sub = 0
-        rem = counter
-        j = 0
-        while rem:
-            if rem & 1:
-                sub |= bits[j]
-            rem >>= 1
-            j += 1
-        yield sub
+    positions = tuple(_bit_indices(mask))
+    for counter in range(1 << len(positions)):
+        yield _spread(counter, positions)
 
 
 def submasks_of_size(mask: int, size: int) -> Iterator[int]:
     """All submasks of ``mask`` with ``size`` bits, canonical combination order."""
     bits = [1 << i for i in _bit_indices(mask)]
     for combo in itertools.combinations(bits, size):
-        acc = 0
-        for b in combo:
-            acc |= b
-        yield acc
+        yield sum(combo)  # distinct bits, so the sum is their union
 
 
 class Matroid:
@@ -336,18 +326,13 @@ class Matroid:
 
     @property
     def full_rank(self) -> int:
-        r = self._cache.get("full_rank")
-        if r is None:
-            r = self._greedy_basis_mask(self.ground.full_mask).bit_count()
-            self._cache["full_rank"] = r
-        return r
+        return self.basis().mask.bit_count()
 
     def basis(self) -> ElementSet:
         """The canonical (greedy, first-fit) basis of the whole matroid."""
         b = self._cache.get("basis_mask")
         if b is None:
-            b = self._greedy_basis_mask(self.ground.full_mask)
-            self._cache["basis_mask"] = b
+            b = self._cache["basis_mask"] = self._greedy_basis_mask(self.ground.full_mask)
         return ElementSet(self.ground, b)
 
     def extend_to_basis(
@@ -407,12 +392,8 @@ class Matroid:
     def _circuit_masks(self) -> Iterable[int]:
         """Every circuit mask once, in any order; here by scanning the oracle."""
         found: list[int] = []
-        indices = range(len(self.ground))
         for size in range(1, len(self.ground) + 1):
-            for combo in itertools.combinations(indices, size):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
+            for mask in submasks_of_size(self.ground.full_mask, size):
                 if any(c & mask == c for c in found):
                     continue
                 if not self._indep(mask):
@@ -697,29 +678,30 @@ def free_matroid(labels: Iterable[str]) -> Matroid:
 class GraphicMatroid(Matroid):
     """Finite-cycle matroid of a multigraph, one edge per element.
 
-    ``edges`` are (label, endpoint, endpoint) triples in element order.  A
-    set of edges is independent iff it contains no cycle.  The oracle, the
-    greedy basis and the span share one union-find kernel over the
-    vertices, so a basis is one pass over the candidates, and fundamental
-    circuits are paths in a forest.  Minors are taken on the graph:
-    deleted edges are dropped and contracted edges merge their endpoints.
-    The dual is the binary dual of the vertex-edge incidence matrix.
+    ``ends`` names the endpoints of each edge, in element order; they are
+    kept only as vertex numbers, 0 .. ``_nv`` - 1 in order of first
+    appearance.  A set of edges is independent iff it contains no cycle.
+    The oracle, the greedy basis, the span and the minors share one
+    union-find kernel over the vertices: a basis is one pass over the
+    candidates, fundamental circuits are paths in a forest, and a minor
+    merges the ends of the contracted edges, drops the deleted ones and
+    numbers the roots anew.  The dual is the binary dual of the
+    vertex-edge incidence matrix.
     """
 
     rep = "graphic"
-    __slots__ = ("edges", "_ends", "_nv")
+    __slots__ = ("_ends", "_nv")
 
-    def __init__(self, ground: GroundSet, edges: tuple[tuple[str, str, str], ...]):
-        vertices: dict[str, int] = {}
-        for _, u, v in edges:
-            vertices.setdefault(u, len(vertices))
-            vertices.setdefault(v, len(vertices))
-        ends = tuple((vertices[u], vertices[v]) for _, u, v in edges)
+    def __init__(self, ground: GroundSet, ends: Iterable[tuple[Hashable, Hashable]]):
+        vertices: dict[Hashable, int] = {}
+        ends = tuple(
+            (vertices.setdefault(u, len(vertices)), vertices.setdefault(v, len(vertices)))
+            for u, v in ends
+        )
         nv = len(vertices)
         super().__init__(
             ground, lambda mask: _grow_forest(ends, list(range(nv)), mask, 0) is not None
         )
-        self.edges = edges
         self._ends = ends
         self._nv = nv
 
@@ -768,24 +750,16 @@ class GraphicMatroid(Matroid):
     ) -> Matroid:
         # contracting the forest base_mask merges its endpoints; every other
         # edge outside keep_mask is deleted
-        merge: dict[str, str] = {}
+        parent = list(range(self._nv))
+        _grow_forest(self._ends, parent, base_mask, 0)
 
-        def find(v: str) -> str:
-            while v in merge:
-                v = merge[v]
+        def root(v: int) -> int:
+            while parent[v] != v:
+                v = parent[v]
             return v
 
-        for i in _bit_indices(base_mask):
-            _, u, v = self.edges[i]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                merge[ru] = rv
-        kept = tuple(
-            (lab, find(u), find(v))
-            for i, (lab, u, v) in enumerate(self.edges)
-            if keep_mask >> i & 1
-        )
-        return GraphicMatroid(ground, kept)
+        kept = (self._ends[i] for i in _bit_indices(keep_mask))
+        return GraphicMatroid(ground, ((root(u), root(v)) for u, v in kept))
 
     def _dual(self) -> Matroid:
         # the incidence matrix over GF(2) represents the graph; a loop is
@@ -936,8 +910,9 @@ def graphic_matroid(edges: Iterable[tuple[str, str, str]]) -> Matroid:
     Parallel edges are allowed and a loop (equal endpoints) is a
     one-element circuit.
     """
-    edges = tuple((str(lab), str(u), str(v)) for lab, u, v in edges)
-    return GraphicMatroid(GroundSet(lab for lab, _, _ in edges), edges)
+    edges = tuple(edges)
+    ground = GroundSet(lab for lab, _, _ in edges)
+    return GraphicMatroid(ground, ((str(u), str(v)) for _, u, v in edges))
 
 
 class BinaryMatroid(Matroid):

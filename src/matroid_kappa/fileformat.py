@@ -19,6 +19,9 @@ followed by type-specific content:
   the describing file, and one that leads back to a file being parsed is
   an error
 
+Each type reads only its keys above (file-derived has no ``elements:``),
+``contract:`` and ``delete:`` only with ``apply: minor`` and ``with:``
+only with ``apply: sum``; any other key is a parse error on its own line.
 Blank lines and ``#`` comments are ignored.  Parse errors carry the line
 number and a reason; an error inside a ``base:`` or ``with:`` file also
 names that file.
@@ -85,6 +88,17 @@ def parse_matroid_text(text: str, base_dir: str = ".") -> Matroid:
 _FileId = tuple[int, int]
 """(st_dev, st_ino) of an open description file."""
 
+_KEYS = {
+    "uniform": ("elements", "k"),
+    "graphic": ("elements", "edges"),
+    "linear-gf2": ("elements", "matrix"),
+    "explicit": ("elements", "independent"),
+    "file-derived with apply: dual": ("base", "apply"),
+    "file-derived with apply: minor": ("base", "apply", "contract", "delete"),
+    "file-derived with apply: sum": ("base", "apply", "with"),
+}
+"""The keys each type reads besides ``type``."""
+
 
 def _parse_text(text: str, base_dir: str, chain: tuple[_FileId, ...]) -> Matroid:
     """Parse one description; ``chain`` lists the identities of the files
@@ -119,6 +133,13 @@ def _parse_text(text: str, base_dir: str, chain: tuple[_FileId, ...]) -> Matroid
         return fields[key]
 
     type_no, mtype = need("type")
+    kind = mtype
+    if kind == "file-derived" and "apply" in fields:
+        kind += " with apply: " + fields["apply"][1]
+    if kind in _KEYS:
+        for key, (no, _) in fields.items():
+            if key not in ("type", *_KEYS[kind]):
+                raise ParseError(no, f"type {kind} does not read key {key!r}")
     if mtype == "file-derived":
         return _parse_derived(fields, base_dir, type_no, chain)
 

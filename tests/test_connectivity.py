@@ -401,6 +401,31 @@ class TestPolynomialEngine:
     def test_order_one_separation_matches_scan(self, m):
         assert find_separation(m, 1) == helpers.brute_find_separation(m, 1)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(m=st.one_of(small_matroids(), summed_matroids()), k=st.integers(2, 4))
+    def test_higher_order_separation_matches_scan(self, m, k):
+        assert find_separation(m, k) == helpers.brute_find_separation(m, k)
+
+    def test_separation_scan_stops_after_the_first_element(self, monkeypatch):
+        # on the 3-connected wheel W_4 nothing qualifies, and only the sets
+        # that hold the first element are evaluated
+        rim = 4
+        m = graphic_matroid(
+            [(f"s{i}", "hub", i) for i in range(rim)]
+            + [(f"r{i}", i, (i + 1) % rim) for i in range(rim)]
+        )
+        real = connectivity._kappa_mask
+        evaluated = []
+
+        def counted(m, xmask):
+            evaluated.append(xmask)
+            return real(m, xmask)
+
+        monkeypatch.setattr(connectivity, "_kappa_mask", counted)
+        assert find_separation(m, 2) is None
+        assert 0 < len(evaluated) <= 2 ** (len(m.ground) - 1)
+        assert all(xmask & 1 for xmask in evaluated)
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_duality_invariance_on_grid(self, data):

@@ -462,6 +462,32 @@ class TestRepresentationRoutes:
             assert same_independence(restrict(m, s), restrict(ref, s))
             assert same_independence(contract(dual(m), s), contract(dual(ref), s))
 
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            # contracting b, then c: the triangle's a and its parallel d become loops
+            [("b", ""), ("c", "")],
+            # vertex 4 is left with no edge, and 3 with only its loop f
+            [("", "eg"), ("a", "h")],
+            # contracting a makes d a loop and b, c a parallel class
+            [("a", ""), ("", "b"), ("h", "")],
+            [("g", "c"), ("", "a"), ("bd", "")],
+            [("eh", ""), ("", "f"), ("a", "")],
+        ],
+    )
+    def test_graphic_minor_chains_match_generic(self, chain):
+        m = graphic_matroid(
+            [("a", 0, 1), ("b", 1, 2), ("c", 2, 0), ("d", 0, 1),
+             ("e", 2, 3), ("f", 3, 3), ("g", 3, 4), ("h", 1, 3)]
+        )
+        ref = generic(m)
+        for away, drop in chain:
+            m = take_minor(m, MinorSpec(m.ground.set_of(away), m.ground.set_of(drop)))
+            ref = take_minor(ref, MinorSpec(ref.ground.set_of(away), ref.ground.set_of(drop)))
+            assert m.rep == "graphic"
+            assert same_independence(m, ref)
+            assert m.circuits() == ref.circuits()
+
     def test_representation_field_of_each_construction(self):
         u = u24()
         g = helpers.triangle()

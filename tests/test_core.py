@@ -14,6 +14,7 @@ from matroid_kappa import (
     free_matroid,
     gf2_matroid,
     graphic_matroid,
+    matroid_summary,
     uniform_matroid,
 )
 
@@ -168,6 +169,31 @@ class TestRank:
         )
         assert helpers.brute_rank(oracle, ["e1", "e2", "e3"]) == 2
         assert tri.rank() == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [helpers.triangle, lambda: gf2_matroid("abc", [[1, 0, 1], [0, 1, 1]]), u24],
+        ids=["graphic", "gf2", "uniform"],
+    )
+    def test_one_basis_for_rank_and_summary(self, make, monkeypatch):
+        m = make()
+        cls = type(m)
+        grow = cls._greedy_basis_mask
+        passes = []
+
+        def counted(self, within, start=0):
+            if within == self.ground.full_mask:
+                passes.append(within)
+            return grow(self, within, start)
+
+        monkeypatch.setattr(cls, "_greedy_basis_mask", counted)
+        matroid_summary(m)
+        assert len(passes) == 1
+        fresh = make()
+        fresh.basis()
+        passes.clear()
+        assert fresh.full_rank == fresh.rank() == len(fresh.basis())
+        assert passes == []
 
     def test_rank_matches_brute_force(self, small_corpus):
         rng = random.Random(7)

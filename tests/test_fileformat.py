@@ -11,6 +11,7 @@ from matroid_kappa import (
     set_to_jsonable,
     uniform_matroid,
 )
+from matroid_kappa.cli import parse_and_run
 
 U24_TEXT = """\
 type: uniform
@@ -92,6 +93,11 @@ class TestParsing:
             ),
             ("type: explicit\nelements: a\nindependent:\nz\n", 4, "unknown"),
             ("type: explicit\nelements: a\nindependent:\na\n", 3, "matroid"),
+            (
+                "type: graphic\nelements: a\nk: 1\nedges: a=u-v\n",
+                3,
+                "type graphic does not read key 'k'",
+            ),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -220,6 +226,35 @@ class TestDerivedFiles:
         assert (err.value.path, err.value.line_no) == (None, 2)
         assert "b.matroid" in err.value.reason
         assert "refers back" in err.value.reason
+
+    @pytest.mark.parametrize(
+        "derived,line,reason",
+        [
+            (
+                "apply: minor\ncontrat: a\n",
+                4,
+                "type file-derived with apply: minor does not read key 'contrat'",
+            ),
+            (
+                "apply: dual\ncontract: a\n",
+                4,
+                "type file-derived with apply: dual does not read key 'contract'",
+            ),
+            (
+                "apply: dual\nwith: tri.matroid\n",
+                4,
+                "type file-derived with apply: dual does not read key 'with'",
+            ),
+        ],
+    )
+    def test_key_the_operation_does_not_read_rejected(self, tmp_path, derived, line, reason):
+        (tmp_path / "tri.matroid").write_text(TRI_TEXT)
+        path = tmp_path / "derived.matroid"
+        path.write_text("type: file-derived\nbase: tri.matroid\n" + derived)
+        with pytest.raises(ParseError) as err:
+            parse_matroid_file(str(path))
+        assert (err.value.path, err.value.line_no, err.value.reason) == (None, line, reason)
+        assert parse_and_run(["rank", str(path)]) == 1
 
     def test_missing_pieces_rejected(self, tmp_path):
         with pytest.raises(ParseError):
