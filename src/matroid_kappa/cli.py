@@ -18,7 +18,6 @@ library default.  ``separation`` runs a budgeted scan only for ``--k`` of
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -231,8 +230,8 @@ def _family_verb(args, _):
         raise DomainError(f"family {args.operation} needs --x and --y")
     chosen = {"max_window": args.window, "plateau_length": args.plateau}
     policy = StabilizationPolicy(**{k: v for k, v in chosen.items() if v is not None})
-    x_labels = [s for s in args.x.split(",") if s]
-    y_labels = [s for s in args.y.split(",") if s]
+    x_labels = [s.strip() for s in args.x.split(",") if s.strip()]
+    y_labels = [s.strip() for s in args.y.split(",") if s.strip()]
     certs = [certified_separation(family, c) for c in args.certificate]
     if args.operation == "kappa-between":
         report = stabilized_kappa_between(family, x_labels, y_labels, policy, certs)
@@ -251,9 +250,9 @@ def _family_verb(args, _):
     ]
 
 
-@functools.cache
 def _build_parser() -> _CliParser:
-    """The command-line grammar; built once, since parsing leaves it unchanged."""
+    """The command-line grammar.  ``_PARSER`` holds the one built when this
+    module loads; parsing leaves it unchanged."""
     parser = _CliParser(prog="matroid-kappa")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -303,6 +302,9 @@ def _build_parser() -> _CliParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.output == "json":
         doc = {"schema": SCHEMA, "verb": args.verb}
@@ -321,9 +323,8 @@ def _dispatch(args) -> int:
 
 def parse_and_run(argv: list[str]) -> int:
     """Run one command line; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _dispatch(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

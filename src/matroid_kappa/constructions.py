@@ -5,9 +5,11 @@ minors: uniform matroids stay uniform, graphic minors are taken on the
 graph, graphic and binary duals and binary minors are binary matrices,
 explicit minors filter the family, and a direct sum works part by part.
 Only a matroid given by a bare oracle, and the dual of an explicit one,
-wrap the oracle of the source matroid.  The functions here are the public
-spellings of those methods; the test suite checks every representation's
-own route against the generic wrappers.
+wrap the oracle of the source matroid.  ``restrict``, ``delete``,
+``contract`` and ``take_minor`` are the one implementation of minors:
+each checks that its sets live over the matroid's ground set and takes
+the minor in one step (``Matroid._minor``).  The test suite checks every
+representation's own route against the generic wrappers.
 """
 
 from __future__ import annotations
@@ -46,24 +48,28 @@ def dual(m: Matroid) -> Matroid:
 
 def restrict(m: Matroid, keep: ElementSet) -> Matroid:
     """The matroid on ``keep`` whose independent sets are those of ``m``."""
-    return m.restrict(keep)
+    m._check_universe(keep)
+    return m._minor(0, m.ground.full_mask & ~keep.mask)
 
 
 def delete(m: Matroid, drop: ElementSet) -> Matroid:
     """Restriction to the complement of ``drop``."""
-    return m.delete(drop)
+    m._check_universe(drop)
+    return m._minor(0, drop.mask)
 
 
 def contract(m: Matroid, away: ElementSet) -> Matroid:
-    """The contraction of ``m`` by ``away``."""
-    return m.contract(away)
+    """The contraction of ``m`` by ``away``: S is independent iff S plus the
+    greedy canonical basis of ``away`` is independent in ``m`` (any basis
+    of ``away`` gives the same verdict; an empty one makes it a deletion)."""
+    m._check_universe(away)
+    return m._minor(away.mask, 0)
 
 
 def take_minor(m: Matroid, spec: MinorSpec) -> Matroid:
     """M / C \\ D, built in one step; either order of contracting and
     deleting gives the same oracle."""
-    if spec.contract.ground != m.ground:
-        raise DomainError("minor spec does not match the matroid's ground set")
+    m._check_universe(spec.contract)
     return m._minor(spec.contract.mask, spec.delete.mask)
 
 
@@ -200,8 +206,7 @@ def lift_circuit(m: Matroid, away: ElementSet, circuit: ElementSet) -> ElementSe
     Returns the only circuit inside C plus the greedy basis of ``away``
     (:func:`_lift`), which is the only lift when ``away`` is independent.
     """
-    m._check_universe(away)
-    contracted = m.contract(away)
+    contracted = contract(m, away)
     local = circuit.in_universe(contracted.ground)
     if not contracted.is_circuit(local):
         raise PreconditionError("the given set is not a circuit of the contraction")

@@ -12,7 +12,9 @@ builds its dual and minors from that data: uniform duals and minors stay
 uniform, graphic minors and circuits come from the graph's vertex numbers,
 graphic and binary duals and binary minors are binary matrices again, and
 explicit minors filter the family.  Only a matroid given by a bare oracle,
-and the dual of an explicit one, wrap the source oracle.  Every matroid
+and the dual of an explicit one, wrap the source oracle.  Every minor is
+taken in one step by :meth:`Matroid._minor`, and the functions of
+:mod:`matroid_kappa.constructions` are its only callers.  Every matroid
 keeps its dual and its canonical basis once built; the dual of the dual is
 the matroid itself, and the rank is the size of that basis.
 
@@ -467,26 +469,6 @@ class Matroid:
         return Matroid(
             self.ground, lambda mask: basis(full_mask & ~mask).bit_count() == target
         )
-
-    def restrict(self, keep: ElementSet) -> "Matroid":
-        """The matroid on ``keep`` whose independent sets are those of this one."""
-        self._check_universe(keep)
-        return self._minor(0, self.ground.full_mask & ~keep.mask)
-
-    def delete(self, drop: ElementSet) -> "Matroid":
-        """Restriction to the complement of ``drop``."""
-        return self.restrict(drop.complement())
-
-    def contract(self, away: ElementSet) -> "Matroid":
-        """The contraction by ``away``.
-
-        A set S of the remaining elements is independent iff S together
-        with a fixed basis of ``away`` is independent here.  The verdict
-        does not depend on which basis is fixed; the greedy canonical one
-        is used.  When that basis is empty, contracting is deleting.
-        """
-        self._check_universe(away)
-        return self._minor(away.mask, 0)
 
     def _minor(self, away_mask: int, drop_mask: int) -> "Matroid":
         """Contract ``away_mask`` and delete the disjoint ``drop_mask`` in one

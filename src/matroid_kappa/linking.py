@@ -14,10 +14,11 @@ inner connectivity reaches k.  Each step blocks one exact low-order
 separation between the cores, read off the intersection record of the
 restriction with no search: the least minimiser of kappa between the
 cores (see ``connectivity._largest_common_independent``).  It adds the
-pair of circuits that blocks that separation (``_breaking_core``); a
-blocked separation stays blocked in every larger restriction.  It then
-solves inside the restriction with ``linking_partition`` and deletes
-everything outside, so no stage of the construction searches.
+pair of circuits that blocks that separation, and checks the block, in
+``_breaking_core``; a blocked separation stays blocked in every larger
+restriction.  It then solves inside the restriction with
+``linking_partition`` and deletes everything outside, so no stage of the
+construction searches.
 ``extends_to_separation`` and ``breaking_circuits`` stay public with all
 their checks: the first answers the canonical-first question, the second
 builds the circuit pair for any caller.
@@ -147,7 +148,9 @@ def _verify_partition(
         raise InvariantViolation(f"{what} achieves {achieved}, expected {target}")
 
 
-def _breaking_core(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[ElementSet, ElementSet]:
+def _breaking_core(
+    m: Matroid, x: ElementSet, y: ElementSet, k: int
+) -> tuple[ElementSet, ElementSet, Matroid]:
     """Build the circuit pair of the separation-breaking construction.
 
     Looks at the components of the contractions by X and by Y and takes
@@ -161,6 +164,10 @@ def _breaking_core(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[ElementSet
     invariant violation: :func:`breaking_circuits` checks
     kappa_between(M, X, Y) >= k, and in :func:`constructive_linking` it
     holds because X and Y contain the cores, whose value is the target.
+
+    Returns (C1, C2, grown), grown the restriction to X + Y + C1 + C2,
+    after the module's one check that the pair blocks the extension:
+    kappa_between(grown, X, Y) >= k, or an invariant violation.
     """
     mx = contract(m, x)
     my = contract(m, y)
@@ -191,7 +198,12 @@ def _breaking_core(m: Matroid, x: ElementSet, y: ElementSet) -> tuple[ElementSet
         circuit = ElementSet(m_away.ground, local).in_universe(m.ground)
         return ElementSet(m.ground, _lift(m, away.mask, circuit.mask))
 
-    return lifted(x, y, mx), lifted(y, x, my)
+    first, second = lifted(x, y, mx), lifted(y, x, my)
+    grown = restrict(m, x | y | first | second)
+    gx, gy = x.in_universe(grown.ground), y.in_universe(grown.ground)
+    if kappa_between(grown, gx, gy) <= k - 1:
+        raise InvariantViolation("breaking circuits failed to block the separation")
+    return first, second, grown
 
 
 def breaking_circuits(
@@ -207,7 +219,8 @@ def breaking_circuits(
     X union Y union C1 union C2 either.  Both extension questions are
     answered by :func:`kappa_between` (exact, as both sides have at least
     k elements).  The circuits come from :func:`_breaking_core`, two
-    matroid intersections and two spans, with no circuit enumeration.
+    matroid intersections and two spans, with no circuit enumeration; it
+    also checks the second question on the grown restriction.
     """
     _check_disjoint_sides(m, x, y)
     sub = restrict(m, x | y)
@@ -221,11 +234,7 @@ def breaking_circuits(
     if kappa_between(m, x, y) <= k - 1:
         raise PreconditionError("the separation already extends to the host matroid")
 
-    first, second = _breaking_core(m, x, y)
-    grown = restrict(m, x | y | first | second)
-    gx, gy = x.in_universe(grown.ground), y.in_universe(grown.ground)
-    if kappa_between(grown, gx, gy) <= k - 1:
-        raise InvariantViolation("breaking circuits failed to block the extension")
+    first, second, _ = _breaking_core(m, x, y, k)
     return first, second
 
 
@@ -246,8 +255,9 @@ def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingRes
     precondition of :func:`breaking_circuits` needs no check here:
     kappa_between never falls as its sides grow, so
     kappa_between(M, U, Z - U) >= kappa(X', Y') = k >= t.  The grown
-    restriction is checked to block (U, Z - U), a blocked separation
-    stays blocked in every larger restriction, and each step adds at
+    restriction comes back from ``_breaking_core`` already checked to
+    block (U, Z - U) and becomes the next Z; a blocked separation stays
+    blocked in every larger restriction, and each step adds at
     least one element, so after stage t = k the restriction carries the
     full value.  Stage 3 solves inside the restriction with
     :func:`linking_partition` on the same record, deletes everything
@@ -294,13 +304,8 @@ def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingRes
                 )
             left = x_core | m.ground.set_of(sub.ground.from_mask(record.reach))
             right = zone - left
-            c1, c2 = _breaking_core(m, left, right)
+            c1, c2, sub = _breaking_core(m, left, right, t)
             zone = zone | c1 | c2
-            sub = restrict(m, zone)
-            if kappa_between(
-                sub, left.in_universe(sub.ground), right.in_universe(sub.ground)
-            ) < t:
-                raise InvariantViolation("breaking circuits failed to block the separation")
             record = _zone_record(sub, x_core, y_core)
         trace.append(
             {"stage": "window", "t": t, "zone": sorted(zone), "kappa": record.value}

@@ -392,7 +392,9 @@ def _window_range(family: InfiniteFamily, start: int, max_window: int | None) ->
     stopping before the first window over ``budgets.WINDOW_ELEMENTS``."""
     last = 8 if max_window is None else max_window
     if start > last:
-        raise DomainError(f"query needs window {start}, beyond max_window {last}")
+        name = "max_window" if max_window is not None else "the default last window"
+        hint = "" if max_window is not None else "; max_window (--window) goes further"
+        raise DomainError(f"query needs window {start}, beyond {name} {last}{hint}")
     if max_window is None:
         for n in range(start + 1, last + 1):
             try:

@@ -138,6 +138,24 @@ class TestVerbs:
         assert code == 0
         assert "certified: 1" in out
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # X is not inside the certificate's side: exit 1, after the
+            # labels are read
+            ["kappa-between", "--x={}", "--y=rung[3]", "--certificate=rung:0"],
+            ["--window=5", "kappa-between", "--x={}", "--y=rung[3]", "--certificate=cut:1"],
+        ],
+    )
+    def test_family_labels_are_stripped(self, capsys, query):
+        def outcome(x):
+            argv = ["family", "--id=double-ladder"]
+            return run(capsys, argv + [arg.format(x) for arg in query])
+
+        spaced = outcome("rung[0], rung[1]")
+        assert spaced == outcome("rung[0],rung[1]")
+        assert "not a ladder element" not in spaced[2]
+
     def test_family_windowed_link(self, capsys):
         code, out, _ = run(
             capsys,
@@ -207,6 +225,11 @@ class TestExitCodes:
         )
         assert code == 1
         assert "overlap" in err
+
+    def test_overlapping_sides_are_domain_error(self, capsys, u24_file):
+        code, out, err = run(capsys, ["kappa-between", "--x=a,b", "--y=b,c", u24_file])
+        assert code == 1 and out == ""
+        assert "the two sides overlap" in err
 
     def test_budget_exhaustion_is_capacity_error(self, capsys, tmp_path):
         labels = " ".join(f"x{i}" for i in range(20))

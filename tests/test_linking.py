@@ -687,9 +687,9 @@ class TestConstructiveLinking:
         calls = []
         original = linking._breaking_core
 
-        def spy(host, u, w):
+        def spy(host, u, w, level):
             calls.append((u, w))
-            return original(host, u, w)
+            return original(host, u, w, level)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linking, "_breaking_core", spy)
@@ -732,6 +732,31 @@ class TestConstructiveLinking:
             direct = linking_partition(m, x, y)
             built = constructive_linking(m, x, y)
             assert built.achieved == direct.achieved, name
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda m, x, y: kappa_between(m, x, y),
+        lambda m, x, y: linking_partition(m, x, y),
+        lambda m, x, y: constructive_linking(m, x, y),
+        lambda m, x, y: extends_to_separation(m, x, y, 1),
+        lambda m, x, y: breaking_circuits(m, x, y, 2),
+        lambda m, x, y: infinite_kappa_chain(m, x, y, 1),
+    ],
+    ids=[
+        "kappa_between",
+        "linking_partition",
+        "constructive_linking",
+        "extends_to_separation",
+        "breaking_circuits",
+        "infinite_kappa_chain",
+    ],
+)
+def test_overlapping_sides_rejected(query):
+    m = u24()
+    with pytest.raises(PreconditionError, match="^the two sides overlap$"):
+        query(m, m.ground.set_of("ab"), m.ground.set_of("bc"))
 
 
 class TestCircuitChain:
@@ -779,3 +804,19 @@ class TestCircuitChain:
         for i, c in enumerate(chain.circuits):
             assert not c.isdisjoint(x) and not c.isdisjoint(y)
         assert chain.x_part_independent and chain.y_part_independent
+
+    def test_to_jsonable_lists_sorted_labels(self):
+        theta = helpers.theta_graph(4)
+        x = theta.ground.set_of([f"in{i}" for i in range(1, 5)])
+        y = theta.ground.set_of([f"out{i}" for i in range(1, 5)])
+        chain = infinite_kappa_chain(theta, x, y, 3)
+        doc = chain.to_jsonable()
+        assert doc == {
+            "circuits": [sorted(c) for c in chain.circuits],
+            "x_part": sorted(chain.x_part),
+            "y_part": sorted(chain.y_part),
+            "contracted": sorted(chain.contracted),
+            "x_part_independent": True,
+            "y_part_independent": True,
+        }
+        assert len(doc["circuits"]) == 3 and doc["x_part"] and doc["y_part"]

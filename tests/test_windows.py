@@ -356,6 +356,21 @@ class TestStabilization:
                 fam, ["rung[0]"], ["rung[7]"], StabilizationPolicy(max_window=4)
             )
 
+    def test_default_window_range_names_its_default(self):
+        with pytest.raises(DomainError) as caught:
+            stabilized_kappa_between(double_ladder(), ["rung[0]"], ["rung[19]"])
+        assert str(caught.value) == (
+            "query needs window 18, beyond the default last window 8; "
+            "max_window (--window) goes further"
+        )
+
+    def test_explicit_window_range_names_max_window(self):
+        with pytest.raises(DomainError) as caught:
+            stabilized_kappa_between(
+                double_ladder(), ["rung[0]"], ["rung[19]"], StabilizationPolicy(max_window=8)
+            )
+        assert str(caught.value) == "query needs window 18, beyond max_window 8"
+
     def test_overlapping_query_rejected(self):
         with pytest.raises(PreconditionError):
             stabilized_kappa_between(double_ladder(), ["rung[0]"], ["rung[0]"])
