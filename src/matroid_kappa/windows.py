@@ -15,7 +15,11 @@ plateau by itself proves nothing and is reported as an uncertified bound.
 
 Every window is a finite matroid, so its exact kappa(X, Y) is one matroid
 intersection (:func:`kappa_between`), and ``windowed_linking`` solves
-the whole stabilising window with :func:`linking_partition`.
+the whole stabilising window with :func:`linking_partition`.  Not every
+window needs one: kappa(X, Y) <= min(r(X), r(Y)), and the ranks of X and
+Y are final in the first window that holds them.  So once a window's value
+reaches min(r(X), r(Y)), every later window has that value too, and it is
+recorded without an intersection (the rank cap).
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from . import budgets
-from .connectivity import kappa, kappa_between
+from .connectivity import _intersection, kappa
 from .constructions import MinorSpec, components, take_minor
 from .core import (
     ElementSet,
+    GraphicMatroid,
+    GroundSet,
     Matroid,
     graphic_matroid,
     iter_submasks_binary,
@@ -153,14 +159,18 @@ def double_ladder(include_rungs: bool = True) -> InfiniteFamily:
 
     def build(n: int) -> Matroid:
         budgets.check_window(n, 6 * n + 4 if include_rungs else 4 * n + 2)
-        edges = []
+        labels = []
+        ends = []
         for i in range(-n, n + 2):
+            # column i has top vertex 2(i + n) and bottom vertex 2(i + n) + 1
+            top = 2 * (i + n)
             if include_rungs:
-                edges.append((f"rung[{i}]", f"t{i}", f"b{i}"))
+                labels.append(f"rung[{i}]")
+                ends.append((top, top + 1))
             if i <= n:
-                edges.append((f"railT[{i}]", f"t{i}", f"t{i + 1}"))
-                edges.append((f"railB[{i}]", f"b{i}", f"b{i + 1}"))
-        return graphic_matroid(edges)
+                labels += (f"railT[{i}]", f"railB[{i}]")
+                ends += ((top, top + 2), (top + 1, top + 3))
+        return GraphicMatroid(GroundSet(labels), ends)
 
     def radius(labels: Sequence[str]) -> int:
         needed = 0
@@ -307,7 +317,14 @@ def graph_rule_family(
     radius: Callable[[Sequence[str]], int] | None = None,
     description: str = "user-supplied graph rule",
 ) -> InfiniteFamily:
-    """Family built from a user rule mapping a window index to an edge list."""
+    """Family built from a user rule mapping a window index to an edge list.
+
+    The rule must give nested windows: the edges of window n, with the same
+    ends, are among those of window n + 1.  The lower bounds, the check that
+    they never decrease and the rank cap of :func:`stabilized_kappa_between`
+    all rest on that; a rule that breaks it is not re-intersected past the
+    cap, so the break can go unnoticed there.
+    """
 
     def build(n: int) -> Matroid:
         return graphic_matroid(rule(n))
@@ -352,8 +369,11 @@ class StabilizationReport:
 
     ``values`` holds (window index, value) pairs: each value is the
     window's own exact kappa(X, Y), a lower bound for the infinite object,
-    and the sequence is always non-decreasing.  ``settled`` pairs each
-    window with "exact"; the field stays for readers of the JSON schema.
+    and the sequence is always non-decreasing.  The windows after the first
+    one whose value reaches min(r(X), r(Y)) take that value without an
+    intersection: no later window can exceed it or fall below it.
+    ``settled`` pairs each window with "exact"; the field stays for readers
+    of the JSON schema.
     ``stable_at`` is the first window of a long-enough plateau, or None.
     ``certified_value`` is set only when an upper-bound certificate
     matches the plateau, in which case the infinite value is pinned
@@ -413,12 +433,16 @@ def stabilized_kappa_between(
 ) -> StabilizationReport:
     """Windowed lower bounds for kappa(X, Y) with optional certification.
 
-    Each window's exact value is one :func:`kappa_between` call; as the
-    windows are nested deletions, the values are lower bounds for the
-    infinite object and never decrease.  A plateau of
-    ``policy.plateau_length`` equal values sets ``stable_at``; the value is
-    certified exact only when one of the supplied certificates proves a
-    matching upper bound for the whole family.
+    Each window's exact value is one :func:`kappa_between` intersection;
+    as the windows are nested deletions, the values are lower bounds for the
+    infinite object and never decrease.  They are also at most
+    min(r(X), r(Y)), ranks that no later window changes, so once a window's
+    intersection reaches that cap the later windows are built but not
+    intersected: their value is the cap.  A plateau of
+    ``policy.plateau_length`` equal values sets ``stable_at``, always an
+    intersected window: a plateau below the cap, or the first window at
+    it.  The value is certified exact only when one of the supplied
+    certificates proves a matching upper bound for the whole family.
     """
     policy = policy or StabilizationPolicy()
     x_labels = tuple(x_labels)
@@ -430,10 +454,16 @@ def stabilized_kappa_between(
 
     # the report refuses values that decrease from one window to the next
     values: list[tuple[int, int]] = []
+    value = cap = 0
     for n in windows:
+        # every window is built, so one over the budget is still refused
         window = family.window(n)
-        x, y = window.ground.set_of(x_labels), window.ground.set_of(y_labels)
-        values.append((n, kappa_between(window, x, y)))
+        if not values or value < cap:
+            x, y = window.ground.set_of(x_labels), window.ground.set_of(y_labels)
+            record = _intersection(window, x, y)
+            value = record.value
+            cap = min(record.base_x.bit_count(), record.base_y.bit_count())
+        values.append((n, value))
 
     # the values never decrease, so a plateau is a window equal to the one
     # plateau_length - 1 further on

@@ -271,10 +271,23 @@ class TestSharedIntersection:
             fam, ["rung[0]"], ["rung[3]"], StabilizationPolicy(max_window=5),
             [certified_separation(fam, "rung:0")],
         )
-        # one intersection per window 2..5; the linking partition of the
-        # stabilising window reads its window's record
-        assert len(calls) == 4
+        # window 2 reaches the rank cap min(r(X), r(Y)) = 1, so windows
+        # 3..5 take it without an intersection; the linking partition of
+        # the stabilising window reads its window's record
+        assert len(calls) == 1
         assert len({(id(m), *rest) for m, *rest in calls}) == len(calls)
+
+    def test_query_below_the_rank_cap_intersects_every_window(self, monkeypatch):
+        calls = record_intersections(monkeypatch)
+        fam = double_ladder(include_rungs=False)
+        result = windowed_linking(
+            fam, ["railT[0]"], ["railB[38]"], StabilizationPolicy(max_window=41),
+            [certified_separation(fam, "rails-split")],
+        )
+        # the rails never meet: value 0 against a cap of 1 in windows 38..41
+        assert result.achieved == 0
+        assert [n for n, _ in result.report.values] == [38, 39, 40, 41]
+        assert len(calls) == 4
 
 
 class TestSeparationExtension:

@@ -1,8 +1,9 @@
 import pathlib
+import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import same_independence
 from matroid_kappa import (
@@ -97,9 +98,11 @@ class TestWindows:
 
 
 def spy_window_builds(monkeypatch) -> list[int]:
-    """Record the element count of every window that the families build."""
+    """Record the element count of every window that the families build;
+    the ladders build their graphic matroids on vertex numbers directly."""
     sizes = []
     real_uniform, real_graphic = windows.uniform_matroid, windows.graphic_matroid
+    real_numbered = windows.GraphicMatroid
 
     def uniform(labels, k):
         sizes.append(len(labels))
@@ -110,8 +113,13 @@ def spy_window_builds(monkeypatch) -> list[int]:
         sizes.append(len(edges))
         return real_graphic(edges)
 
+    def numbered(ground, ends):
+        sizes.append(len(ground))
+        return real_numbered(ground, ends)
+
     monkeypatch.setattr(windows, "uniform_matroid", uniform)
     monkeypatch.setattr(windows, "graphic_matroid", graphic)
+    monkeypatch.setattr(windows, "GraphicMatroid", numbered)
     return sizes
 
 
@@ -195,6 +203,41 @@ def _all_subsets(labels):
     return itertools.chain.from_iterable(
         itertools.combinations(labels, r) for r in range(len(labels) + 1)
     )
+
+
+@st.composite
+def nested_family_queries(draw):
+    """A family with nested windows, a finite side U, X inside U, Y outside
+    it, and a window range and plateau length.  The family is a built-in
+    one or a graph rule whose window n is the first k + n edges of a random
+    multigraph (drawn from a seed, so that its later edges are as random as
+    its first), the sides lying in the first k and the range reaching its
+    last edge; ``make`` builds a fresh copy of the family."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        vertices = rng.randint(3, 5)
+        first = rng.randint(2, 4)
+        edges = [
+            (f"e{i}", str(rng.randrange(vertices)), str(rng.randrange(vertices)))
+            for i in range(first + rng.randint(2, 8))
+        ]
+
+        def make():
+            return graph_rule_family(lambda n: edges[: first + n])
+
+        labels = [lab for lab, _, _ in edges[:first]]
+        extra = len(edges) - first
+    else:
+        make = BUILT_IN[draw(st.sampled_from(sorted(BUILT_IN)))]
+        labels = list(make().window(draw(st.integers(1, 3))).ground)
+        extra = draw(st.integers(0, 4))
+    side = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+    outside = [lab for lab in labels if lab not in side]
+    assume(outside)
+    x = draw(st.lists(st.sampled_from(side), min_size=1, unique=True))
+    y = draw(st.lists(st.sampled_from(outside), min_size=1, max_size=4, unique=True))
+    plateau_length = draw(st.integers(1, 3))
+    return make, side, x, y, extra, plateau_length
 
 
 class TestStabilization:
@@ -374,6 +417,36 @@ class TestStabilization:
     def test_overlapping_query_rejected(self):
         with pytest.raises(PreconditionError):
             stabilized_kappa_between(double_ladder(), ["rung[0]"], ["rung[0]"])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(query=nested_family_queries())
+    def test_rank_cap_keeps_every_window_exact(self, query):
+        """The windows past the rank cap take their value without an
+        intersection; each value is still its window's kappa(X, Y), and the
+        plateau and the certified value are those of intersecting every
+        window."""
+        make, side, x_labels, y_labels, extra, plateau_length = query
+        fam = make()
+        start = fam.exactness_radius(x_labels + y_labels)
+        policy = StabilizationPolicy(max_window=start + extra, plateau_length=plateau_length)
+        cert = certified_separation(fam, "set:" + "+".join(side))
+        rep = stabilized_kappa_between(fam, x_labels, y_labels, policy, [cert])
+
+        exact = []
+        for n in range(start, start + extra + 1):
+            w = make().window(n)
+            x, y = w.ground.set_of(x_labels), w.ground.set_of(y_labels)
+            exact.append((n, kappa_between(w, x, y)))
+        later = exact[plateau_length - 1 :]
+        stable_at = next((n for (n, v), (_, u) in zip(exact, later) if v == u), None)
+        plateau = dict(exact).get(stable_at)
+        assert rep.values == tuple(exact)
+        assert rep.stable_at == stable_at
+        assert rep.certified_value == (plateau if cert.kappa_bound == plateau else None)
+        if rep.certified_value is not None:
+            result = windowed_linking(fam, x_labels, y_labels, policy, [cert])
+            assert result.window_index == stable_at
+            assert result.achieved == plateau
 
 
 @st.composite

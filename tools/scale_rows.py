@@ -82,6 +82,12 @@ def rows(mk, helpers) -> list[tuple[str, Callable[[], object]]]:
     def blocks(m):
         return [len(block) for block in mk.components(m).blocks]
 
+    def far_rung_link():
+        fam = mk.double_ladder()
+        certs = [mk.certified_separation(fam, "rung:0")]
+        policy = mk.StabilizationPolicy(max_window=41)
+        return _digest(mk.windowed_linking(fam, ["rung[0]"], ["rung[38]"], policy, certs))
+
     def sum_kappa_between():
         m, x, y = grid_sum()
         return mk.kappa_between(m, x, y)
@@ -94,6 +100,7 @@ def rows(mk, helpers) -> list[tuple[str, Callable[[], object]]]:
         ("kappa_between, two 16x16 grids, 3 + 3 sides in one part", sum_kappa_between),
         ("components, two 16x16 grids", lambda: blocks(grid_sum()[0])),
         ("components, 100x100 grid", lambda: blocks(grid(100, 100))),
+        ("windowed_linking, double-ladder windows 37-41, rung[0] to rung[38]", far_rung_link),
     ]
     for rim in (6, 7, 8):
         table.append(
