@@ -75,7 +75,8 @@ def _listing(title: str, sets) -> list[str]:
 
 
 def _summary(m: Matroid, budget_flag: int | None) -> tuple[dict, list[str]]:
-    """Elements, rank and basis, plus the circuits when they fit the budget."""
+    """Elements, rank and basis, plus the circuits when they fit the budget;
+    above it, ``circuits_omitted`` holds the refusal in their place."""
     info = matroid_summary(m)
     lines = [
         f"elements: {' '.join(info['elements'])}",
@@ -84,8 +85,9 @@ def _summary(m: Matroid, budget_flag: int | None) -> tuple[dict, list[str]]:
     ]
     try:
         circuits = m.circuits(resolve_budget(budget_flag))
-    except CapacityError:
-        return info, lines
+    except CapacityError as exc:
+        info["circuits_omitted"] = str(exc)
+        return info, lines + [f"circuits: not listed ({exc})"]
     info["circuits"] = [set_to_jsonable(c) for c in circuits]
     return info, lines + _listing("circuits", circuits)
 

@@ -6,20 +6,31 @@ names are positional and stable, so a window embeds into every larger
 window by the identity on labels, and independence verdicts about a fixed
 finite set never change once the set is inside the window.
 
-Connectivity between two finite sets can only be approached from below:
-each window is a minor (a deletion) of the infinite object, so windowed
-values are lower bounds and grow monotonically.  ``stabilized_kappa_between``
-tracks those bounds across windows and certifies an exact value only when
-an upper-bound certificate (r(U) for a finite side U) meets the plateau; a
-plateau by itself proves nothing and is reported as an uncertified bound.
+One fact carries the windowed view.  Window n is a restriction of every
+later window, and connectivity never rises when elements are deleted:
+lambda_{N\\D}(U - D) <= lambda_N(U), by submodularity of rank.  So the
+last window of a range decides for the whole range:
+
+- kappa(X, Y) in a window, the least lambda(U) over X <= U <= E - Y, is a
+  lower bound for every later window and for the infinite object, and the
+  values never decrease;
+- kappa(U) of a certificate's side is largest in the last window, so a
+  bound that holds there holds on every earlier window;
+- the last window is the largest, so it alone carries the window budget.
+
+So connectivity between two finite sets is only approached from below.
+``stabilized_kappa_between`` tracks the lower bounds and certifies
+an exact value only when an upper-bound certificate (r(U) for a finite
+side U) meets the plateau; a plateau by itself proves nothing and is
+reported as an uncertified bound.
 
 Every window is a finite matroid, so its exact kappa(X, Y) is one matroid
 intersection (:func:`kappa_between`), and ``windowed_linking`` solves
 the whole stabilising window with :func:`linking_partition`.  Not every
 window needs one: kappa(X, Y) <= min(r(X), r(Y)), and the ranks of X and
 Y are final in the first window that holds them.  So once a window's value
-reaches min(r(X), r(Y)), every later window has that value too, and it is
-recorded without an intersection (the rank cap).
+reaches min(r(X), r(Y)), every later window has that value too; it is
+recorded without building the window (the rank cap).
 """
 
 from __future__ import annotations
@@ -321,9 +332,10 @@ def graph_rule_family(
 
     The rule must give nested windows: the edges of window n, with the same
     ends, are among those of window n + 1.  The lower bounds, the check that
-    they never decrease and the rank cap of :func:`stabilized_kappa_between`
-    all rest on that; a rule that breaks it is not re-intersected past the
-    cap, so the break can go unnoticed there.
+    they never decrease, the rank cap of :func:`stabilized_kappa_between`
+    and the certificate check on the last window all rest on that; a rule
+    that breaks it is not re-intersected past the cap, nor its certificates
+    checked before the last window, so the break can go unnoticed there.
     """
 
     def build(n: int) -> Matroid:
@@ -370,8 +382,8 @@ class StabilizationReport:
     ``values`` holds (window index, value) pairs: each value is the
     window's own exact kappa(X, Y), a lower bound for the infinite object,
     and the sequence is always non-decreasing.  The windows after the first
-    one whose value reaches min(r(X), r(Y)) take that value without an
-    intersection: no later window can exceed it or fall below it.
+    one whose value reaches min(r(X), r(Y)) take that value without being
+    built: no later window can exceed it or fall below it.
     ``settled`` pairs each window with "exact"; the field stays for readers
     of the JSON schema.
     ``stable_at`` is the first window of a long-enough plateau, or None.
@@ -433,12 +445,14 @@ def stabilized_kappa_between(
 ) -> StabilizationReport:
     """Windowed lower bounds for kappa(X, Y) with optional certification.
 
-    Each window's exact value is one :func:`kappa_between` intersection;
-    as the windows are nested deletions, the values are lower bounds for the
-    infinite object and never decrease.  They are also at most
-    min(r(X), r(Y)), ranks that no later window changes, so once a window's
-    intersection reaches that cap the later windows are built but not
-    intersected: their value is the cap.  A plateau of
+    The last window of the range decides (module docstring): it is built
+    first, so a range whose last window is over the budget is refused
+    before any intersection, and each certificate is validated on it
+    alone.  Each window's exact value is one :func:`kappa_between`
+    intersection, a lower bound for the infinite object.  The values are
+    also at most min(r(X), r(Y)), ranks that no later window changes, so
+    once a window's intersection reaches that cap the later windows are
+    neither built nor intersected: their value is the cap.  A plateau of
     ``policy.plateau_length`` equal values sets ``stable_at``, always an
     intersected window: a plateau below the cap, or the first window at
     it.  The value is certified exact only when one of the supplied
@@ -451,19 +465,20 @@ def stabilized_kappa_between(
         raise PreconditionError("the two sides overlap")
     start = family.exactness_radius(x_labels + y_labels)
     windows = _window_range(family, start, policy.max_window)
+    # the largest window: one over the budget refuses the range here
+    family.window(windows[-1])
 
     # the report refuses values that decrease from one window to the next
     values: list[tuple[int, int]] = []
-    value = cap = 0
     for n in windows:
-        # every window is built, so one over the budget is still refused
         window = family.window(n)
-        if not values or value < cap:
-            x, y = window.ground.set_of(x_labels), window.ground.set_of(y_labels)
-            record = _intersection(window, x, y)
-            value = record.value
-            cap = min(record.base_x.bit_count(), record.base_y.bit_count())
-        values.append((n, value))
+        x, y = window.ground.set_of(x_labels), window.ground.set_of(y_labels)
+        record = _intersection(window, x, y)
+        values.append((n, record.value))
+        if record.value == min(record.base_x.bit_count(), record.base_y.bit_count()):
+            break
+    # past the rank cap every window has the cap value, and is not built
+    values += [(n, values[-1][1]) for n in windows[len(values) :]]
 
     # the values never decrease, so a plateau is a window equal to the one
     # plateau_length - 1 further on
@@ -503,8 +518,11 @@ class SeparationCertificate:
     ``contains`` tests a label for membership in U, and ``side(window)``
     yields U's portion of a window; ``kappa_bound``, r(U) when U is finite,
     bounds kappa(U) in every window and in the infinite object.
-    ``validate`` checks the bound on the given windows and that U
-    separates the query (X inside U, Y outside), raising on any failure.
+    ``validate`` checks that U separates the query (X inside U, Y outside)
+    and the bound on the largest of the given windows, raising on any
+    failure; kappa(U) never decreases from one window to the next (module
+    docstring), so the bound then holds on every given window.  An empty
+    range checks no bound.
     """
 
     description: str
@@ -525,7 +543,7 @@ class SeparationCertificate:
             raise DomainError(f"certificate {self.description!r} does not contain X")
         if any(map(self.contains, y_labels)):
             raise DomainError(f"certificate {self.description!r} intersects Y")
-        for n in window_indices:
+        if (n := max(window_indices, default=None)) is not None:
             window = family.window(n)
             value = kappa(window, self.side(window))
             if value > self.kappa_bound:

@@ -187,9 +187,26 @@ class TestVerbs:
         argv = ["family", "--id=double-ladder", "--window=0", "window-info"]
         code, out, _ = run(capsys, argv[:-1] + ["--budget=0", argv[-1]])
         assert code == 0
-        assert "circuits" not in out
+        assert "circuits (" not in out
+        assert "circuits: not listed (circuit enumeration over 4 elements exceeds budget 0)" in out
         code, out, _ = run(capsys, argv)
-        assert "circuits" in out
+        assert "circuits (1):" in out and "not listed" not in out
+
+    @pytest.mark.parametrize(
+        "verb, key, size",
+        [(["dual"], "dual", 3), (["minor", "--contract=e1"], "minor", 2), (["sum"], "sum", 7)],
+    )
+    def test_summary_over_the_circuit_budget_names_the_refusal(
+        self, capsys, tri_file, u24_file, verb, key, size
+    ):
+        files = [tri_file, u24_file] if verb == ["sum"] else [tri_file]
+        code, out, _ = run(capsys, ["--output=json", *verb, "--budget=1", *files])
+        assert code == 0
+        summary = json.loads(out)[key]
+        assert "circuits" not in summary
+        assert summary["circuits_omitted"] == (
+            f"circuit enumeration over {size} elements exceeds budget 1"
+        )
 
     def test_family_default_window_fits_the_element_budget(self, capsys):
         # omega-tree window 8 holds 510 elements, over the budget of 256

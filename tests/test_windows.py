@@ -9,7 +9,9 @@ from helpers import same_independence
 from matroid_kappa import (
     CapacityError,
     DomainError,
+    InvariantViolation,
     PreconditionError,
+    SeparationCertificate,
     StabilizationPolicy,
     certified_separation,
     components,
@@ -392,6 +394,45 @@ class TestStabilization:
         assert [v for _, v in rep.values][-1] == 2
         assert rep.certified_value == 2
 
+    def test_query_at_the_cap_builds_its_first_and_last_window(self, monkeypatch):
+        """rung[0] to rung[2] reaches the rank cap 1 in window 1, so of
+        windows 1-42 only window 1 is intersected, window 42 is built for
+        the budget, and the certificate evaluates kappa(U) there alone."""
+        fam = double_ladder()
+        cert = certified_separation(fam, "rung:0")
+        sizes = spy_window_builds(monkeypatch)
+        evaluated = []
+        real_kappa = windows.kappa
+
+        def counted_kappa(m, u):
+            evaluated.append(len(m.ground))
+            return real_kappa(m, u)
+
+        monkeypatch.setattr(windows, "kappa", counted_kappa)
+        policy = StabilizationPolicy(max_window=42)
+        rep = stabilized_kappa_between(fam, ["rung[0]"], ["rung[2]"], policy, [cert])
+        assert sizes == [256, 10]
+        assert evaluated == [256]
+        assert rep.values == tuple((n, 1) for n in range(1, 43))
+        assert rep.stable_at == 1 and rep.certified_value == 1
+
+    def test_range_over_the_budget_is_refused_before_any_intersection(self, monkeypatch):
+        calls = []
+        real_intersection = windows._intersection
+
+        def counted_intersection(m, x, y):
+            calls.append(m)
+            return real_intersection(m, x, y)
+
+        monkeypatch.setattr(windows, "_intersection", counted_intersection)
+        sizes = spy_window_builds(monkeypatch)
+        message = "^window 300 holds 1804 elements, over the window budget 256$"
+        with pytest.raises(CapacityError, match=message):
+            stabilized_kappa_between(
+                double_ladder(), ["rung[0]"], ["rung[3]"], StabilizationPolicy(max_window=300)
+            )
+        assert calls == [] and sizes == []
+
     def test_query_beyond_max_window_rejected(self):
         fam = double_ladder()
         with pytest.raises(DomainError):
@@ -463,6 +504,25 @@ def constant_graph_queries(draw):
     x = draw(st.lists(st.sampled_from(side), unique=True))
     y = draw(st.lists(st.sampled_from(outside), unique=True)) if outside else []
     return edges, side, x, y
+
+
+@st.composite
+def certificate_ranges(draw):
+    """A family with nested windows, one of its certificates and a window
+    range.  The certificate is any template of the family: a built-in one
+    with an integer from 0 to 4 where it takes one, or a finite side."""
+    make, side, _, _, extra, _ = draw(nested_family_queries())
+    name = draw(st.sampled_from(sorted(make().templates)))
+    if name == "set:":
+        description = "set:" + "+".join(side)
+    elif name == "singleton:":
+        description = "singleton:" + side[0]
+    elif name.endswith(":"):
+        description = f"{name}{draw(st.integers(0, 4))}"
+    else:
+        description = name
+    start = draw(st.integers(0, 3))
+    return make, description, range(start, start + extra + 1)
 
 
 class TestCertificates:
@@ -651,6 +711,33 @@ class TestCertificates:
         cert.validate(fam, range(6, 8))
         bad = certified_separation(fam, "prefix:4")  # bound r = 3, ok
         bad.validate(fam, range(8, 9))
+        # kappa({rung[0]}) is 1 in every ladder window, over the bound 0
+        low = SeparationCertificate("low", 0, {"rung[0]"}.__contains__)
+        message = "^certificate 'low' bound 0 fails on window 3: kappa 1$"
+        with pytest.raises(InvariantViolation, match=message):
+            low.validate(double_ladder(), range(1, 4))
+        low.validate(double_ladder(), range(1, 1))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(query=certificate_ranges(), low=st.integers(0, 3))
+    def test_side_kappa_never_decreases_so_the_last_window_decides(self, query, low):
+        """kappa(U) of a certificate's side never decreases from one window
+        to the next, so its largest value over a range is the last window's,
+        and ``validate`` refuses a bound there exactly when some window of
+        the range breaks it."""
+        make, description, indices = query
+        fam = make()
+        cert = certified_separation(fam, description)
+        values = [kappa(w, cert.side(w)) for w in map(fam.window, indices)]
+        assert values == sorted(values)
+        assert values[-1] <= cert.kappa_bound
+        probe = SeparationCertificate("probe", low, cert.contains)
+        if any(value > low for value in values):
+            message = f"fails on window {indices[-1]}: kappa {values[-1]}$"
+            with pytest.raises(InvariantViolation, match=message):
+                probe.validate(fam, indices)
+        else:
+            probe.validate(fam, indices)
 
 
 class TestWindowedLinking:

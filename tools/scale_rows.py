@@ -7,9 +7,11 @@ Each row builds its input afresh (grids from ``tests/helpers.py``) and
 runs its query under the default budgets, so no memo carries over from
 one run to the next; the build is part of the time.  A row runs three
 times and reports the best, except that a row slower than 5 s runs once.
-Counting wrappers on ``connectivity._largest_common_independent`` and
-``linking._breaking_core`` give the intersections and the breaking steps
-of one run.  ``answer`` is the query's result, with a linking partition
+Counting wrappers on ``connectivity._largest_common_independent``,
+``linking._breaking_core`` and ``windows.InfiniteFamily.window`` give the
+intersections, the breaking steps and the window builds (a window that its
+family has not built before, the certificate's own window included) of
+one run.  ``answer`` is the query's result, with a linking partition
 given as a digest of its contract and delete sets, so the lines of two
 checkouts compare directly.  The package and the helpers are imported
 from the checkout named by ``--root`` (by default the one holding this
@@ -82,11 +84,11 @@ def rows(mk, helpers) -> list[tuple[str, Callable[[], object]]]:
     def blocks(m):
         return [len(block) for block in mk.components(m).blocks]
 
-    def far_rung_link():
+    def rung_link(far, max_window):
         fam = mk.double_ladder()
         certs = [mk.certified_separation(fam, "rung:0")]
-        policy = mk.StabilizationPolicy(max_window=41)
-        return _digest(mk.windowed_linking(fam, ["rung[0]"], ["rung[38]"], policy, certs))
+        policy = mk.StabilizationPolicy(max_window=max_window)
+        return _digest(mk.windowed_linking(fam, ["rung[0]"], [far], policy, certs))
 
     def sum_kappa_between():
         m, x, y = grid_sum()
@@ -100,7 +102,10 @@ def rows(mk, helpers) -> list[tuple[str, Callable[[], object]]]:
         ("kappa_between, two 16x16 grids, 3 + 3 sides in one part", sum_kappa_between),
         ("components, two 16x16 grids", lambda: blocks(grid_sum()[0])),
         ("components, 100x100 grid", lambda: blocks(grid(100, 100))),
-        ("windowed_linking, double-ladder windows 37-41, rung[0] to rung[38]", far_rung_link),
+        ("windowed_linking, double-ladder windows 37-41, rung[0] to rung[38]",
+         lambda: rung_link("rung[38]", 41)),
+        ("windowed_linking, double-ladder windows 1-42, rung[0] to rung[2]",
+         lambda: rung_link("rung[2]", 42)),
     ]
     for rim in (6, 7, 8):
         table.append(
@@ -114,9 +119,10 @@ def measure(root: str) -> None:
     mk = importlib.import_module("matroid_kappa")
     connectivity = importlib.import_module("matroid_kappa.connectivity")
     linking = importlib.import_module("matroid_kappa.linking")
+    windows = importlib.import_module("matroid_kappa.windows")
     helpers = importlib.import_module("helpers")
 
-    counts = {"intersections": 0, "breaking_steps": 0}
+    counts = {"intersections": 0, "breaking_steps": 0, "window_builds": 0}
 
     def counted(module, name, key):
         real = getattr(module, name)
@@ -129,6 +135,15 @@ def measure(root: str) -> None:
 
     counted(connectivity, "_largest_common_independent", "intersections")
     counted(linking, "_breaking_core", "breaking_steps")
+    real_window = windows.InfiniteFamily.window
+
+    def window(family, n):
+        fresh = n not in family._windows
+        built = real_window(family, n)
+        counts["window_builds"] += fresh
+        return built
+
+    windows.InfiniteFamily.window = window
 
     for name, query in rows(mk, helpers):
         runs = []
