@@ -8,7 +8,9 @@ separation extensions, window values) take none.
 Each budgeted scan calls :func:`check_scan`, which raises
 ``CapacityError`` instead of silently running for hours: ``budget=None``
 takes the scan's default from this module, any other value overrides it
-for that call.  :func:`check_window` applies the fixed window limit.
+for that call.  :func:`check_window` applies the fixed window limit, and
+``InfiniteFamily.window`` is its one caller: a window over the budget is
+refused from its stated size, before it is built.
 
 On the command line, ``MATROID_KAPPA_BUDGET`` is read by exactly the
 verbs that accept ``--budget`` (``separation`` only for ``--k`` of 2 or
@@ -53,7 +55,8 @@ def check_scan(what: str, n: int, budget: int | None, default: int) -> None:
 
 
 def check_window(index: int, size: int) -> None:
-    """Refuse window ``index`` when it holds ``size`` elements, over the limit."""
+    """Refuse window ``index`` when its stated ``size`` is over the limit;
+    called before the window is built, so a refused window never is."""
     if size > WINDOW_ELEMENTS:
         shown = size if size < 10**100 else "more than 10^100"
         raise CapacityError(

@@ -51,12 +51,7 @@ from .core import (
     iter_submasks_binary,
     uniform_matroid,
 )
-from .errors import (
-    CapacityError,
-    DomainError,
-    InvariantViolation,
-    PreconditionError,
-)
+from .errors import DomainError, InvariantViolation, PreconditionError
 from .linking import linking_partition
 
 Template = Callable[["InfiniteFamily", str], tuple[int, Callable[[str], bool]]]
@@ -67,9 +62,10 @@ bound on kappa(U) and the membership test of the split side U."""
 class InfiniteFamily:
     """A rule that produces nested finite windows of an infinite matroid.
 
-    ``window(n)`` builds (and memoises) the n-th window and refuses one
-    over ``budgets.WINDOW_ELEMENTS``; the built-in families refuse it from
-    its known size before building it.
+    ``window(n)`` builds (and memoises) the n-th window.  ``size(n)``, a
+    fact about the family, is the number of elements of window n; a window
+    over ``budgets.WINDOW_ELEMENTS`` is refused from its stated size,
+    before it is built.
     ``exactness_radius(labels)`` gives a window index from which on the
     named elements are all present and their independence verdicts are
     final.  ``embed`` carries a set from one window into a larger one.
@@ -83,12 +79,14 @@ class InfiniteFamily:
         family_id: str,
         build: Callable[[int], Matroid],
         radius: Callable[[Sequence[str]], int],
+        size: Callable[[int], int],
         description: str = "",
         templates: Mapping[str, Template] | None = None,
     ):
         self.family_id = family_id
         self._build = build
         self._radius = radius
+        self._size = size
         self.description = description
         self.templates = {**(templates or {}), **_FINITE_TEMPLATES}
         self._windows: dict[int, Matroid] = {}
@@ -101,9 +99,8 @@ class InfiniteFamily:
             raise DomainError("window index must be non-negative")
         got = self._windows.get(n)
         if got is None:
-            got = self._build(n)
-            budgets.check_window(n, len(got.ground))
-            self._windows[n] = got
+            budgets.check_window(n, self._size(n))
+            got = self._windows[n] = self._build(n)
         return got
 
     def exactness_radius(self, labels: Iterable[str]) -> int:
@@ -169,7 +166,6 @@ def double_ladder(include_rungs: bool = True) -> InfiniteFamily:
     """
 
     def build(n: int) -> Matroid:
-        budgets.check_window(n, 6 * n + 4 if include_rungs else 4 * n + 2)
         labels = []
         ends = []
         for i in range(-n, n + 2):
@@ -222,6 +218,7 @@ def double_ladder(include_rungs: bool = True) -> InfiniteFamily:
         "double-ladder" if include_rungs else "double-ladder-rungless",
         build,
         radius,
+        lambda n: 6 * n + 4 if include_rungs else 4 * n + 2,
         description="two-way infinite ladder, finite-cycle matroid" + suffix,
         templates=templates,
     )
@@ -242,8 +239,10 @@ def infinite_uniform(k: int) -> InfiniteFamily:
     named elements and at least 2k elements in total.
     """
 
+    if k < 0:
+        raise DomainError("uniform rank bound must be non-negative")
+
     def build(n: int) -> Matroid:
-        budgets.check_window(n, n)
         return uniform_matroid([f"a{i}" for i in range(1, n + 1)], k)
 
     def radius(labels: Sequence[str]) -> int:
@@ -270,6 +269,7 @@ def infinite_uniform(k: int) -> InfiniteFamily:
         f"infinite-uniform({k})",
         build,
         radius,
+        lambda n: n,
         description=f"rank-{k} uniform matroid on a countable ground set",
         templates={"prefix:": prefix},
     )
@@ -285,11 +285,17 @@ def omega_tree_truncation(branching: int = 2) -> InfiniteFamily:
     exist purely to make the boundary of the scope concrete.
     """
 
+    if branching < 1:
+        raise DomainError(f"tree branching must be at least 1, got {branching}")
+
+    def size(n: int) -> int:
+        # b + b^2 + ... + b^n edges, over 10^100 from depth 400 on when
+        # b >= 2; window 0 is the one edge e[0]
+        if branching == 1:
+            return max(n, 1)
+        return max(1, (branching ** (min(n, 400) + 1) - branching) // (branching - 1))
+
     def build(n: int) -> Matroid:
-        # b + b^2 + ... + b^n edges, over 10^100 from depth 400 on when b >= 2
-        depth = n if branching < 2 else min(n, 400)
-        size = depth if branching == 1 else (branching ** (depth + 1) - branching) // (branching - 1)
-        budgets.check_window(n, size)
         edges = []
         frontier = [""]
         for _ in range(n):
@@ -317,6 +323,7 @@ def omega_tree_truncation(branching: int = 2) -> InfiniteFamily:
         f"omega-tree(depth-truncated, b={branching})",
         build,
         radius,
+        size,
         description="bounded-depth tree truncation; illustrative, not the "
         "infinite-path matroid",
     )
@@ -336,6 +343,9 @@ def graph_rule_family(
     and the certificate check on the last window all rest on that; a rule
     that breaks it is not re-intersected past the cap, nor its certificates
     checked before the last window, so the break can go unnoticed there.
+    The rule is also called to size a window, ``len(rule(n))``: a window
+    over the budget is refused from that size, before it is built, so the
+    rule must be pure.
     """
 
     def build(n: int) -> Matroid:
@@ -349,7 +359,9 @@ def graph_rule_family(
                 return n
         raise DomainError("elements never appear within the first 64 windows")
 
-    return InfiniteFamily(family_id, build, radius or default_radius, description)
+    return InfiniteFamily(
+        family_id, build, radius or default_radius, lambda n: len(rule(n)), description
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +433,16 @@ class StabilizationReport:
 
 def _window_range(family: InfiniteFamily, start: int, max_window: int | None) -> range:
     """Windows ``start`` .. ``max_window``; when that is None, up to 8 but
-    stopping before the first window over ``budgets.WINDOW_ELEMENTS``."""
+    stopping before the first window whose stated size is over
+    ``budgets.WINDOW_ELEMENTS``.  No window is built here."""
     last = 8 if max_window is None else max_window
     if start > last:
         name = "max_window" if max_window is not None else "the default last window"
         hint = "" if max_window is not None else "; max_window (--window) goes further"
         raise DomainError(f"query needs window {start}, beyond {name} {last}{hint}")
     if max_window is None:
-        for n in range(start + 1, last + 1):
-            try:
-                family.window(n)
-            except CapacityError:
-                return range(start, n)
+        over = (n for n in range(start + 1, last + 1) if family._size(n) > budgets.WINDOW_ELEMENTS)
+        last = next(over, last + 1) - 1
     return range(start, last + 1)
 
 

@@ -248,6 +248,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "the two sides overlap" in err
 
+    @pytest.mark.parametrize(
+        "verb", [["window-info", "--window=0"], ["kappa-between", "--x=a1", "--y=a2"]]
+    )
+    def test_negative_uniform_rank_is_domain_error(self, capsys, verb):
+        code, out, err = run(capsys, ["family", "--id=infinite-uniform(-1)", *verb])
+        assert code == 1 and out == ""
+        assert err == "error: uniform rank bound must be non-negative\n"
+
     def test_budget_exhaustion_is_capacity_error(self, capsys, tmp_path):
         labels = " ".join(f"x{i}" for i in range(20))
         path = tmp_path / "big.matroid"

@@ -13,6 +13,7 @@ from matroid_kappa import (
     PreconditionError,
     SeparationCertificate,
     StabilizationPolicy,
+    budgets,
     certified_separation,
     components,
     double_ladder,
@@ -133,9 +134,35 @@ BUILT_IN = {
 }
 
 
+def _path_rule(n):
+    """A user rule: window n is the path p0 .. p(n-1)."""
+    return [(f"p{i}", str(i), str(i + 1)) for i in range(n)]
+
+
 class TestWindowBudget:
-    """A built-in family refuses a window over the element budget from its
-    known size, before building it; a user rule is refused once built."""
+    """Every family states the size of each window, and a window over the
+    element budget is refused from that size, before it is built."""
+
+    @pytest.mark.parametrize(
+        "family, last",
+        [("uniform", 256), ("ladder", 42), ("rungless", 63), ("omega-tree", 7),
+         ("path-rule", 256)],
+    )
+    def test_stated_size_is_the_built_size(self, family, last):
+        fam = graph_rule_family(_path_rule) if family == "path-rule" else BUILT_IN[family]()
+        for n in range(last + 1):
+            assert fam._size(n) == len(fam.window(n).ground), n
+        assert fam._size(last + 1) > budgets.WINDOW_ELEMENTS
+
+    @pytest.mark.parametrize("branching", [0, -1])
+    def test_tree_branching_below_one_is_refused(self, branching):
+        message = f"^tree branching must be at least 1, got {branching}$"
+        with pytest.raises(DomainError, match=message):
+            omega_tree_truncation(branching)
+
+    def test_negative_uniform_rank_is_refused(self):
+        with pytest.raises(DomainError, match="^uniform rank bound must be non-negative$"):
+            infinite_uniform(-1)
 
     @pytest.mark.parametrize(
         "family, n, size",
@@ -173,11 +200,13 @@ class TestWindowBudget:
         with pytest.raises(CapacityError, match=r"^window 20000 holds more than 10\^100 elements"):
             omega_tree_truncation().window(20000)
 
-    def test_user_rule_is_refused_after_it_is_built(self):
-        fam = graph_rule_family(lambda n: [(f"p{i}", str(i), str(i + 1)) for i in range(n)])
+    def test_user_rule_is_refused_before_it_is_built(self, monkeypatch):
+        fam = graph_rule_family(_path_rule)
+        sizes = spy_window_builds(monkeypatch)
         assert len(fam.window(256).ground) == 256
         with pytest.raises(CapacityError, match="^window 257 holds 257 elements"):
             fam.window(257)
+        assert sizes == [256]
 
 
 def _far_rung_rails(n):
@@ -432,6 +461,30 @@ class TestStabilization:
                 double_ladder(), ["rung[0]"], ["rung[3]"], StabilizationPolicy(max_window=300)
             )
         assert calls == [] and sizes == []
+
+    def test_default_range_builds_its_last_window_and_those_it_intersects(self, monkeypatch):
+        """rung[0] to rung[3] reaches the rank cap 1 in window 2, so of the
+        default windows 2-8 only window 8 (52 elements, for the budget) and
+        window 2 (16 elements) are built; the budget edge is read off the
+        stated sizes."""
+        fam = double_ladder()
+        cert = certified_separation(fam, "rung:0")
+        sizes = spy_window_builds(monkeypatch)
+        rep = stabilized_kappa_between(fam, ["rung[0]"], ["rung[3]"], certificates=[cert])
+        assert sizes == [52, 16]
+        assert sorted(fam._windows) == [0, 2, 8]
+        assert rep.values == tuple((n, 1) for n in range(2, 9))
+        assert rep.stable_at == 2 and rep.certified_value == 1
+
+    def test_default_range_below_the_cap_builds_every_window(self, monkeypatch):
+        """railT[0] to railB[2] on the rungless ladder stays at 0, below its
+        cap of 1, so every default window 2-8 is built and intersected."""
+        fam = double_ladder(include_rungs=False)
+        sizes = spy_window_builds(monkeypatch)
+        rep = stabilized_kappa_between(fam, ["railT[0]"], ["railB[2]"])
+        assert sorted(sizes) == [10, 14, 18, 22, 26, 30, 34]
+        assert rep.values == tuple((n, 0) for n in range(2, 9))
+        assert rep.stable_at == 2 and rep.certified_value is None
 
     def test_query_beyond_max_window_rejected(self):
         fam = double_ladder()

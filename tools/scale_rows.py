@@ -90,6 +90,11 @@ def rows(mk, helpers) -> list[tuple[str, Callable[[], object]]]:
         policy = mk.StabilizationPolicy(max_window=max_window)
         return _digest(mk.windowed_linking(fam, ["rung[0]"], [far], policy, certs))
 
+    def default_range():
+        # no max_window: the range ends at the last window within the budget
+        rep = mk.stabilized_kappa_between(mk.double_ladder(), ["rung[0]"], ["rung[3]"])
+        return {"values": [list(v) for v in rep.values], "stable_at": rep.stable_at}
+
     def sum_kappa_between():
         m, x, y = grid_sum()
         return mk.kappa_between(m, x, y)
@@ -106,6 +111,8 @@ def rows(mk, helpers) -> list[tuple[str, Callable[[], object]]]:
          lambda: rung_link("rung[38]", 41)),
         ("windowed_linking, double-ladder windows 1-42, rung[0] to rung[2]",
          lambda: rung_link("rung[2]", 42)),
+        ("stabilized_kappa_between, double-ladder default range, rung[0] to rung[3]",
+         default_range),
     ]
     for rim in (6, 7, 8):
         table.append(
