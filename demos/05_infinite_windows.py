@@ -50,9 +50,9 @@ report = stabilized_kappa_between(
     [rung_cert],
 )
 print(f"window lower bounds: {list(report.values)}")
-print(f"plateau from window {report.stable_at};",
+print(f"last value reached at window {report.stable_at};",
       f"certified exact value {report.certified_value} via '{report.certificate}'")
-print("(without a certificate the plateau would stay an uncertified bound)")
+print("(without a certificate the last value would stay an uncertified bound)")
 
 print()
 print("== linking inside the stabilising window ==")

@@ -223,15 +223,14 @@ def _family_verb(args, _):
     if args.operation == "window-info":
         if args.window is None:
             raise DomainError("window-info needs --window")
-        for flag in ("x", "y", "plateau", "certificate"):
+        for flag in ("x", "y", "certificate"):
             if getattr(args, flag) not in (None, []):
                 raise DomainError(f"--{flag} does not apply to family window-info")
         payload, lines = _summary(family.window(args.window), args.budget)
         return {"window": args.window, "matroid": payload}, lines
     if args.x is None or args.y is None:
         raise DomainError(f"family {args.operation} needs --x and --y")
-    chosen = {"max_window": args.window, "plateau_length": args.plateau}
-    policy = StabilizationPolicy(**{k: v for k, v in chosen.items() if v is not None})
+    policy = StabilizationPolicy(max_window=args.window)
     x_labels = [s.strip() for s in args.x.split(",") if s.strip()]
     y_labels = [s.strip() for s in args.y.split(",") if s.strip()]
     certs = [certified_separation(family, c) for c in args.certificate]
@@ -296,7 +295,6 @@ def _build_parser() -> _CliParser:
     p = verb("family", _family_verb, takes=None)
     p.add_argument("--id", required=True)
     p.add_argument("--window", type=int, default=None, help="largest window index")
-    p.add_argument("--plateau", type=int, default=None)
     p.add_argument("--certificate", action="append", default=[])
     p.add_argument("operation", choices=("kappa-between", "link", "window-info"))
     p.add_argument("--x", default=None)

@@ -660,9 +660,9 @@ def free_matroid(labels: Iterable[str]) -> Matroid:
 class GraphicMatroid(Matroid):
     """Finite-cycle matroid of a multigraph, one edge per element.
 
-    ``ends`` names the endpoints of each edge, in element order; they are
-    kept only as vertex numbers, 0 .. ``_nv`` - 1 in order of first
-    appearance.  A set of edges is independent iff it contains no cycle.
+    ``ends`` gives the endpoints of each edge, in element order, as vertex
+    numbers 0 .. ``nv`` - 1; no answer depends on how the vertices are
+    numbered.  A set of edges is independent iff it contains no cycle.
     The oracle, the greedy basis, the span and the minors share one
     union-find kernel over the vertices: a basis is one pass over the
     candidates, fundamental circuits are paths in a forest, and a minor
@@ -674,13 +674,7 @@ class GraphicMatroid(Matroid):
     rep = "graphic"
     __slots__ = ("_ends", "_nv")
 
-    def __init__(self, ground: GroundSet, ends: Iterable[tuple[Hashable, Hashable]]):
-        vertices: dict[Hashable, int] = {}
-        ends = tuple(
-            (vertices.setdefault(u, len(vertices)), vertices.setdefault(v, len(vertices)))
-            for u, v in ends
-        )
-        nv = len(vertices)
+    def __init__(self, ground: GroundSet, ends: tuple[tuple[int, int], ...], nv: int):
         super().__init__(
             ground, lambda mask: _grow_forest(ends, list(range(nv)), mask, 0) is not None
         )
@@ -741,13 +735,25 @@ class GraphicMatroid(Matroid):
             return v
 
         kept = (self._ends[i] for i in _bit_indices(keep_mask))
-        return GraphicMatroid(ground, ((root(u), root(v)) for u, v in kept))
+        return GraphicMatroid(ground, *_numbered((root(u), root(v)) for u, v in kept))
 
     def _dual(self) -> Matroid:
         # the incidence matrix over GF(2) represents the graph; a loop is
         # the zero column
         columns = tuple((1 << u) ^ (1 << v) for u, v in self._ends)
         return BinaryMatroid(self.ground, columns)._dual()
+
+
+def _numbered(
+    pairs: Iterable[tuple[Hashable, Hashable]],
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The endpoint pairs on vertex numbers 0 .. nv - 1, given in order of
+    first appearance, and nv."""
+    number: dict[Hashable, int] = {}
+    ends = tuple(
+        (number.setdefault(u, len(number)), number.setdefault(v, len(number))) for u, v in pairs
+    )
+    return ends, len(number)
 
 
 def _grow_forest(
@@ -894,7 +900,7 @@ def graphic_matroid(edges: Iterable[tuple[str, str, str]]) -> Matroid:
     """
     edges = tuple(edges)
     ground = GroundSet(lab for lab, _, _ in edges)
-    return GraphicMatroid(ground, ((str(u), str(v)) for _, u, v in edges))
+    return GraphicMatroid(ground, *_numbered((str(u), str(v)) for _, u, v in edges))
 
 
 class BinaryMatroid(Matroid):

@@ -5,7 +5,8 @@ The format is UTF-8 text with ``key: value`` lines::
     type: uniform|graphic|linear-gf2|explicit|file-derived
     elements: a b c d
 
-followed by type-specific content:
+with labels separated by whitespace and free of ``,``, which separates
+the labels of a set wherever one is named; then type-specific content:
 
 * uniform      - ``k: 2``
 * graphic      - ``edges: e1=u-v e2=v-w ...`` (vertex names free of ``-``)
@@ -147,6 +148,9 @@ def _parse_text(text: str, base_dir: str, chain: tuple[_FileId, ...]) -> Matroid
     labels = el_text.split()
     if not labels:
         raise ParseError(el_no, "elements line lists no labels")
+    for lab in labels:
+        if "," in lab:
+            raise ParseError(el_no, f"label {lab!r} contains ',', which separates set labels")
     try:
         ground = GroundSet(labels)
     except DomainError as exc:

@@ -19,10 +19,11 @@ last window of a range decides for the whole range:
 - the last window is the largest, so it alone carries the window budget.
 
 So connectivity between two finite sets is only approached from below.
-``stabilized_kappa_between`` tracks the lower bounds and certifies
-an exact value only when an upper-bound certificate (r(U) for a finite
-side U) meets the plateau; a plateau by itself proves nothing and is
-reported as an uncertified bound.
+``stabilized_kappa_between`` tracks the lower bounds and certifies an
+exact value only when an upper-bound certificate (r(U) for a finite side
+U) meets the last window's value: that value <= kappa(X, Y) <= the bound.
+Equal values over several windows prove nothing by themselves, and the
+last value stays an uncertified lower bound.
 
 Every window is a finite matroid, so its exact kappa(X, Y) is one matroid
 intersection (:func:`kappa_between`), and ``windowed_linking`` solves
@@ -177,7 +178,7 @@ def double_ladder(include_rungs: bool = True) -> InfiniteFamily:
             if i <= n:
                 labels += (f"railT[{i}]", f"railB[{i}]")
                 ends += ((top, top + 2), (top + 1, top + 3))
-        return GraphicMatroid(GroundSet(labels), ends)
+        return GraphicMatroid(GroundSet(labels), tuple(ends), 4 * n + 4)
 
     def radius(labels: Sequence[str]) -> int:
         needed = 0
@@ -371,20 +372,13 @@ def graph_rule_family(
 
 @dataclass(frozen=True)
 class StabilizationPolicy:
-    """Tuning knobs for the windowed lower-bound computation."""
+    """The window range of the windowed lower-bound computation."""
 
     max_window: int | None = None
     """Last window; unset, up to 8 as far as windows fit the element budget."""
-    plateau_length: int = 3
     zone_extra: int = 14
     """Unused: every window is solved whole.  Kept so that existing callers
     that pass it still work."""
-
-    def __post_init__(self) -> None:
-        if self.plateau_length < 1:
-            raise DomainError(
-                f"plateau length must be at least 1, got {self.plateau_length}"
-            )
 
 
 @dataclass(frozen=True)
@@ -398,10 +392,11 @@ class StabilizationReport:
     built: no later window can exceed it or fall below it.
     ``settled`` pairs each window with "exact"; the field stays for readers
     of the JSON schema.
-    ``stable_at`` is the first window of a long-enough plateau, or None.
-    ``certified_value`` is set only when an upper-bound certificate
-    matches the plateau, in which case the infinite value is pinned
-    exactly; a plateau alone stays an uncertified lower bound.
+    ``stable_at`` is the first window whose value is the last window's,
+    always an intersected window.  ``certified_value`` is set only when an
+    upper-bound certificate matches the last window's value, in which case
+    the infinite value is pinned exactly; without one that value stays an
+    uncertified lower bound.
     """
 
     family_id: str
@@ -409,7 +404,7 @@ class StabilizationReport:
     y_labels: tuple[str, ...]
     values: tuple[tuple[int, int], ...]
     settled: tuple[tuple[int, str], ...]
-    stable_at: int | None
+    stable_at: int
     certified_value: int | None
     certificate: str | None
 
@@ -462,11 +457,11 @@ def stabilized_kappa_between(
     intersection, a lower bound for the infinite object.  The values are
     also at most min(r(X), r(Y)), ranks that no later window changes, so
     once a window's intersection reaches that cap the later windows are
-    neither built nor intersected: their value is the cap.  A plateau of
-    ``policy.plateau_length`` equal values sets ``stable_at``, always an
-    intersected window: a plateau below the cap, or the first window at
-    it.  The value is certified exact only when one of the supplied
-    certificates proves a matching upper bound for the whole family.
+    neither built nor intersected: their value is the cap.  ``stable_at``
+    is the first window at the last window's value, so it was intersected.
+    That value is certified exact when one of the supplied certificates,
+    validated in order up to the first that matches, proves it as an upper
+    bound for the whole family.
     """
     policy = policy or StabilizationPolicy()
     x_labels = tuple(x_labels)
@@ -490,19 +485,15 @@ def stabilized_kappa_between(
     # past the rank cap every window has the cap value, and is not built
     values += [(n, values[-1][1]) for n in windows[len(values) :]]
 
-    # the values never decrease, so a plateau is a window equal to the one
-    # plateau_length - 1 further on
-    later = values[policy.plateau_length - 1 :]
-    stable_at = next((n for (n, v), (_, w) in zip(values, later) if v == w), None)
+    last = values[-1][1]
+    stable_at = next(n for n, v in values if v == last)
 
     used = None
-    if stable_at is not None:
-        plateau = dict(values)[stable_at]
-        for cert in certificates:
-            cert.validate(family, windows, x_labels, y_labels)
-            if cert.kappa_bound == plateau:
-                used = cert
-                break
+    for cert in certificates:
+        cert.validate(family, windows, x_labels, y_labels)
+        if cert.kappa_bound == last:
+            used = cert
+            break
 
     return StabilizationReport(
         family_id=family.family_id,
@@ -645,7 +636,6 @@ def windowed_linking(
         )
     target = report.certified_value
     n = report.stable_at
-    assert n is not None
     window = family.window(n)
     solved = linking_partition(
         window, window.ground.set_of(x_labels), window.ground.set_of(y_labels)

@@ -139,6 +139,27 @@ class TestVerbs:
         assert "certified: 1" in out
 
     @pytest.mark.parametrize(
+        "verb, line",
+        [("kappa-between", "certified: 1 (by rung:0)"), ("link", "window 2, achieved = 1")],
+    )
+    def test_two_window_range_certifies(self, capsys, verb, line):
+        """Windows 2 and 3 both give 1: the last value, met by the bound of
+        rung:0, is certified however short the range."""
+        argv = ["family", "--id=double-ladder", "--window=3", "--certificate=rung:0",
+                verb, "--x=rung[0]", "--y=rung[3]"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert line in out.splitlines()
+
+    @pytest.mark.parametrize("verb", ["kappa-between", "link"])
+    def test_certificate_missing_x_is_refused_on_a_short_range(self, capsys, verb):
+        argv = ["family", "--id=double-ladder", "--window=3", "--certificate=rung:5",
+                verb, "--x=rung[0]", "--y=rung[3]"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "certificate 'rung:5' does not contain X" in err
+
+    @pytest.mark.parametrize(
         "query",
         [
             # X is not inside the certificate's side: exit 1, after the
@@ -489,15 +510,6 @@ class TestExitCodes:
         assert code == 1
         assert fid in err
 
-    @pytest.mark.parametrize("plateau", ["0", "-2"])
-    def test_non_positive_plateau_is_domain_error(self, capsys, plateau):
-        argv = ["family", "--id=double-ladder", f"--plateau={plateau}",
-                "kappa-between", "--x=rung[0]", "--y=rung[2]"]
-        code, out, err = run(capsys, argv)
-        assert code == 1
-        assert out == ""
-        assert f"plateau length must be at least 1, got {plateau}" in err
-
     @pytest.mark.parametrize(
         "flag", ["--x=", "--y=rung[0]", "--plateau=0", "--certificate=bogus"]
     )
@@ -694,9 +706,8 @@ def _family_command(draw):
     labels, templates = _FAMILIES.get(fid, (["a1", "rung[0]"], ["prefix:", "rung:"]))
     argv = ["family", f"--id={fid}"]
     small = st.sampled_from(["0", "1", "2", "3", "5"])
-    for flag in ("--window", "--plateau"):
-        if draw(st.booleans()):
-            argv.append(f"{flag}={_sometimes(draw, small, st.sampled_from(['-1', 'x']))}")
+    if draw(st.booleans()):
+        argv.append(f"--window={_sometimes(draw, small, st.sampled_from(['-1', 'x']))}")
     for _ in range(draw(st.integers(0, 2))):
         template = _sometimes(
             draw,

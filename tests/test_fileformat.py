@@ -106,6 +106,25 @@ class TestParsing:
         assert err.value.line_no == line
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "type: graphic\nelements: a,b c\nedges: a,b=u-v c=v-u\n",
+            "type: explicit\nelements: a,b c\nindependent:\n{}\nc\n",
+        ],
+        ids=["graphic", "explicit"],
+    )
+    def test_label_with_a_comma_is_refused(self, tmp_path, capsys, text):
+        """No set can name such a label: ``--set=a,b`` reads two labels."""
+        with pytest.raises(ParseError) as err:
+            parse_matroid_text(text)
+        assert err.value.line_no == 2
+        assert "label 'a,b' contains ','" in str(err.value)
+        path = tmp_path / "comma.matroid"
+        path.write_text(text)
+        assert parse_and_run(["kappa", "--set=a,b", str(path)]) == 1
+        assert "line 2: label 'a,b'" in capsys.readouterr().err
+
 
 class TestDerivedFiles:
     def test_dual_minor_sum(self, tmp_path):

@@ -18,6 +18,7 @@ from matroid_kappa import (
     components,
     double_ladder,
     graph_rule_family,
+    graphic_matroid,
     infinite_uniform,
     kappa,
     kappa_between,
@@ -50,6 +51,18 @@ class TestWindows:
             assert restricted.is_independent(
                 restricted.ground.set_of(s)
             ) == small.is_independent(small.ground.set_of(s))
+
+    @pytest.mark.parametrize("rungs", [True, False])
+    def test_ladder_windows_number_their_vertices(self, rungs):
+        """Window n is built on the 4n + 4 vertex numbers of columns
+        -n .. n + 1, each on an edge, and is the graph of its edges."""
+        fam = double_ladder(rungs)
+        for n in range(2):
+            w = fam.window(n)
+            assert w._nv == 4 * n + 4
+            assert {v for ends in w._ends for v in ends} == set(range(w._nv))
+            edges = [(lab, str(u), str(v)) for lab, (u, v) in zip(w.ground, w._ends)]
+            assert same_independence(w, graphic_matroid(edges))
 
     def test_uniform_window_is_uniform(self):
         w = infinite_uniform(2).window(4)
@@ -116,9 +129,9 @@ def spy_window_builds(monkeypatch) -> list[int]:
         sizes.append(len(edges))
         return real_graphic(edges)
 
-    def numbered(ground, ends):
+    def numbered(ground, ends, nv):
         sizes.append(len(ground))
-        return real_numbered(ground, ends)
+        return real_numbered(ground, ends, nv)
 
     monkeypatch.setattr(windows, "uniform_matroid", uniform)
     monkeypatch.setattr(windows, "graphic_matroid", graphic)
@@ -239,7 +252,7 @@ def _all_subsets(labels):
 @st.composite
 def nested_family_queries(draw):
     """A family with nested windows, a finite side U, X inside U, Y outside
-    it, and a window range and plateau length.  The family is a built-in
+    it, and a window range.  The family is a built-in
     one or a graph rule whose window n is the first k + n edges of a random
     multigraph (drawn from a seed, so that its later edges are as random as
     its first), the sides lying in the first k and the range reaching its
@@ -267,8 +280,7 @@ def nested_family_queries(draw):
     assume(outside)
     x = draw(st.lists(st.sampled_from(side), min_size=1, unique=True))
     y = draw(st.lists(st.sampled_from(outside), min_size=1, max_size=4, unique=True))
-    plateau_length = draw(st.integers(1, 3))
-    return make, side, x, y, extra, plateau_length
+    return make, side, x, y, extra
 
 
 class TestStabilization:
@@ -319,6 +331,22 @@ class TestStabilization:
         assert rep.stable_at is not None
         assert rep.certified_value is None
 
+    @pytest.mark.parametrize("max_window", [4, 6])
+    def test_last_value_certifies_past_an_early_lower_run(self, max_window):
+        """Windows 0-3 give 0 and window 4 closes the cycle a-b-z1-z2-c-d-a:
+        the bound r({e0}) = 1 meets the last value, whatever came before."""
+        edges = [("e0", "a", "b"), ("e1", "c", "d"), ("e2", "b", "z1"),
+                 ("e3", "z1", "z2"), ("e4", "z2", "c"), ("e5", "d", "a")]
+        fam = graph_rule_family(lambda n: edges[: 2 + n])
+        policy = StabilizationPolicy(max_window=max_window)
+        certs = [certified_separation(fam, "set:e0")]
+        rep = stabilized_kappa_between(fam, ["e0"], ["e1"], policy, certs)
+        assert [v for _, v in rep.values] == [0, 0, 0, 0] + [1] * (max_window - 3)
+        assert (rep.stable_at, rep.certified_value) == (4, 1)
+        result = windowed_linking(fam, ["e0"], ["e1"], policy, certs)
+        assert result.window_index == 4 and result.achieved == 1
+        assert list(result.spec.contract) == ["e2", "e3", "e4", "e5"]
+
     def test_growth_matches_exact_scan_on_small_windows(self):
         fam = double_ladder()
         queries = [
@@ -343,7 +371,7 @@ class TestStabilization:
                     fam,
                     x_labels,
                     y_labels,
-                    StabilizationPolicy(max_window=n, plateau_length=1),
+                    StabilizationPolicy(max_window=n),
                 )
                 assert dict(rep.values)[n] == exact, (x_labels, y_labels, n)
 
@@ -377,7 +405,7 @@ class TestStabilization:
                 fam,
                 x_labels,
                 y_labels,
-                StabilizationPolicy(max_window=1, plateau_length=1),
+                StabilizationPolicy(max_window=1),
             )
             value = dict(rep.values)[0]
             how = dict(rep.settled)[0]
@@ -516,13 +544,13 @@ class TestStabilization:
     @given(query=nested_family_queries())
     def test_rank_cap_keeps_every_window_exact(self, query):
         """The windows past the rank cap take their value without an
-        intersection; each value is still its window's kappa(X, Y), and the
-        plateau and the certified value are those of intersecting every
+        intersection; each value is still its window's kappa(X, Y), and
+        ``stable_at`` and the certified value are those of intersecting every
         window."""
-        make, side, x_labels, y_labels, extra, plateau_length = query
+        make, side, x_labels, y_labels, extra = query
         fam = make()
         start = fam.exactness_radius(x_labels + y_labels)
-        policy = StabilizationPolicy(max_window=start + extra, plateau_length=plateau_length)
+        policy = StabilizationPolicy(max_window=start + extra)
         cert = certified_separation(fam, "set:" + "+".join(side))
         rep = stabilized_kappa_between(fam, x_labels, y_labels, policy, [cert])
 
@@ -531,16 +559,15 @@ class TestStabilization:
             w = make().window(n)
             x, y = w.ground.set_of(x_labels), w.ground.set_of(y_labels)
             exact.append((n, kappa_between(w, x, y)))
-        later = exact[plateau_length - 1 :]
-        stable_at = next((n for (n, v), (_, u) in zip(exact, later) if v == u), None)
-        plateau = dict(exact).get(stable_at)
+        last = exact[-1][1]
+        stable_at = next(n for n, v in exact if v == last)
         assert rep.values == tuple(exact)
         assert rep.stable_at == stable_at
-        assert rep.certified_value == (plateau if cert.kappa_bound == plateau else None)
+        assert rep.certified_value == (last if cert.kappa_bound == last else None)
         if rep.certified_value is not None:
             result = windowed_linking(fam, x_labels, y_labels, policy, [cert])
             assert result.window_index == stable_at
-            assert result.achieved == plateau
+            assert result.achieved == last
 
 
 @st.composite
@@ -564,7 +591,7 @@ def certificate_ranges(draw):
     """A family with nested windows, one of its certificates and a window
     range.  The certificate is any template of the family: a built-in one
     with an integer from 0 to 4 where it takes one, or a finite side."""
-    make, side, _, _, extra, _ = draw(nested_family_queries())
+    make, side, _, _, extra = draw(nested_family_queries())
     name = draw(st.sampled_from(sorted(make().templates)))
     if name == "set:":
         description = "set:" + "+".join(side)
@@ -720,7 +747,7 @@ class TestCertificates:
         cert = certified_separation(fam, "set:" + "+".join(side))
         assert cert.kappa_bound == w.rank(u) >= kappa(w, u)
         rep = stabilized_kappa_between(
-            fam, x_labels, y_labels, StabilizationPolicy(max_window=2, plateau_length=2), [cert]
+            fam, x_labels, y_labels, StabilizationPolicy(max_window=2), [cert]
         )
         exact = kappa_between(w, w.ground.set_of(x_labels), w.ground.set_of(y_labels))
         assert rep.values == ((0, exact), (1, exact), (2, exact))
