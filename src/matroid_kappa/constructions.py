@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .core import ElementSet, GroundSet, Matroid, _bit_indices
+from .core import ElementSet, GroundSet, Matroid
 from .errors import DomainError, InvariantViolation, PreconditionError
 
 
@@ -97,6 +97,11 @@ class _DirectSum(Matroid):
             for c in part._circuit_masks():
                 yield c << off
 
+    def _component_masks(self) -> Iterable[int]:
+        for part, off in self._parts:
+            for block in part._component_masks():
+                yield block << off
+
     def _dual(self) -> Matroid:
         return _DirectSum(self.ground, tuple((p.dual(), off) for p, off in self._parts))
 
@@ -152,47 +157,31 @@ class ComponentPartition:
 
 
 def components(m: Matroid) -> ComponentPartition:
-    """Connected components of ``m`` from the fundamental circuits of one basis.
+    """Connected components of ``m``, from its representation.
 
-    For the canonical basis B, joining the elements of each fundamental
-    circuit C(e, B) with union-find gives the components (Krogdahl),
-    with no circuit enumeration.  The circuits are read off the span of B
-    (``Matroid._span``): tree paths of a graph, or the pivot combinations
-    of a GF(2) elimination, with no oracle call; other matroids ask their
-    oracle about B + e and each B - b + e.  Every join is witnessed by a
-    circuit, so each block lies inside one component; the ranks of the
-    blocks must then sum to r(E), which makes every block a separator and
-    the partition exact.  A failing sum is reported as an invariant
-    violation.  The partition is kept on ``m``.
+    The blocks come from ``Matroid._component_masks``: the blocks of the
+    graph for a graphic matroid, a closed form for a uniform one, each
+    part's blocks for a direct sum, and otherwise the fundamental circuits
+    of the canonical basis joined with union-find (Krogdahl).  Each block
+    must lie inside one component; the ranks of the blocks must then sum
+    to r(E), which makes every block a separator and the partition exact.
+    A block equal to E takes its rank from the canonical basis.  A failing
+    sum is reported as an invariant violation.  The partition is kept on
+    ``m``.
     """
     cached = m._cache.get("components")
     if cached is not None:
         return cached
-    n = len(m.ground)
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for circuit in m._fundamental_circuits():
-        root = find((circuit & -circuit).bit_length() - 1)
-        for b in _bit_indices(circuit):
-            parent[find(b)] = root
-
-    by_root: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        by_root[root] = by_root.get(root, 0) | 1 << i
-
-    blocks = sorted(by_root.values(), key=lambda mask: (mask & -mask).bit_length())
-    rank_sum = sum(m._greedy_basis_mask(mask).bit_count() for mask in blocks)
+    full = m.ground.full_mask
+    blocks = sorted(m._component_masks(), key=lambda mask: (mask & -mask).bit_length())
+    rank_sum = sum(
+        m.full_rank if mask == full else m._greedy_basis_mask(mask).bit_count()
+        for mask in blocks
+    )
     if rank_sum != m.full_rank:
         raise InvariantViolation(
             f"component ranks sum to {rank_sum}, not to the rank {m.full_rank}: "
-            "the fundamental-circuit blocks are not separators"
+            "the blocks are not separators"
         )
     found = m._cache["components"] = ComponentPartition(
         tuple(ElementSet(m.ground, b) for b in blocks)

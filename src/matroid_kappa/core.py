@@ -28,8 +28,12 @@ an elimination that records which columns sum to each pivot, and it reads
 the exchange-graph arcs of matroid intersection off those circuits.
 Binary circuits are the minimal supports of the cycle space, found with
 2^(n - r) rank checks; graphic circuits are the graph's simple cycles.
-Uniform, explicit and derived matroids ask their oracle for all of
-these.
+Components (:meth:`Matroid._component_masks`) are the blocks of the graph
+for a graphic matroid, found by one depth-first search, and for binary,
+explicit and derived matroids the fundamental circuits of the canonical
+basis joined with union-find.  A uniform matroid has greedy bases,
+circuits and components in closed form and asks its oracle for spans;
+explicit and derived matroids ask their oracle for all of these.
 """
 
 from __future__ import annotations
@@ -254,13 +258,13 @@ class Matroid:
     This class is also the generic representation: its greedy bases
     (:meth:`_greedy_basis_mask`) and spans (:meth:`_span`) ask its oracle,
     its dual (:meth:`_dual`) and minors (:meth:`_contracted`) wrap its
-    oracle, and its circuits (:meth:`_circuit_masks`) are enumerated from
-    the oracle.  The concrete representations below subclass it and
-    override those hooks where their own data gives the answer directly;
-    a kernel that answers from the data makes no oracle call and leaves
-    the memo untouched.  The
-    class attribute ``rep`` names the representation; ``"derived"`` marks
-    an oracle wrapper.
+    oracle, its circuits (:meth:`_circuit_masks`) are enumerated from the
+    oracle, and its components (:meth:`_component_masks`) join the
+    fundamental circuits of its span.  The concrete representations below
+    subclass it and override those hooks where their own data gives the
+    answer directly; a kernel that answers from the data makes no oracle
+    call and leaves the memo untouched.  The class attribute ``rep`` names
+    the representation; ``"derived"`` marks an oracle wrapper.
     """
 
     rep = "derived"
@@ -371,6 +375,32 @@ class Matroid:
         span = self._span(basis)
         outside = self.ground.full_mask & ~basis
         return [span.circuit(1 << e) for e in _bit_indices(outside)]
+
+    def _component_masks(self) -> Iterable[int]:
+        """Every component mask once, in any order.
+
+        Here the fundamental circuits of the canonical basis are joined
+        with union-find (Krogdahl), with no circuit enumeration.  They are
+        read off :meth:`_span`, so a GF(2) elimination makes no oracle
+        call; other matroids ask their oracle about B + e and each
+        B - b + e.
+        """
+        parent = list(range(len(self.ground)))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            return a
+
+        for circuit in self._fundamental_circuits():
+            root = find((circuit & -circuit).bit_length() - 1)
+            for b in _bit_indices(circuit):
+                parent[find(b)] = root
+        by_root: dict[int, int] = {}
+        for i in range(len(parent)):
+            root = find(i)
+            by_root[root] = by_root.get(root, 0) | 1 << i
+        return by_root.values()
 
     # -- circuits --------------------------------------------------------
 
@@ -622,7 +652,8 @@ def _as_ground(labels: Iterable[str]) -> GroundSet:
 class UniformMatroid(Matroid):
     """U(k, n): a set is independent iff it has at most ``k`` elements.
 
-    Its dual and minors are uniform again.  A bound above the ground set's
+    Its greedy bases, circuits and components come in closed form, and its
+    dual and minors are uniform again.  A bound above the ground set's
     size is lowered to it, which leaves the independent sets unchanged.
     """
 
@@ -636,8 +667,28 @@ class UniformMatroid(Matroid):
         super().__init__(ground, lambda mask: mask.bit_count() <= k)
         self.k = k
 
+    def _greedy_basis_mask(self, within: int, start: int = 0) -> int:
+        room = self.k - start.bit_count()
+        if room < 0:
+            return start
+        rest = within & ~start
+        while room and rest:
+            low = rest & -rest
+            rest ^= low
+            start |= low
+            room -= 1
+        return start
+
     def _circuit_masks(self) -> Iterable[int]:
         return submasks_of_size(self.ground.full_mask, self.k + 1)
+
+    def _component_masks(self) -> Iterable[int]:
+        # every (k + 1)-set is a circuit, so 0 < k < n joins all elements;
+        # otherwise each element is a loop (k = 0) or a coloop (k = n)
+        n = len(self.ground)
+        if 0 < self.k < n:
+            return (self.ground.full_mask,)
+        return (1 << i for i in range(n))
 
     def _dual(self) -> Matroid:
         return UniformMatroid(self.ground, len(self.ground) - self.k)
@@ -720,6 +771,59 @@ class GraphicMatroid(Matroid):
                         continue
                     stack.append((nxt, used_edges | 1 << j, seen | 1 << nxt))
         return cycles
+
+    def _component_masks(self) -> Iterator[int]:
+        """The blocks (2-connected pieces) of the graph, each loop a block
+        of its own, from one depth-first search that stacks the edges it
+        walks (Hopcroft and Tarjan).  When the subtree of v reaches no
+        vertex above its parent u, the edges stacked since the tree edge
+        u-v form a block.  The search keeps its own stack of vertices, so
+        a long path does not recurse."""
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(self._nv)]
+        for i, (u, v) in enumerate(self._ends):
+            if u == v:
+                yield 1 << i
+            else:
+                adjacency[u].append((v, i))
+                adjacency[v].append((u, i))
+        order = [0] * self._nv  # 1 + discovery number; 0 while unvisited
+        low = [0] * self._nv  # least order reached by a back edge below
+        count = 0
+        edges: list[int] = []
+        for root in range(self._nv):
+            if order[root]:
+                continue
+            count += 1
+            order[root] = low[root] = count
+            path = [(root, -1, iter(adjacency[root]))]
+            while path:
+                v, into, arcs = path[-1]
+                for w, i in arcs:
+                    if not order[w]:
+                        count += 1
+                        order[w] = low[w] = count
+                        edges.append(i)
+                        path.append((w, i, iter(adjacency[w])))
+                        break
+                    # a back edge to an ancestor; a parallel edge to the
+                    # parent is one too, only the tree edge itself is not
+                    if order[w] < order[v] and i != into:
+                        edges.append(i)
+                        if order[w] < low[v]:
+                            low[v] = order[w]
+                else:
+                    path.pop()
+                    if path:
+                        u = path[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        if low[v] >= order[u]:
+                            block = 0
+                            i = -1
+                            while i != into:
+                                i = edges.pop()
+                                block |= 1 << i
+                            yield block
 
     def _contracted(
         self, ground: GroundSet, keep_mask: int, base_mask: int

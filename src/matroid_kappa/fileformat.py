@@ -6,7 +6,9 @@ The format is UTF-8 text with ``key: value`` lines::
     elements: a b c d
 
 with labels separated by whitespace and free of ``,``, which separates
-the labels of a set wherever one is named; then type-specific content:
+the labels of a set wherever one is named.  A label is not ``{}``, which
+names the empty set, and does not start with ``@``, which names a file
+of labels on the command line.  Then comes type-specific content:
 
 * uniform      - ``k: 2``
 * graphic      - ``edges: e1=u-v e2=v-w ...`` (vertex names free of ``-``)
@@ -151,6 +153,10 @@ def _parse_text(text: str, base_dir: str, chain: tuple[_FileId, ...]) -> Matroid
     for lab in labels:
         if "," in lab:
             raise ParseError(el_no, f"label {lab!r} contains ',', which separates set labels")
+        if lab == "{}":
+            raise ParseError(el_no, "label '{}' reads as the empty set")
+        if lab.startswith("@"):
+            raise ParseError(el_no, f"label {lab!r} starts with '@', which names a file of labels")
     try:
         ground = GroundSet(labels)
     except DomainError as exc:

@@ -27,7 +27,7 @@ from matroid_kappa import (
 )
 from matroid_kappa import budgets, connectivity, linking
 from matroid_kappa.connectivity import _largest_common_independent
-from matroid_kappa.core import _ForestSpan
+from matroid_kappa.core import GraphicMatroid, _ForestSpan
 from matroid_kappa.windows import double_ladder
 
 
@@ -544,6 +544,27 @@ class TestPolynomialGuard:
         for side, m in grid_and_dual():
             assert components(m).is_connected, side
             assert len(m._memo) == 0, side
+
+    def test_uniform_components_make_no_oracle_call(self):
+        # U(k, 6) is one block for 0 < k < 6 and six singletons otherwise
+        for k in (0, 3, 6):
+            m = uniform_matroid([f"x{i}" for i in range(6)], k)
+            assert len(components(m)) == (1 if k == 3 else 6), k
+            assert len(m._memo) == 0, k
+
+    def test_graphic_components_build_no_span(self, monkeypatch):
+        # the blocks come from one search of the graph, not from circuits
+        spans = []
+        real = GraphicMatroid._span
+
+        def spy(m, independent):
+            spans.append(independent)
+            return real(m, independent)
+
+        monkeypatch.setattr(GraphicMatroid, "_span", spy)
+        assert components(helpers.grid_graph(8, 8)).is_connected
+        assert len(components(helpers.two_triangles())) == 2
+        assert spans == []
 
     def test_kappa_between_oracle_calls(self):
         m = helpers.grid_graph(8, 8)

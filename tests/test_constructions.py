@@ -28,7 +28,7 @@ from matroid_kappa import (
     take_minor,
     uniform_matroid,
 )
-from matroid_kappa.core import BinaryMatroid
+from matroid_kappa.core import BinaryMatroid, GraphicMatroid
 
 
 def u24():
@@ -316,6 +316,56 @@ class TestComponents:
             left = {tuple(sorted(b)) for b in components(m).blocks}
             right = {tuple(sorted(b)) for b in components(dual(m)).blocks}
             assert left == right, name
+
+
+@st.composite
+def multigraphs(draw):
+    """A graphic matroid of up to 16 edges on up to 7 vertex numbers, or a
+    contraction or deletion of one.  Loops and parallel edges come up
+    often, some vertex numbers go unused (isolated vertices), and a
+    contraction makes new loops and parallel edges."""
+    nv = draw(st.integers(1, 7))
+    vertex = st.integers(0, nv - 1)
+    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=16))
+    m = GraphicMatroid(GroundSet(f"e{i}" for i in range(len(ends))), tuple(ends), nv)
+    picked = m.ground.from_mask(draw(st.integers(0, m.ground.full_mask)))
+    step = draw(st.sampled_from([None, contract, delete]))
+    return m if step is None else step(m, picked)
+
+
+class TestComponentHooks:
+    """Each representation's own blocks against the union-find over the
+    fundamental circuits, which ``generic`` leaves the only route."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=multigraphs())
+    def test_graph_blocks_match_union_find(self, m):
+        assert isinstance(m, GraphicMatroid)
+        assert components(m) == components(generic(m))
+
+    def test_uniform_closed_form_matches_union_find(self):
+        for n in range(9):
+            for k in range(n + 1):
+                m = uniform_matroid([f"x{i}" for i in range(n)], k)
+                assert components(m) == components(generic(m)), (k, n)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(count=st.integers(1, 3), dualised=st.booleans(), data=st.data())
+    def test_sum_blocks_match_union_find(self, count, dualised, data):
+        m = direct_sum(
+            [data.draw(helpers.representations(prefix=f"p{i}_", max_n=5)) for i in range(count)]
+        )
+        if dualised:
+            m = dual(m)
+        assert components(m) == components(generic(m))
+
+    def test_long_cycle_is_one_block(self):
+        # deeper than the interpreter's recursion limit, so the search
+        # must keep its own stack
+        n = 3000
+        m = graphic_matroid((f"e{i}", str(i), str((i + 1) % n)) for i in range(n))
+        assert list(m._component_masks()) == [m.ground.full_mask]
+        assert components(m).is_connected
 
 
 class TestCircuitsThroughContractions:

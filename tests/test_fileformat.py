@@ -125,6 +125,34 @@ class TestParsing:
         assert parse_and_run(["kappa", "--set=a,b", str(path)]) == 1
         assert "line 2: label 'a,b'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "label, reason",
+        [("{}", "reads as the empty set"), ("@b", "starts with '@'")],
+        ids=["braces", "at-sign"],
+    )
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "type: graphic\nelements: {lab} c\nedges: {lab}=u-v c=v-u\n",
+            "type: explicit\nelements: {lab} c\nindependent:\n{{}}\nc\n",
+        ],
+        ids=["graphic", "explicit"],
+    )
+    def test_label_that_cannot_be_named_alone_is_refused(
+        self, tmp_path, capsys, template, label, reason
+    ):
+        """``--set={}`` is the empty set and ``--set=@b`` reads the file b,
+        so neither could name such a label."""
+        text = template.format(lab=label)
+        with pytest.raises(ParseError) as err:
+            parse_matroid_text(text)
+        assert err.value.line_no == 2
+        assert f"label {label!r} {reason}" in str(err.value)
+        path = tmp_path / "label.matroid"
+        path.write_text(text)
+        assert parse_and_run(["kappa", f"--set={label}", str(path)]) == 1
+        assert f"line 2: label {label!r}" in capsys.readouterr().err
+
 
 class TestDerivedFiles:
     def test_dual_minor_sum(self, tmp_path):
