@@ -123,12 +123,12 @@ def _intersection(m: Matroid, x: ElementSet, y: ElementSet) -> _Record:
 
 
 def _joining_circuit(m: Matroid, s: ElementSet, e: int) -> int:
-    """A circuit through ``e`` (one bit outside S) that meets S, or 0 when
-    e shares no component with S, that is when kappa(S, {e}) is 0.  At 1,
-    the record's I + B_S is a basis and I + e is independent, so e's
-    fundamental circuit there meets S, and its part outside S is a
-    circuit of M/S."""
-    record = _intersection(m, s, ElementSet(m.ground, e))
+    """The mask of a circuit through ``e`` (the index of an element outside
+    S) that meets S, or 0 when e shares no component with S, that is when
+    kappa(S, {e}) is 0.  At 1, the record's I + B_S is a basis and I + e
+    is independent, so e's fundamental circuit there meets S, and its part
+    outside S is a circuit of M/S."""
+    record = _intersection(m, s, ElementSet(m.ground, 1 << e))
     return m._span(record.base_x | record.common).circuit(e) if record.value else 0
 
 
@@ -160,7 +160,8 @@ def _largest_common_independent(
     is independent in M/X (``entering``) and from e to b when it is
     independent in M/Y (``leaving``).  A kernel span reads both off
     fundamental circuits: b -> e when b lies on e's circuit in
-    I + base_x, e -> b when b lies on e's circuit in I + base_y.
+    I + base_x, e -> b when b lies on e's circuit in I + base_y.  The
+    search names elements by index and keeps I and R as masks.
     Neighbours come in canonical order, so the search, and with it I,
     does not depend on the representation.  A round ends at the first
     sink it reaches, and flipping that shortest path grows I by one; a
@@ -184,35 +185,34 @@ def _largest_common_independent(
     span_y = m._span(base_y)
     common = span_x.grow_common(span_y, free)
     while True:
-        parent: dict[int, int] = {}
+        parent: dict[int, int | None] = {}
         blocked = 0
         for e in _bit_indices(free & ~common):
-            bit = 1 << e
-            if span_x.adds(bit):
-                parent[bit] = 0
+            if span_x.adds(e):
+                parent[e] = None
             else:
-                blocked |= bit
+                blocked |= 1 << e
         if not parent:
             return common, 0
         queue = deque(parent)
-        end = 0
+        end = None
         while queue:
             at = queue.popleft()
-            if common & at:
+            if common >> at & 1:
                 reached = span_x.entering(at, blocked, parent)
             elif span_y.adds(at):
                 end = at
                 break
             else:
                 reached = span_y.leaving(at, common, parent)
-            for bit in reached:
-                parent[bit] = at
+            for e in reached:
+                parent[e] = at
             queue.extend(reached)
-        if not end:
-            # the keys are distinct bits, so their sum is their union
-            return common, sum(parent)
-        while end:
-            common ^= end
+        if end is None:
+            # distinct indices, so the sum of their bits is their union
+            return common, sum(1 << e for e in parent)
+        while end is not None:
+            common ^= 1 << end
             end = parent[end]
         span_x = m._span(base_x | common)
         span_y = m._span(base_y | common)

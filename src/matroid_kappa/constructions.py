@@ -140,7 +140,9 @@ class ComponentPartition:
 
     Two elements share a block exactly when some circuit contains both, so
     loops and coloops are singleton blocks.  Blocks are listed in the
-    canonical order of their first elements.
+    canonical order of their first elements.  The matroid is connected
+    when it has at most one block, that is no 1-separation: the empty
+    matroid is connected.
     """
 
     blocks: tuple[ElementSet, ...]
@@ -150,7 +152,7 @@ class ComponentPartition:
 
     @property
     def is_connected(self) -> bool:
-        return len(self.blocks) == 1
+        return len(self.blocks) <= 1
 
     def to_jsonable(self) -> list[list[str]]:
         return [sorted(b) for b in self.blocks]
@@ -207,4 +209,4 @@ def _lift(m: Matroid, away: int, circuit: int) -> int:
     and the greedy basis B_Z of Z.  D - d + B_Z is independent for every d
     in D, so that circuit is unique: the fundamental circuit of any d."""
     d = circuit & -circuit
-    return m._span(m._greedy_basis_mask(away) | circuit ^ d).circuit(d)
+    return m._span(m._greedy_basis_mask(away) | circuit ^ d).circuit(d.bit_length() - 1)

@@ -374,7 +374,7 @@ class Matroid:
         basis = self.basis().mask
         span = self._span(basis)
         outside = self.ground.full_mask & ~basis
-        return [span.circuit(1 << e) for e in _bit_indices(outside)]
+        return [span.circuit(e) for e in _bit_indices(outside)]
 
     def _component_masks(self) -> Iterable[int]:
         """Every component mask once, in any order.
@@ -462,15 +462,15 @@ class Matroid:
     def fundamental_circuit(self, base: ElementSet, x: str) -> ElementSet:
         """The unique circuit inside ``base + x`` for a basis ``base``."""
         self._check_universe(base)
-        xbit = 1 << self.ground.index(x)
-        if base.mask & xbit:
+        e = self.ground.index(x)
+        if base.mask >> e & 1:
             raise PreconditionError(f"element {x!r} already lies in the basis")
         if (
             base.mask.bit_count() != self.full_rank
             or self._greedy_basis_mask(base.mask) != base.mask
         ):
             raise PreconditionError("the given set is not a basis")
-        return ElementSet(self.ground, self._span(base.mask).circuit(xbit))
+        return ElementSet(self.ground, self._span(base.mask).circuit(e))
 
     def cocircuits(self, budget: int | None = None) -> list[ElementSet]:
         return self.dual().circuits(budget)
@@ -524,11 +524,11 @@ class Matroid:
 class _Span:
     """An independent set I that can grow, answered by the oracle.
 
-    Elements are one-bit masks and sets are masks.  ``adds(e)`` tells
-    whether I + e is independent and ``add(e)`` puts e into I;
-    ``circuit(e)`` is the fundamental circuit of e in I + e, or 0 when
-    I + e is independent.  Matroid intersection asks three more questions
-    of a pair of spans, on I + base_x and I + base_y:
+    Elements are indices and sets are masks.  ``adds(e)`` tells whether
+    I + e is independent and ``add(e)`` puts e into I; ``circuit(e)`` is
+    the mask of the fundamental circuit of e in I + e, or 0 when I + e is
+    independent.  Matroid intersection asks three more questions of a
+    pair of spans, on I + base_x and I + base_y:
 
     - ``grow_common(other, candidates)`` adds to both spans each
       candidate, in canonical order, that both can add, and returns the
@@ -552,49 +552,38 @@ class _Span:
         self._indep = indep
 
     def adds(self, e: int) -> bool:
-        return self._indep(self.mask | e)
+        return self._indep(self.mask | 1 << e)
 
     def add(self, e: int) -> None:
-        self.mask |= e
+        self.mask |= 1 << e
 
     def circuit(self, e: int) -> int:
         # with I + e dependent, b lies on the circuit iff I - b + e is independent
         if self.adds(e):
             return 0
-        found = e
-        for i in _bit_indices(self.mask):
-            if self.swaps(1 << i, e):
-                found |= 1 << i
+        found = 1 << e
+        for b in _bit_indices(self.mask):
+            if self.swaps(b, e):
+                found |= 1 << b
         return found
 
     def swaps(self, b: int, e: int) -> bool:
-        return self._indep(self.mask ^ b | e)
+        return self._indep(self.mask ^ 1 << b | 1 << e)
 
     def grow_common(self, other: "_Span", candidates: int) -> int:
         common = 0
-        for i in _bit_indices(candidates):
-            bit = 1 << i
-            if self.adds(bit) and other.adds(bit):
-                self.add(bit)
-                other.add(bit)
-                common |= bit
+        for e in _bit_indices(candidates):
+            if self.adds(e) and other.adds(e):
+                self.add(e)
+                other.add(e)
+                common |= 1 << e
         return common
 
     def entering(self, b: int, candidates: int, seen: Container[int]) -> list[int]:
-        found = []
-        for i in _bit_indices(candidates):
-            e = 1 << i
-            if e not in seen and self.swaps(b, e):
-                found.append(e)
-        return found
+        return [e for e in _bit_indices(candidates) if e not in seen and self.swaps(b, e)]
 
     def leaving(self, e: int, candidates: int, seen: Container[int]) -> list[int]:
-        found = []
-        for i in _bit_indices(candidates):
-            b = 1 << i
-            if b not in seen and self.swaps(b, e):
-                found.append(b)
-        return found
+        return [b for b in _bit_indices(candidates) if b not in seen and self.swaps(b, e)]
 
 
 class _KernelSpan:
@@ -603,7 +592,7 @@ class _KernelSpan:
     b lies on the fundamental circuit of e exactly when I - b + e is
     independent, so ``leaving(e)`` is the circuit of e, and ``entering``
     inverts the circuits of all candidates once, into per-b lists in the
-    candidates' canonical order, kept until the next ``add``.  The greedy
+    candidates' canonical order, kept until the span grows.  The greedy
     pass is the oracle span's loop unless a kernel fuses it.
     """
 
@@ -615,20 +604,14 @@ class _KernelSpan:
         arcs = self._entering
         if arcs is None or arcs[0] != candidates:
             lists: dict[int, list[int]] = {}
-            for i in _bit_indices(candidates):
-                e = 1 << i
-                for j in _bit_indices(self.circuit(e) & ~e):
+            for e in _bit_indices(candidates):
+                for j in _bit_indices(self.circuit(e) & ~(1 << e)):
                     lists.setdefault(j, []).append(e)
             arcs = self._entering = (candidates, lists)
-        return [e for e in arcs[1].get(b.bit_length() - 1, ()) if e not in seen]
+        return [e for e in arcs[1].get(b, ()) if e not in seen]
 
     def leaving(self, e: int, candidates: int, seen: Container[int]) -> list[int]:
-        found = []
-        for i in _bit_indices(self.circuit(e) & candidates):
-            b = 1 << i
-            if b not in seen:
-                found.append(b)
-        return found
+        return [b for b in _bit_indices(self.circuit(e) & candidates) if b not in seen]
 
 
 def _spread(mask: int, positions: tuple[int, ...]) -> int:
@@ -889,10 +872,10 @@ class _ForestSpan(_KernelSpan):
     """The span of a forest, as :class:`_Span` describes it.
 
     A union-find over the vertices, grown by :func:`_grow_forest`, answers
-    ``adds`` and ``add``; ``grow_common`` runs the union-finds of both
-    spans in one loop.  The first ``circuit`` after the forest grows roots
-    it; the circuit of an edge is then the edge with the tree path between
-    its ends, kept per edge until the forest grows again.
+    ``adds``; the forest grows only in ``grow_common``, which runs the
+    union-finds of both spans in one loop.  The first ``circuit`` after the
+    forest grows roots it; the circuit of an edge is then the edge with the
+    tree path between its ends, kept per edge until the forest grows again.
     """
 
     __slots__ = ("mask", "_ends", "_parent", "_up", "_circuits")
@@ -908,17 +891,13 @@ class _ForestSpan(_KernelSpan):
         self._entering = None
 
     def adds(self, e: int) -> bool:
-        u, v = self._ends[e.bit_length() - 1]
+        u, v = self._ends[e]
         parent = self._parent
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         return u != v
-
-    def add(self, e: int) -> None:
-        _grow_forest(self._ends, self._parent, e, 0)
-        self._grown(e)
 
     def _grown(self, edges: int) -> None:
         self.mask |= edges
@@ -964,8 +943,8 @@ class _ForestSpan(_KernelSpan):
         up = self._up
         if up is None:
             up = self._up = self._rooted()
-        u, v = self._ends[e.bit_length() - 1]
-        found = e
+        u, v = self._ends[e]
+        found = 1 << e
         while u != v:
             if up[u][0] < up[v][0]:
                 u, v = v, u
@@ -1107,7 +1086,7 @@ class _EliminationSpan(_KernelSpan):
     the mask of the columns that sum to it.  A column reduces to zero
     against the pivots exactly when it is spanned, and then the columns it
     was reduced by are, with it, its fundamental circuit.  Reductions are
-    kept per column until the next ``add``.
+    kept per column until the span grows.
     """
 
     __slots__ = ("pivots", "_columns", "_reduced")
@@ -1117,8 +1096,8 @@ class _EliminationSpan(_KernelSpan):
         self.pivots: dict[int, tuple[int, int]] = {}
         self._reduced: dict[int, tuple[int, int]] = {}
         self._entering = None
-        for i in _bit_indices(independent):
-            self.add(1 << i)
+        for e in _bit_indices(independent):
+            self.add(e)
 
     def adds(self, e: int) -> bool:
         return self._reduce(e)[0] != 0
@@ -1138,8 +1117,8 @@ class _EliminationSpan(_KernelSpan):
         columns summed into it, ``e`` included."""
         hit = self._reduced.get(e)
         if hit is None:
-            v = self._columns[e.bit_length() - 1]
-            combo = e
+            v = self._columns[e]
+            combo = 1 << e
             pivots = self.pivots
             while v:
                 p = pivots.get(v.bit_length())

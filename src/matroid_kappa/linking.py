@@ -191,8 +191,8 @@ def _breaking_core(
 
     def lifted(away: ElementSet, toward: ElementSet, m_away: Matroid) -> ElementSet:
         # e lies in a component of M/away that meets ``toward``
-        e_bit = 1 << m_away.ground.index(e_label)
-        local = _joining_circuit(m_away, toward.in_universe(m_away.ground), e_bit)
+        e = m_away.ground.index(e_label)
+        local = _joining_circuit(m_away, toward.in_universe(m_away.ground), e)
         if not local:
             raise InvariantViolation("required breaking circuits do not exist")
         circuit = ElementSet(m_away.ground, local).in_universe(m.ground)
@@ -287,8 +287,8 @@ def constructive_linking(m: Matroid, x: ElementSet, y: ElementSet) -> LinkingRes
     # every element of Y' shares a component with X', or a union of
     # components would separate the cores below the target
     zone = x_core | y_core
-    for bit in _bit_indices(y_core.mask):
-        joining = _joining_circuit(m, x_core, 1 << bit)
+    for e in _bit_indices(y_core.mask):
+        joining = _joining_circuit(m, x_core, e)
         if not joining:
             raise InvariantViolation("no circuit joins a core element to the other core")
         zone = zone | ElementSet(m.ground, joining)
@@ -424,7 +424,7 @@ def infinite_kappa_chain(
         residual_y = (y - taken).in_universe(current.ground)
         found = 0
         for b in _bit_indices(residual_y.mask):
-            found = _joining_circuit(current, residual_x, 1 << b)
+            found = _joining_circuit(current, residual_x, b)
             if found:
                 break
         if not found:

@@ -375,47 +375,49 @@ def scan_common_independent(m: Matroid, free, base_x, base_y):
 
     def swaps(span, b, e):
         found = span.circuit(e)
-        return found == 0 or found & b != 0
+        return found == 0 or found >> b & 1 == 1
 
-    def bits(mask):
-        return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    def indices(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
     span_x = m._span(base_x)
     span_y = m._span(base_y)
     common = 0
-    for bit in bits(free):
-        if span_x.adds(bit) and span_y.adds(bit):
-            span_x.add(bit)
-            span_y.add(bit)
-            common |= bit
+    for e in indices(free):
+        if span_x.adds(e) and span_y.adds(e):
+            # a forest span grows only in its fused greedy pass, so each
+            # span is built afresh on the grown set
+            common |= 1 << e
+            span_x = m._span(base_x | common)
+            span_y = m._span(base_y | common)
     while True:
-        outside = bits(free & ~common)
-        inside = bits(common)
-        parent = {bit: 0 for bit in outside if span_x.adds(bit)}
+        outside = indices(free & ~common)
+        inside = indices(common)
+        parent = {e: None for e in outside if span_x.adds(e)}
         queue = deque(parent)
-        end = 0
+        end = None
         while queue:
             at = queue.popleft()
-            if common & at:
-                for bit in outside:
-                    if bit not in parent and swaps(span_x, at, bit):
-                        parent[bit] = at
-                        queue.append(bit)
+            if common >> at & 1:
+                for e in outside:
+                    if e not in parent and swaps(span_x, at, e):
+                        parent[e] = at
+                        queue.append(e)
             elif span_y.adds(at):
                 end = at
                 break
             else:
-                for bit in inside:
-                    if bit not in parent and swaps(span_y, bit, at):
-                        parent[bit] = at
-                        queue.append(bit)
-        if not end:
+                for b in inside:
+                    if b not in parent and swaps(span_y, b, at):
+                        parent[b] = at
+                        queue.append(b)
+        if end is None:
             reach = 0
-            for bit in parent:
-                reach |= bit
+            for e in parent:
+                reach |= 1 << e
             return common, reach
-        while end:
-            common ^= end
+        while end is not None:
+            common ^= 1 << end
             end = parent[end]
         span_x = m._span(base_x | common)
         span_y = m._span(base_y | common)

@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_kappa import cli, windows
+from matroid_kappa import cli, components, is_k_connected, uniform_matroid, windows
 from matroid_kappa.cli import parse_and_run
 
 U24 = "type: uniform\nelements: a b c d\nk: 2\n"
@@ -84,6 +84,19 @@ class TestVerbs:
         assert code == 0 and "components (2)" in out
         code, out, _ = run(capsys, ["connected", str(path)])
         assert code == 0 and "false" in out
+
+    def test_empty_minor_is_connected(self, capsys, tmp_path, tri_file):
+        # no element, so no 1-separation: connected, as is_k_connected(·, 2) says
+        path = tmp_path / "empty.matroid"
+        path.write_text(
+            f"type: file-derived\nbase: {tri_file}\napply: minor\ncontract: e1\ndelete: e2 e3\n"
+        )
+        code, out, _ = run(capsys, ["connected", str(path)])
+        assert (code, out.strip()) == (0, "connected: true")
+        code, out, _ = run(capsys, ["separation", "--k=1", str(path)])
+        assert (code, out.strip()) == (0, "no separation found")
+        empty = uniform_matroid([], 0)
+        assert components(empty).is_connected and is_k_connected(empty, 2)
 
     def test_dual_and_minor(self, capsys, u24_file):
         code, out, _ = run(capsys, ["dual", u24_file])

@@ -609,7 +609,7 @@ class TestPolynomialGuard:
             spans.append(span)  # kept alive, so that no two share an id
 
         def spy_circuit(span, e):
-            circuits.append((id(span), e, span.mask & e))
+            circuits.append((id(span), e, span.mask >> e & 1))
             return circuit(span, e)
 
         monkeypatch.setattr(_ForestSpan, "__init__", spy_init)
@@ -622,7 +622,7 @@ class TestPolynomialGuard:
         free = m.ground.full_mask & ~x.mask & ~y.mask
         assert swaps == []
         assert circuits and len({(span, e) for span, e, _ in circuits}) == len(circuits)
-        assert all(e & free and not inside for _, e, inside in circuits)
+        assert all(free >> e & 1 and not inside for _, e, inside in circuits)
 
     def test_linking_partition_is_one_intersection(self, monkeypatch):
         # the partition is read off the kappa(X, Y) record: one

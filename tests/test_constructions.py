@@ -28,7 +28,7 @@ from matroid_kappa import (
     take_minor,
     uniform_matroid,
 )
-from matroid_kappa.core import BinaryMatroid, GraphicMatroid
+from matroid_kappa.core import BinaryMatroid, GraphicMatroid, _ForestSpan
 
 
 def u24():
@@ -661,28 +661,32 @@ class TestRepresentationKernels:
         full = m.ground.full_mask
         taken = ref._greedy_basis_mask(data.draw(st.integers(0, full)))
         span, scan = m._span(taken), ref._span(taken)
-        bits = [1 << i for i in range(len(m.ground))]
+        elements = range(len(m.ground))
         seen_mask = data.draw(st.integers(0, full))
-        seen = {bit for bit in bits if bit & seen_mask}
-        for e in data.draw(st.permutations(bits)) + [0]:
+        seen = {e for e in elements if seen_mask >> e & 1}
+        for e in data.draw(st.permutations(elements)) + [None]:
             dependent = 0
-            for f in bits:
-                if taken & f:
+            for f in elements:
+                if taken >> f & 1:
                     continue
-                assert span.adds(f) == scan.adds(f) == ref._indep(taken | f)
+                assert span.adds(f) == scan.adds(f) == ref._indep(taken | 1 << f)
                 circuit = span.circuit(f)
                 assert circuit == scan.circuit(f)
                 if circuit:
-                    assert ref.find_circuit_in(m.ground.from_mask(taken | f)).mask == circuit
-                    dependent |= f
+                    assert ref.find_circuit_in(m.ground.from_mask(taken | 1 << f)).mask == circuit
+                    dependent |= 1 << f
                     assert span.leaving(f, taken, seen) == scan.leaving(f, taken, seen)
-            for b in bits:
-                if taken & b:
+            for b in elements:
+                if taken >> b & 1:
                     assert span.entering(b, dependent, seen) == scan.entering(b, dependent, seen)
-            if e and not taken & e and scan.adds(e):
-                span.add(e)
+            if e is not None and not taken >> e & 1 and scan.adds(e):
                 scan.add(e)
-                taken |= e
+                taken |= 1 << e
+                # a forest grows only in its fused greedy pass: build it anew
+                if isinstance(span, _ForestSpan):
+                    span = m._span(taken)
+                else:
+                    span.add(e)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(m=st.one_of(binary_matroids(), multigraph_matroids()), data=st.data())
@@ -693,17 +697,20 @@ class TestRepresentationKernels:
         candidates = data.draw(st.integers(0, full)) & ~bases[0] & ~bases[1]
         spans = [m._span(base) for base in bases]
         scans = [ref._span(base) for base in bases]
-        bits = [1 << i for i in range(len(m.ground))]
+        elements = range(len(m.ground))
         expected = scans[0].grow_common(scans[1], candidates)
-        dependents = [sum(f for f in bits if not (f & scan.mask or scan.adds(f))) for scan in scans]
+        dependents = [
+            sum(1 << f for f in elements if not (scan.mask >> f & 1 or scan.adds(f)))
+            for scan in scans
+        ]
         # arcs and circuits read before the spans grow must not outlive the growth
         for span, dependent in zip(spans, dependents):
-            for f in bits:
+            for f in elements:
                 span.entering(f, dependent, ())
         assert spans[0].grow_common(spans[1], candidates) == expected
         for span, scan, dependent in zip(spans, scans, dependents):
-            for f in bits:
-                if f & scan.mask:
+            for f in elements:
+                if scan.mask >> f & 1:
                     assert span.entering(f, dependent, ()) == scan.entering(f, dependent, ())
                 else:
                     assert span.circuit(f) == scan.circuit(f)

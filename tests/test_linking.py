@@ -544,7 +544,7 @@ class TestJoiningCircuit:
         e = data.draw(st.sampled_from(labels))
         rest = [lab for lab in labels if lab != e]
         s = m.ground.set_of(data.draw(st.lists(st.sampled_from(rest), min_size=1, unique=True)))
-        found = connectivity._joining_circuit(m, s, 1 << m.ground.index(e))
+        found = connectivity._joining_circuit(m, s, m.ground.index(e))
         exists = any(
             e in c and c & frozenset(s)
             for c in helpers.brute_circuits(helpers.oracle_of(m), labels)

@@ -35,9 +35,9 @@ RUNS = 3
 SLOW_S = 5.0
 
 
-def _corners(m):
+def _corners(m, count: int = 3):
     labels = m.ground.labels
-    return m.ground.set_of(labels[:3]), m.ground.set_of(labels[-3:])
+    return m.ground.set_of(labels[:count]), m.ground.set_of(labels[-count:])
 
 
 def _digest(result) -> str:
@@ -57,9 +57,11 @@ def rows(mk, helpers) -> list[tuple[str, Callable[[], object]]]:
     """(name, query) for every row; each query builds its own input."""
     grid = helpers.grid_graph
 
-    def kappa_between_grid(size):
+    def kappa_between_grid(size, count=3, dual=False):
         m = grid(size, size)
-        return mk.kappa_between(m, *_corners(m))
+        if dual:
+            m = mk.dual(m)
+        return mk.kappa_between(m, *_corners(m, count))
 
     def constructive_corners():
         m = grid(30, 30)
@@ -102,6 +104,11 @@ def rows(mk, helpers) -> list[tuple[str, Callable[[], object]]]:
     table = [
         ("kappa_between, 20x20 grid, 3 + 3 corner sides", lambda: kappa_between_grid(20)),
         ("kappa_between, 30x30 grid, 3 + 3 corner sides", lambda: kappa_between_grid(30)),
+        ("kappa_between, 60x60 grid, 3 + 3 corner sides", lambda: kappa_between_grid(60)),
+        ("kappa_between, 60x60 grid, first 30 / last 30 edges",
+         lambda: kappa_between_grid(60, count=30)),
+        ("kappa_between, dual of the 45x45 grid, 3 + 3 corner sides",
+         lambda: kappa_between_grid(45, dual=True)),
         ("constructive_linking, 30x30 grid, 3 + 3 corner sides", constructive_corners),
         ("constructive_linking, 20x20 grid, five 4 + 4 pairs", constructive_pairs),
         ("kappa_between, two 16x16 grids, 3 + 3 sides in one part", sum_kappa_between),
