@@ -166,25 +166,29 @@ def _largest_common_independent(
     does not depend on the representation.  A round ends at the first
     sink it reaches, and flipping that shortest path grows I by one; a
     round with no source, or no path, ends the search, and I is largest
-    (Cunningham).
+    (Cunningham).  Once |I| + |base_x| is r(E), I + base_x is a basis of
+    ``m``, so no element is addable in M/X and a round would find no
+    source: the search stops there without scanning for one.
 
     R is the set of elements that last round reaches from its sources
-    (the keys of ``parent``), empty when it has no source.  With Z the
-    free elements, X + (Z - R) is the greatest minimiser of kappa(U)
-    over X inside U inside E - Y: it attains kappa(X, Y) (Edmonds'
-    min-max; Schrijver, *Combinatorial Optimization*, ch. 41) and holds
-    every minimiser.  Sketch: for a minimiser X + A, the bound
-    |I| <= r_{M/X}(A) + r_{M/Y}(Z - A) is tight, so I & A spans A in M/X
-    and I - A spans Z - A in M/Y.  Then no source lies in A, no
-    ``entering`` arc runs from I - A into A, and no ``leaving`` arc from
-    Z - A - I into A, so R avoids A.  As kappa(U) = kappa(E - U), the
-    least minimiser is E minus the greatest one of the swapped sides
-    (Y, X), that is X + R' with R' the reach of the (Y, X) record.
+    (the keys of ``parent``), empty when it has no source, and so when
+    I + base_x is a basis.  With Z the free elements, X + (Z - R) is the
+    greatest minimiser of kappa(U) over X inside U inside E - Y: it
+    attains kappa(X, Y) (Edmonds' min-max; Schrijver, *Combinatorial
+    Optimization*, ch. 41) and holds every minimiser.  Sketch: for a
+    minimiser X + A, the bound |I| <= r_{M/X}(A) + r_{M/Y}(Z - A) is
+    tight, so I & A spans A in M/X and I - A spans Z - A in M/Y.  Then
+    no source lies in A, no ``entering`` arc runs from I - A into A, and
+    no ``leaving`` arc from Z - A - I into A, so R avoids A.  As
+    kappa(U) = kappa(E - U), the least minimiser is E minus the greatest
+    one of the swapped sides (Y, X), that is X + R' with R' the reach of
+    the (Y, X) record.
     """
     span_x = m._span(base_x)
     span_y = m._span(base_y)
     common = span_x.grow_common(span_y, free)
-    while True:
+    room = m.full_rank - base_x.bit_count()
+    while common.bit_count() < room:
         parent: dict[int, int | None] = {}
         blocked = 0
         for e in _bit_indices(free & ~common):
@@ -214,8 +218,10 @@ def _largest_common_independent(
         while end is not None:
             common ^= 1 << end
             end = parent[end]
-        span_x = m._span(base_x | common)
-        span_y = m._span(base_y | common)
+        if common.bit_count() < room:  # no spans for a round that will not run
+            span_x = m._span(base_x | common)
+            span_y = m._span(base_y | common)
+    return common, 0
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,11 @@ Binary circuits are the minimal supports of the cycle space, found with
 Components (:meth:`Matroid._component_masks`) are the blocks of the graph
 for a graphic matroid, found by one depth-first search, and for binary,
 explicit and derived matroids the fundamental circuits of the canonical
-basis joined with union-find.  A uniform matroid has greedy bases,
-circuits and components in closed form and asks its oracle for spans;
-explicit and derived matroids ask their oracle for all of these.
+basis joined with union-find; a binary matroid reads those circuits off
+one elimination pass over its columns, the greedy pass itself.  A uniform
+matroid has greedy bases, circuits and components in closed form and asks
+its oracle for spans; explicit and derived matroids ask their oracle for
+all of these.
 """
 
 from __future__ import annotations
@@ -380,25 +382,32 @@ class Matroid:
         """Every component mask once, in any order.
 
         Here the fundamental circuits of the canonical basis are joined
-        with union-find (Krogdahl), with no circuit enumeration.  They are
-        read off :meth:`_span`, so a GF(2) elimination makes no oracle
-        call; other matroids ask their oracle about B + e and each
-        B - b + e.
+        with union-find (Krogdahl), with no circuit enumeration.  They come
+        from :meth:`_fundamental_circuits`: a binary matroid reads them off
+        one elimination pass and makes no oracle call; other matroids ask
+        their oracle about B + e and each B - b + e.
         """
         parent = list(range(len(self.ground)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            return a
-
         for circuit in self._fundamental_circuits():
-            root = find((circuit & -circuit).bit_length() - 1)
-            for b in _bit_indices(circuit):
-                parent[find(b)] = root
+            # the finds run inline, with path halving: a call per element
+            # would cost more than the walk itself
+            low = circuit & -circuit
+            rest = circuit ^ low
+            root = low.bit_length() - 1
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                parent[b] = root
         by_root: dict[int, int] = {}
         for i in range(len(parent)):
-            root = find(i)
+            root = i
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
             by_root[root] = by_root.get(root, 0) | 1 << i
         return by_root.values()
 
@@ -592,13 +601,12 @@ class _KernelSpan:
     b lies on the fundamental circuit of e exactly when I - b + e is
     independent, so ``leaving(e)`` is the circuit of e, and ``entering``
     inverts the circuits of all candidates once, into per-b lists in the
-    candidates' canonical order, kept until the span grows.  The greedy
-    pass is the oracle span's loop unless a kernel fuses it.
+    candidates' canonical order, kept until the span grows.  Each kernel
+    fuses its greedy pass: ``grow_common`` runs both spans' own data in one
+    loop over the candidates, and a kernel span grows nowhere else.
     """
 
     __slots__ = ("_entering",)
-
-    grow_common = _Span.grow_common
 
     def entering(self, b: int, candidates: int, seen: Container[int]) -> list[int]:
         arcs = self._entering
@@ -1012,6 +1020,11 @@ class BinaryMatroid(Matroid):
     def _span(self, independent: int) -> "_EliminationSpan":
         return _EliminationSpan(self.columns, independent)
 
+    def _fundamental_circuits(self) -> list[int]:
+        # the greedy pass itself, with combos: a column that reduces to zero
+        # does so against the canonical basis elements before it
+        return _eliminate(self.columns, self.ground.full_mask, {})
+
     def _circuit_masks(self) -> Iterable[int]:
         """Minimal supports in the cycle space, walked in Gray-code order.
 
@@ -1083,10 +1096,13 @@ class _EliminationSpan(_KernelSpan):
     """The span of independent columns, as :class:`_Span` describes it.
 
     ``pivots`` maps a leading bit to a vector of the span together with
-    the mask of the columns that sum to it.  A column reduces to zero
-    against the pivots exactly when it is spanned, and then the columns it
-    was reduced by are, with it, its fundamental circuit.  Reductions are
-    kept per column until the span grows.
+    the mask of the columns that sum to it, built by :func:`_eliminate`.
+    A column reduces to zero against the pivots exactly when it is
+    spanned, and then the columns it was reduced by are, with it, its
+    fundamental circuit.  Reductions are kept per column until the span
+    grows, which it does only in ``grow_common``: each candidate is
+    reduced against both spans' pivots in turn, and becomes a pivot of
+    both when neither reduction is zero.
     """
 
     __slots__ = ("pivots", "_columns", "_reduced")
@@ -1096,17 +1112,44 @@ class _EliminationSpan(_KernelSpan):
         self.pivots: dict[int, tuple[int, int]] = {}
         self._reduced: dict[int, tuple[int, int]] = {}
         self._entering = None
-        for e in _bit_indices(independent):
-            self.add(e)
+        _eliminate(columns, independent, self.pivots)
 
     def adds(self, e: int) -> bool:
         return self._reduce(e)[0] != 0
 
-    def add(self, e: int) -> None:
-        v, combo = self._reduce(e)
-        self.pivots[v.bit_length()] = (v, combo)
-        self._reduced.clear()
-        self._entering = None
+    def grow_common(self, other: "_EliminationSpan", candidates: int) -> int:
+        columns = self._columns
+        mine, theirs = self.pivots, other.pivots
+        grown = 0
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            u = v = columns[low.bit_length() - 1]
+            mine_combo = theirs_combo = low
+            while u:
+                p = mine.get(u.bit_length())
+                if p is None:
+                    break
+                u ^= p[0]
+                mine_combo ^= p[1]
+            else:
+                continue
+            while v:
+                p = theirs.get(v.bit_length())
+                if p is None:
+                    break
+                v ^= p[0]
+                theirs_combo ^= p[1]
+            else:
+                continue
+            mine[u.bit_length()] = (u, mine_combo)
+            theirs[v.bit_length()] = (v, theirs_combo)
+            grown |= low
+        if grown:
+            for span in (self, other):
+                span._reduced.clear()
+                span._entering = None
+        return grown
 
     def circuit(self, e: int) -> int:
         v, combo = self._reduce(e)
@@ -1128,6 +1171,34 @@ class _EliminationSpan(_KernelSpan):
                 combo ^= p[1]
             hit = self._reduced[e] = (v, combo)
         return hit
+
+
+def _eliminate(
+    columns: tuple[int, ...], mask: int, pivots: dict[int, tuple[int, int]]
+) -> list[int]:
+    """Reduce the columns of ``mask``, in canonical order, against
+    ``pivots`` (leading bit to vector and the mask of the columns summed
+    into it), and make each nonzero remainder a pivot.  Returns, in
+    canonical order, the column masks summed into those that reduce to
+    zero: from empty pivots over all columns, that is the fundamental
+    circuit of each element outside the canonical basis."""
+    circuits = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        v = columns[low.bit_length() - 1]
+        combo = low
+        while v:
+            h = v.bit_length()
+            p = pivots.get(h)
+            if p is None:
+                pivots[h] = (v, combo)
+                break
+            v ^= p[0]
+            combo ^= p[1]
+        else:
+            circuits.append(combo)
+    return circuits
 
 
 def gf2_matroid(labels: Iterable[str], rows: Iterable[Iterable[int]]) -> Matroid:

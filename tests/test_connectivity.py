@@ -27,7 +27,7 @@ from matroid_kappa import (
 )
 from matroid_kappa import budgets, connectivity, linking
 from matroid_kappa.connectivity import _largest_common_independent
-from matroid_kappa.core import GraphicMatroid, _ForestSpan
+from matroid_kappa.core import GraphicMatroid, _EliminationSpan, _ForestSpan
 from matroid_kappa.windows import double_ladder
 
 
@@ -566,6 +566,21 @@ class TestPolynomialGuard:
         assert len(components(helpers.two_triangles())) == 2
         assert spans == []
 
+    def test_binary_components_build_no_span(self, monkeypatch):
+        # the fundamental circuits come from one elimination pass, not
+        # from a span over the canonical basis
+        spans = []
+        real = _EliminationSpan.__init__
+
+        def spy(span, *args):
+            spans.append(args)
+            real(span, *args)
+
+        monkeypatch.setattr(_EliminationSpan, "__init__", spy)
+        assert components(dual(helpers.grid_graph(8, 8))).is_connected
+        assert len(components(dual(helpers.two_triangles()))) == 2
+        assert spans == []
+
     def test_kappa_between_oracle_calls(self):
         m = helpers.grid_graph(8, 8)
         labels = list(m.ground)
@@ -718,8 +733,9 @@ def oracle_wrapped_corpus():
 
 
 # len(m._memo) per instance of oracle_wrapped_corpus after kappa_between
-# and linking_partition, as the swap-scan search left it (753 in all)
+# and linking_partition (746 in all), with no source scan once I + B_X is
+# a basis
 PINNED_MEMO_SIZES = [
-    29, 42, 25, 34, 44, 15, 38, 25, 52, 26, 39, 20,
-    31, 32, 27, 28, 19, 46, 29, 30, 36, 43, 21, 22,
+    29, 42, 25, 34, 44, 15, 38, 24, 52, 24, 39, 20,
+    31, 30, 27, 28, 19, 46, 29, 30, 34, 43, 21, 22,
 ]

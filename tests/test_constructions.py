@@ -28,7 +28,7 @@ from matroid_kappa import (
     take_minor,
     uniform_matroid,
 )
-from matroid_kappa.core import BinaryMatroid, GraphicMatroid, _ForestSpan
+from matroid_kappa.core import BinaryMatroid, GraphicMatroid
 
 
 def u24():
@@ -655,6 +655,15 @@ class TestRepresentationKernels:
         assert m.circuits() == generic(m).circuits()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=binary_matroids())
+    def test_binary_fundamental_circuits_match_generic(self, m):
+        # read off one elimination pass, before anything else is asked
+        assert isinstance(m, BinaryMatroid)
+        ref = generic(m)
+        assert m._fundamental_circuits() == Matroid._fundamental_circuits(ref)
+        assert m.basis() == ref.basis()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(m=st.one_of(binary_matroids(), multigraph_matroids()), data=st.data())
     def test_span_matches_generic(self, m, data):
         ref = generic(m)
@@ -682,11 +691,8 @@ class TestRepresentationKernels:
             if e is not None and not taken >> e & 1 and scan.adds(e):
                 scan.add(e)
                 taken |= 1 << e
-                # a forest grows only in its fused greedy pass: build it anew
-                if isinstance(span, _ForestSpan):
-                    span = m._span(taken)
-                else:
-                    span.add(e)
+                # a kernel span grows only in its fused greedy pass: build it anew
+                span = m._span(taken)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(m=st.one_of(binary_matroids(), multigraph_matroids()), data=st.data())
